@@ -78,8 +78,9 @@ type Spec struct {
 	// hint: results, streaming order, and rendered output are identical
 	// for any hint (or none).
 	CostHint func(id string) int
-	// Context, when non-nil, cancels the campaign: cells that have not
-	// started when it is done are skipped with the context's error
+	// Context, when non-nil, cancels the campaign: cells (or recheck
+	// executions) that have not started when it is done are skipped
+	// with the context's error
 	// instead of executed, so the pool drains promptly (bounded by the
 	// cells already in flight — a running cell is pure computation and
 	// finishes). Run still returns the full grid; skipped cells carry
@@ -345,6 +346,12 @@ func runCell(spec *Spec, c *CellResult) {
 	c.Report, c.Metrics, c.Err = run()
 	c.Elapsed = time.Since(t0)
 	if c.Err != nil || !c.Rechecked {
+		return
+	}
+	// The recheck is a second cell execution: a done context skips it
+	// like any unstarted cell, rather than half-reporting the cell.
+	if spec.Context != nil && spec.Context.Err() != nil {
+		c.Err = fmt.Errorf("skipped: %w", spec.Context.Err())
 		return
 	}
 	second, secondMetrics, err := run()

@@ -114,15 +114,13 @@ func cellOrder(cells []campaign.CellResult) []string {
 
 func cacheStats(t *testing.T, ts *httptest.Server) resultcache.Stats {
 	t.Helper()
-	resp, err := http.Get(ts.URL + "/api/v1/cache")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
+	// Straight through the handler, so it also reads a closed worker.
+	rec := httptest.NewRecorder()
+	ts.Config.Handler.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/v1/cache", nil))
 	var doc struct {
 		Stats resultcache.Stats `json:"stats"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+	if err := json.NewDecoder(rec.Body).Decode(&doc); err != nil {
 		t.Fatal(err)
 	}
 	return doc.Stats
@@ -508,6 +506,35 @@ func TestFleetCorruptCacheEntry(t *testing.T) {
 	}
 	if after.Stores != before.Stores+1 {
 		t.Errorf("stores %d -> %d, want exactly one healing recompute", before.Stores, after.Stores)
+	}
+}
+
+// TestFleetNoCacheStoreAfterRun pins that no cache write outlives
+// fleet.Run: once every cell is delivered, the straggler-steal and
+// recheck copies still in flight are canceled and store nothing. Copies
+// racing on one worker also compute each cell once, so the cold run
+// stores exactly one entry per cell.
+func TestFleetNoCacheStoreAfterRun(t *testing.T) {
+	seeds := campaign.Seeds(42, 3)
+	want := serialBaseline(t, testIDs, seeds, 0.5).RenderSummary()
+	worker := newWorker(t, workerConfig(t, ""), nil)
+	rep, err := fleet.Run(context.Background(), fleet.Config{
+		Workers: []string{worker.URL}, IDs: testIDs, Seeds: seeds,
+		Recheck: 0.5, InFlight: 4, ChunkSize: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rep.Result.RenderSummary(); got != want {
+		t.Fatalf("merged output diverged from serial\nfirst difference: %s", firstDiff(want, got))
+	}
+	atReturn := cacheStats(t, worker)
+	worker.Close() // blocks until every handler, straggler copies included, has returned
+	if drained := cacheStats(t, worker); drained.Stores != atReturn.Stores {
+		t.Errorf("stores %d when Run returned, %d once the worker drained: a copy wrote the cache after Run", atReturn.Stores, drained.Stores)
+	}
+	if cells := uint64(len(testIDs) * len(seeds)); atReturn.Stores != cells {
+		t.Errorf("stores %d, want one per cell (%d)", atReturn.Stores, cells)
 	}
 }
 

@@ -179,11 +179,19 @@ type cellKey struct {
 // execution came from cache — the recheck's second call must not
 // overwrite it, so the opt-in timings fields tell the truth about
 // where the primary result came from.
-func (p *campaignPlan) typedRun(s *Server, pool *sim.WorkerPool, origins *sync.Map) campaign.TypedRunFunc {
+//
+// Misses are computed under a per-key lock, so concurrent requests for
+// one cell compute it once. ctx is the request context: once it is
+// done — the client went away, the deadline passed, or a fleet
+// coordinator canceled a straggler copy after another copy delivered —
+// a cell still finishing is not stored, so no cache write outlives its
+// request. (campaign.Run stops starting cells, rechecks included.)
+func (p *campaignPlan) typedRun(ctx context.Context, s *Server, pool *sim.WorkerPool, origins *sync.Map) campaign.TypedRunFunc {
 	return func(id string, seed int64) (string, []sim.Metric, error) {
 		var key string
 		if p.cache != nil {
 			key = s.cellCacheKey(id, seed)
+			defer s.cells.lock(key)()
 			if e, ok := p.cache.Get(key); ok {
 				origins.LoadOrStore(cellKey{id, seed}, true)
 				return e.Report, e.Metrics, nil
@@ -200,7 +208,7 @@ func (p *campaignPlan) typedRun(s *Server, pool *sim.WorkerPool, origins *sync.M
 		if err != nil {
 			return "", nil, err
 		}
-		if p.cache != nil {
+		if p.cache != nil && ctx.Err() == nil {
 			// A failed store only costs the next sweep a recompute.
 			p.cache.Put(key, &resultcache.Entry{Report: r.Report, Metrics: r.Metrics})
 		}
@@ -305,7 +313,7 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 		Context:  ctx,
 		Pool:     pool,
 		Recheck:  plan.recheck,
-		RunTyped: plan.typedRun(s, pool, &origins),
+		RunTyped: plan.typedRun(ctx, s, pool, &origins),
 		CostHint: func(id string) int { return byID[id].Cost },
 	}
 

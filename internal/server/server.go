@@ -24,6 +24,7 @@ import (
 	"runtime"
 	"sort"
 	"strconv"
+	"sync"
 
 	"autosec/internal/config"
 	"autosec/internal/core"
@@ -37,6 +38,7 @@ import (
 type Server struct {
 	cfg   config.Config
 	cache *resultcache.Cache // nil when disabled
+	cells cellLocks          // one computation per cache key at a time
 
 	// Immutable after New: the merged experiment namespace.
 	registry []core.Experiment
@@ -241,4 +243,44 @@ func (s *Server) lookupExperiment(id string) (core.Experiment, bool) {
 func (s *Server) cellCacheKey(id string, seed int64) string {
 	return resultcache.Key("avsecd-cell", "1", resultcache.CodeVersion(),
 		id, strconv.FormatInt(seed, 10), s.scnFps[id])
+}
+
+// cellLocks serializes the cache-miss path per cache key. Two requests
+// reaching the same cell at once — a fleet's straggler copy beside its
+// primary, or a recheck copy — would otherwise both miss and both
+// compute; under the lock the second finds the first's entry and is
+// served from cache, so each cell is computed and stored once per
+// daemon.
+type cellLocks struct {
+	mu sync.Mutex
+	m  map[string]*cellLock
+}
+
+type cellLock struct {
+	sync.Mutex
+	refs int
+}
+
+// lock acquires the lock for key and returns its release.
+func (c *cellLocks) lock(key string) (unlock func()) {
+	c.mu.Lock()
+	if c.m == nil {
+		c.m = make(map[string]*cellLock)
+	}
+	l := c.m[key]
+	if l == nil {
+		l = &cellLock{}
+		c.m[key] = l
+	}
+	l.refs++
+	c.mu.Unlock()
+	l.Lock()
+	return func() {
+		l.Unlock()
+		c.mu.Lock()
+		if l.refs--; l.refs == 0 {
+			delete(c.m, key)
+		}
+		c.mu.Unlock()
+	}
 }

@@ -15,6 +15,9 @@
 //     doc-freshness job.
 //   - `{{m:NAME}}` / `{{m:ID:NAME}}` placeholders are substituted with
 //     the named typed metric's value; an unknown name is an error.
+//     `{{m:NAME|of N}}` renders a rate metric as the count "k/N" the
+//     report prints (e.g. 19/30); a rate that is not a whole number of
+//     N is an error.
 //
 // Regenerate the checked-in document with:
 //
@@ -24,6 +27,7 @@ package docs
 import (
 	_ "embed"
 	"fmt"
+	"math"
 	"regexp"
 	"sort"
 	"strconv"
@@ -110,6 +114,7 @@ func substitute(line, current string, byID map[string]core.Experiment, metrics M
 	var firstErr error
 	out := placeholderRe.ReplaceAllStringFunc(line, func(match string) string {
 		content := placeholderRe.FindStringSubmatch(match)[1]
+		content, ofText, isCount := strings.Cut(content, "|of ")
 		id, name := current, content
 		if pre, rest, ok := strings.Cut(content, ":"); ok {
 			if _, known := byID[pre]; known {
@@ -128,6 +133,17 @@ func substitute(line, current string, byID map[string]core.Experiment, metrics M
 				firstErr = fmt.Errorf("placeholder %s: experiment %q publishes no metric %q", match, id, name)
 			}
 			return match
+		}
+		if isCount {
+			n, err := strconv.Atoi(ofText)
+			k := math.Round(v * float64(n))
+			if err != nil || n <= 0 || math.Abs(k-v*float64(n)) > 1e-9 {
+				if firstErr == nil {
+					firstErr = fmt.Errorf("placeholder %s: %v is not a count out of %q", match, v, ofText)
+				}
+				return match
+			}
+			return fmt.Sprintf("%d/%d", int(k), n)
 		}
 		return strconv.FormatFloat(v, 'g', -1, 64)
 	})

@@ -84,3 +84,17 @@ func TestExperimentsMarkdownRejectsUnknownMetric(t *testing.T) {
 		t.Fatalf("unexpected error: %v", err)
 	}
 }
+
+func TestSubstituteCountForm(t *testing.T) {
+	byID := map[string]core.Experiment{"x": {ID: "x"}}
+	m := Metrics{"x": {"r": 19.0 / 30, "half": 0.5}}
+	got, err := substitute("{{m:r|of 30}} and {{m:x:half|of 4}}", "x", byID, m)
+	if err != nil || got != "19/30 and 2/4" {
+		t.Fatalf("got %q, %v; want \"19/30 and 2/4\"", got, err)
+	}
+	for _, bad := range []string{"{{m:r|of 4}}", "{{m:r|of x}}", "{{m:r|of 0}}"} {
+		if _, err := substitute(bad, "x", byID, m); err == nil || !strings.Contains(err.Error(), "not a count") {
+			t.Errorf("%s: got error %v, want a not-a-count error", bad, err)
+		}
+	}
+}

@@ -14,7 +14,6 @@ package sim
 import (
 	"container/heap"
 	"fmt"
-	"math"
 	"time"
 )
 
@@ -205,12 +204,6 @@ func (k *Kernel) Processed() int { return k.handled }
 type RNG struct {
 	state uint64
 	draws uint64
-	// Box–Muller produces normals in pairs; the second of each pair is
-	// cached here so consecutive NormFloat64 calls consume one pair of
-	// uniforms instead of two. Part of the seeded stream state: the
-	// normal sequence is a pure function of the seed either way.
-	spare    float64
-	hasSpare bool
 }
 
 // NewRNG returns a generator seeded with seed. Seed 0 is remapped to a
@@ -253,55 +246,6 @@ func (r *RNG) Int63() int64 { return int64(r.Uint64() >> 1) }
 // Float64 returns a uniform float in [0, 1).
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / float64(1<<53)
-}
-
-// NormFloat64 returns a standard normal sample via Box–Muller. Each
-// pair of uniforms yields two normals (radius·cos, then radius·sin);
-// the sine partner is cached and returned by the next call, halving the
-// Sqrt/Log/trig work per sample on noise-heavy paths.
-func (r *RNG) NormFloat64() float64 {
-	if r.hasSpare {
-		r.hasSpare = false
-		return r.spare
-	}
-	u1 := r.Float64()
-	for u1 == 0 {
-		u1 = r.Float64()
-	}
-	u2 := r.Float64()
-	rad := math.Sqrt(-2 * math.Log(u1))
-	sin, cos := math.Sincos(2 * math.Pi * u2)
-	r.spare, r.hasSpare = rad*sin, true
-	return rad * cos
-}
-
-// NormFill fills dst with standard normal samples, drawing exactly the
-// stream successive NormFloat64 calls would produce — bulk callers
-// (e.g. per-sample channel noise) switch between the two freely without
-// perturbing determinism. The win over a NormFloat64 loop is keeping
-// the pair generation in one tight loop: no per-sample call overhead or
-// spare-cache round trip.
-func (r *RNG) NormFill(dst []float64) {
-	i := 0
-	if r.hasSpare && len(dst) > 0 {
-		r.hasSpare = false
-		dst[0] = r.spare
-		i = 1
-	}
-	for ; i+1 < len(dst); i += 2 {
-		u1 := r.Float64()
-		for u1 == 0 {
-			u1 = r.Float64()
-		}
-		u2 := r.Float64()
-		rad := math.Sqrt(-2 * math.Log(u1))
-		sin, cos := math.Sincos(2 * math.Pi * u2)
-		dst[i] = rad * cos
-		dst[i+1] = rad * sin
-	}
-	if i < len(dst) {
-		dst[i] = r.NormFloat64() // odd tail: partner goes to the spare
-	}
 }
 
 // Bool returns true with probability p.

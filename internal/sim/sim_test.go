@@ -248,8 +248,8 @@ func TestRNGNormFloat64Moments(t *testing.T) {
 
 // TestRNGNormFillMatchesNormFloat64 pins the bulk and scalar normal
 // generators to one stream: any slicing of the sequence into NormFill
-// chunks (odd lengths force the spare cache across call boundaries)
-// must reproduce the per-call sequence bit for bit.
+// chunks, or interleaving with NormFloat64 calls, must reproduce the
+// per-call sequence bit for bit.
 func TestRNGNormFillMatchesNormFloat64(t *testing.T) {
 	const total = 257
 	ref := NewRNG(21)

@@ -250,7 +250,9 @@ func (s *Server) cellCacheKey(id string, seed int64) string {
 // primary, or a recheck copy — would otherwise both miss and both
 // compute; under the lock the second finds the first's entry and is
 // served from cache, so each cell is computed and stored once per
-// daemon.
+// daemon. A holder never waits for another cell's lock, and replicate
+// fan-out inside a cell only borrows idle pool slots, so holding the
+// lock across the computation cannot deadlock.
 type cellLocks struct {
 	mu sync.Mutex
 	m  map[string]*cellLock

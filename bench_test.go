@@ -88,10 +88,11 @@ func BenchmarkAblationScaling(b *testing.B)         { benchExperiment(b, "ablate
 // once at GOMAXPROCS, so the pool's speedup over serial execution is
 // tracked in the perf trajectory. Each jobs level shares one
 // jobs-sized worker pool between cell-level parallelism and
-// intra-experiment replicate fan-out, exactly as `avsec all -jobs K`
-// does: at jobs=1 everything is strictly serial, and at GOMAXPROCS
-// the straggler cells absorb the idle workers' slots. Run with
-// -benchmem to also see the aggregation overhead.
+// intra-experiment replicate fan-out, and cells run through the typed
+// runner with metric capture, exactly as `avsec all -jobs K` does: at
+// jobs=1 everything is strictly serial, and at GOMAXPROCS the
+// straggler cells absorb the idle workers' slots. Run with -benchmem
+// to also see the aggregation overhead.
 func BenchmarkCampaignAll(b *testing.B) {
 	var ids []string
 	for _, e := range core.Experiments() {
@@ -105,8 +106,12 @@ func BenchmarkCampaignAll(b *testing.B) {
 				pool := sim.NewWorkerPool(jobs)
 				res, err := campaign.Run(campaign.Spec{
 					IDs: ids, Seeds: seeds, Jobs: jobs, Pool: pool,
-					Run: func(id string, seed int64) (string, error) {
-						return core.RunExperimentWith(id, seed, pool)
+					RunTyped: func(id string, seed int64) (string, []sim.Metric, error) {
+						r, err := core.RunExperimentResult(id, seed, core.RunOptions{Pool: pool})
+						if err != nil {
+							return "", nil, err
+						}
+						return r.Report, r.Metrics, nil
 					},
 				})
 				if err != nil {

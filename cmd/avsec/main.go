@@ -277,7 +277,7 @@ func resolveJobs(jobs int) int {
 // extra maps non-registry experiment ids (compiled scenarios) to their
 // runnable form; they go through the identical observability path.
 func typedRunWith(pool *sim.WorkerPool, extra map[string]core.Experiment) campaign.TypedRunFunc {
-	return func(id string, seed int64) (string, []campaign.Metric, error) {
+	return func(id string, seed int64) (string, []sim.Metric, error) {
 		var r *core.RunResult
 		var err error
 		if e, ok := extra[id]; ok {
@@ -378,18 +378,18 @@ func runAll(args []string) {
 // one element per experiment in paper order, carrying the typed metrics.
 func writeAllJSON(w io.Writer, res *campaign.Result, byID map[string]core.Experiment) error {
 	type runDoc struct {
-		ID      string            `json:"id"`
-		Title   string            `json:"title"`
-		Source  string            `json:"source"`
-		Seed    int64             `json:"seed"`
-		Metrics []campaign.Metric `json:"metrics"`
+		ID      string       `json:"id"`
+		Title   string       `json:"title"`
+		Source  string       `json:"source"`
+		Seed    int64        `json:"seed"`
+		Metrics []sim.Metric `json:"metrics"`
 	}
 	docs := make([]runDoc, 0, len(res.Cells))
 	for _, c := range res.Cells {
 		e := byID[c.ID]
 		m := c.Metrics
 		if m == nil {
-			m = []campaign.Metric{}
+			m = []sim.Metric{}
 		}
 		docs = append(docs, runDoc{ID: c.ID, Title: e.Title, Source: e.Source, Seed: c.Seed, Metrics: m})
 	}

@@ -7,15 +7,16 @@
 // output" contract from a comment into a continuously exercised
 // invariant.
 //
-// The package is deliberately generic: it depends only on a RunFunc
-// (id, seed) → report, so the experiment registry in internal/core, a
-// test stub, or any future workload can be campaigned identically. All
-// rendered output is a pure function of the collected reports, so the
-// aggregate tables are byte-identical regardless of the worker count.
+// The package is deliberately generic: it depends only on a
+// TypedRunFunc (id, seed) → (report, typed metrics), so the experiment
+// registry in internal/core, a test stub, or any future workload can be
+// campaigned identically. All rendered output is a pure function of the
+// collected cells, so the aggregate tables are byte-identical regardless
+// of the worker count.
 //
 // Drives `avsec all` and `avsec campaign` over every registry
-// experiment; the typed-vs-scraped cross-check test pins both
-// aggregation paths to each other.
+// experiment; internal/core/testdata/GOLDEN.campaign.txt pins the
+// registry's aggregate tables.
 package campaign
 
 import (
@@ -30,14 +31,10 @@ import (
 	"autosec/internal/sim"
 )
 
-// RunFunc produces the report of one experiment at one seed. It must be
-// safe for concurrent use: the pool calls it from many goroutines.
-type RunFunc func(id string, seed int64) (string, error)
-
-// TypedRunFunc produces both the report and the run's typed metrics.
-// Campaigns prefer it over RunFunc when set: aggregation then consumes
-// structured sim.Metric values instead of scraping the report text.
-// It must be safe for concurrent use.
+// TypedRunFunc produces the report of one experiment at one seed and
+// the run's typed metrics, which are all that aggregation consumes. It
+// must be safe for concurrent use: the pool calls it from many
+// goroutines.
 type TypedRunFunc func(id string, seed int64) (string, []sim.Metric, error)
 
 // defaultRecheckSeed drives the deterministic selection of which cells
@@ -59,12 +56,7 @@ type Spec struct {
 	Recheck float64
 	// RecheckSeed seeds the cell-selection RNG; 0 uses a fixed default.
 	RecheckSeed int64
-	// Run executes one cell. Required unless RunTyped is set.
-	Run RunFunc
-	// RunTyped, when non-nil, is used instead of Run and additionally
-	// yields the run's typed metrics, which aggregation prefers over
-	// report scraping (the scraper remains the fallback for cells
-	// without typed metrics).
+	// RunTyped executes one cell. Required.
 	RunTyped TypedRunFunc
 	// OnCell, when non-nil, is called from Run's goroutine for every
 	// completed cell in grid order (experiment-major, then seed), as soon
@@ -90,7 +82,7 @@ type Spec struct {
 	// shares with intra-cell replicate fan-out: each cell holds one
 	// slot for its whole execution, so nested sim.Replicates calls
 	// inside the cell can only borrow slots that are currently idle.
-	// Size it to Jobs (and route the same pool into the RunFunc, e.g.
+	// Size it to Jobs (and route the same pool into RunTyped, e.g.
 	// via core.RunOptions.Pool) to keep the two-level cells ×
 	// replicates parallelism inside one -jobs budget; once the grid
 	// drains to a last straggler cell, the idle workers' slots are
@@ -104,8 +96,8 @@ type CellResult struct {
 	ID     string
 	Seed   int64
 	Report string
-	// Metrics holds the run's typed metrics when the campaign ran with
-	// a TypedRunFunc; nil means aggregation falls back to scraping.
+	// Metrics holds the run's typed metrics; a cell that published none
+	// contributes no metric rows to aggregation.
 	Metrics []sim.Metric
 	Err     error
 	// Elapsed is the wall time of the primary execution (reporting only;
@@ -115,8 +107,7 @@ type CellResult struct {
 	// cell; Diverged is set when the two reports differ, and
 	// RecheckReport then holds the second, conflicting report.
 	// MetricsDiverged is set when the reports agree but the typed
-	// metric streams do not — a contract violation the scraper path
-	// could never observe.
+	// metric streams do not.
 	Rechecked       bool
 	Diverged        bool
 	MetricsDiverged bool
@@ -205,8 +196,8 @@ func SelectRechecks(n int, fraction float64, seed int64) []bool {
 // failure and every determinism divergence, so a non-nil error means
 // the campaign must not be trusted.
 func Run(spec Spec) (*Result, error) {
-	if spec.Run == nil && spec.RunTyped == nil {
-		return nil, errors.New("campaign: Spec.Run or Spec.RunTyped is required")
+	if spec.RunTyped == nil {
+		return nil, errors.New("campaign: Spec.RunTyped is required")
 	}
 	if len(spec.IDs) == 0 {
 		return nil, errors.New("campaign: no experiment ids")
@@ -332,18 +323,10 @@ func Run(spec Spec) (*Result, error) {
 }
 
 // runCell executes one cell, including its optional determinism
-// recheck. With a typed runner the recheck covers the metric stream as
-// well as the report bytes.
+// recheck, which covers the metric stream as well as the report bytes.
 func runCell(spec *Spec, c *CellResult) {
-	run := func() (string, []sim.Metric, error) {
-		if spec.RunTyped != nil {
-			return spec.RunTyped(c.ID, c.Seed)
-		}
-		report, err := spec.Run(c.ID, c.Seed)
-		return report, nil, err
-	}
 	t0 := time.Now()
-	c.Report, c.Metrics, c.Err = run()
+	c.Report, c.Metrics, c.Err = spec.RunTyped(c.ID, c.Seed)
 	c.Elapsed = time.Since(t0)
 	if c.Err != nil || !c.Rechecked {
 		return
@@ -354,7 +337,7 @@ func runCell(spec *Spec, c *CellResult) {
 		c.Err = fmt.Errorf("skipped: %w", spec.Context.Err())
 		return
 	}
-	second, secondMetrics, err := run()
+	second, secondMetrics, err := spec.RunTyped(c.ID, c.Seed)
 	if err != nil {
 		c.Err = fmt.Errorf("determinism recheck: %w", err)
 		return

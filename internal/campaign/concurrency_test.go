@@ -10,7 +10,19 @@ import (
 
 	"autosec/internal/campaign"
 	"autosec/internal/core"
+	"autosec/internal/sim"
 )
+
+// registryRun runs a registry experiment through the typed entry point
+// the CLI and the daemon use, with replicate loops on the process-wide
+// pool.
+func registryRun(id string, seed int64) (string, []sim.Metric, error) {
+	r, err := core.RunExperimentResult(id, seed, core.RunOptions{Pool: sim.DefaultPool()})
+	if err != nil {
+		return "", nil, err
+	}
+	return r.Report, r.Metrics, nil
+}
 
 // TestConcurrentRunExperimentAllIDs fans every registry experiment out
 // over an oversubscribed pool at once. Any shared package-level state in
@@ -25,10 +37,10 @@ func TestConcurrentRunExperimentAllIDs(t *testing.T) {
 		ids = append(ids, e.ID)
 	}
 	res, err := campaign.Run(campaign.Spec{
-		IDs:   ids,
-		Seeds: []int64{42},
-		Jobs:  8,
-		Run:   core.RunExperiment,
+		IDs:      ids,
+		Seeds:    []int64{42},
+		Jobs:     8,
+		RunTyped: registryRun,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -49,11 +61,11 @@ func TestCampaignJobsIndependenceRealExperiments(t *testing.T) {
 	ids := []string{"fig4", "fig6", "exp-ids", "exp-vehicle", "exp-v2x", "ablate-fv"}
 	render := func(jobs int) string {
 		res, err := campaign.Run(campaign.Spec{
-			IDs:     ids,
-			Seeds:   campaign.Seeds(42, 3),
-			Jobs:    jobs,
-			Recheck: 0.5,
-			Run:     core.RunExperiment,
+			IDs:      ids,
+			Seeds:    campaign.Seeds(42, 3),
+			Jobs:     jobs,
+			Recheck:  0.5,
+			RunTyped: registryRun,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -17,20 +17,19 @@ type MetricSummary struct {
 	Agg  sim.Agg
 }
 
-// ExperimentSummary aggregates every scraped metric of one experiment
+// ExperimentSummary aggregates every typed metric of one experiment
 // across all seeds it ran at.
 type ExperimentSummary struct {
 	ID      string
-	Runs    int // successful cells that contributed metrics
+	Runs    int // successful cells, whether or not they published metrics
 	Metrics []MetricSummary
 }
 
-// Summaries merges each experiment's metrics across seeds. Cells run
-// with a typed runner contribute their structured sim.Metric values
-// directly; cells without typed metrics fall back to scraping the
-// report text. Metric order follows first appearance in seed order, so
-// the output is a pure function of the collected cells — independent
-// of how many workers produced them.
+// Summaries merges each experiment's typed sim.Metric values across
+// seeds; a cell that published no metrics counts as a run and adds no
+// rows. Metric order follows first appearance in seed order, so the
+// output is a pure function of the collected cells — independent of
+// how many workers produced them.
 func (r *Result) Summaries() []ExperimentSummary {
 	out := make([]ExperimentSummary, 0, len(r.IDs))
 	for i, id := range r.IDs {
@@ -42,11 +41,7 @@ func (r *Result) Summaries() []ExperimentSummary {
 				continue
 			}
 			es.Runs++
-			metrics := c.Metrics
-			if metrics == nil {
-				metrics = Scrape(c.Report)
-			}
-			for _, m := range metrics {
+			for _, m := range c.Metrics {
 				k, ok := index[m.Name]
 				if !ok {
 					k = len(es.Metrics)

@@ -124,8 +124,8 @@ func RunExpPTP(rc *RunContext) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		// An empty cell would collapse under the scraper's two-space
-		// column split and shift every later column; render "-" instead.
+		// Render "-" rather than an empty cell, which would leave a
+		// blank column in the report table.
 		localized := strings.Join(rep.AttackedPaths, ",")
 		if localized == "" {
 			localized = "-"

@@ -94,15 +94,16 @@ func TestGoldenDeterminismAllExperiments(t *testing.T) {
 	}
 }
 
-// TestTracedRunMatchesUntraced asserts the nil-tracer fast path: the
-// report with observability fully enabled must equal the report with it
-// fully disabled, for every experiment. Tracing is read-only.
+// TestTracedRunMatchesUntraced asserts the nil-sink fast path: the
+// report with observability fully enabled must equal the report of a
+// bare RunContext (no metric sink, no tracer), for every experiment.
+// Capture is read-only.
 func TestTracedRunMatchesUntraced(t *testing.T) {
 	for _, e := range Experiments() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
 			t.Parallel()
-			plain, err := RunExperiment(e.ID, 42)
+			plain, err := e.Run(NewRunContext(42))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -43,8 +43,8 @@ func (rc *RunContext) Table(title string, headers ...string) *sim.Table {
 }
 
 // Metric publishes one typed metric. Experiments call it alongside
-// prose report lines that carry a number, keeping the typed stream in
-// lockstep with the text the legacy scraper reads.
+// prose report lines that carry a number, so the typed stream — the
+// only source of campaign aggregates — carries what the report shows.
 func (rc *RunContext) Metric(name string, v float64) {
 	rc.Metrics.Add(name, v)
 }
@@ -162,27 +162,17 @@ func RunResultOf(e Experiment, seed int64, opt RunOptions) (*RunResult, error) {
 		Report: report, Metrics: rc.Metrics.Metrics()}, nil
 }
 
-// RunExperiment runs one experiment by id with structured capture
-// disabled, returning only the report text — the legacy entry point the
-// campaign scraper path and the benchmarks use. Replicate loops inside
-// the experiment fan out over the process-wide sim.DefaultPool; the
-// report is bit-identical to a serial run (pinned by the cross-check
-// test in parallel_test.go).
+// RunExperiment runs one experiment by id and returns only its report
+// text — RunExperimentResult for callers that want the report alone.
+// Replicate loops inside the experiment fan out over the process-wide
+// sim.DefaultPool; the report is bit-identical to a serial run (pinned
+// by TestSerialParallelCrossCheck in crosscheck_test.go).
 func RunExperiment(id string, seed int64) (string, error) {
-	return RunExperimentWith(id, seed, sim.DefaultPool())
-}
-
-// RunExperimentWith is RunExperiment with an explicit worker budget for
-// the experiment's replicate loops; nil means fully serial. Campaign
-// callers pass their shared cells × replicates pool here.
-func RunExperimentWith(id string, seed int64, pool *sim.WorkerPool) (string, error) {
-	e, err := lookup(id)
+	r, err := RunExperimentResult(id, seed, RunOptions{Pool: sim.DefaultPool()})
 	if err != nil {
 		return "", err
 	}
-	rc := NewRunContext(seed)
-	rc.Pool = pool
-	return e.Run(rc)
+	return r.Report, nil
 }
 
 // lookup finds an experiment by id; unknown ids get an error that

@@ -17,8 +17,7 @@ type Metric struct {
 	Value float64 `json:"value"`
 }
 
-// MetricSet is an ordered collection of typed metrics with the same
-// naming discipline the legacy report scraper uses: a name repeated
+// MetricSet is an ordered collection of typed metrics. A name repeated
 // within one set gets a "#2", "#3", ... suffix, so metrics align
 // one-to-one across seeds of the same experiment. The zero value and
 // the nil pointer are both usable; Add on a nil set is a no-op, which
@@ -145,9 +144,8 @@ func FormatJSONNumber(v float64) string {
 // float ("166.4", "2.33e-10") or an integer rate "a/b" (returned as the
 // fraction a/b). Surrounding punctuation from prose ("(", "),", "×",
 // ...) is stripped; tokens that are not purely numeric ("V2X",
-// "10B-T1S", "-") are rejected. This is the single definition shared by
-// the typed table capture and the legacy report scraper, so both paths
-// agree on what counts as a number.
+// "10B-T1S", "-") are rejected. Table capture uses it on every cell, so
+// what counts as a number is decided by the rendered text.
 func ParseMetricNumber(tok string) (float64, bool) {
 	tok = strings.Trim(tok, "(){}[],;:×%")
 	if tok == "" {

@@ -98,14 +98,23 @@ func TestParseMetricNumber(t *testing.T) {
 		ok  bool
 	}{
 		{"166.4", 166.4, true},
+		{"166.400", 166.4, true},
 		{"2.33e-10", 2.33e-10, true},
+		{"1.00e-04,", 1e-4, true},
+		{"-0.042", -0.042, true},
 		{"40/40", 1, true},
 		{"0/40", 0, true},
+		{"3/4", 0.75, true},
 		{"(3),", 3, true},
+		{"(21)", 21, true},
 		{"-", 0, false},
+		{"", 0, false},
+		{"yes", 0, false},
+		{"e.g.", 0, false},
 		{"V2X", 0, false},
 		{"10B-T1S", 0, false},
 		{"a/b", 0, false},
+		{"1/0", 0, false},
 	}
 	for _, c := range cases {
 		v, ok := ParseMetricNumber(c.tok)

@@ -9,9 +9,7 @@ import (
 // print figure/table reproductions in a stable, diffable format. A
 // table bound to a MetricSet additionally publishes every numeric cell
 // as a typed metric when it is first rendered, named
-// "<row label>/<column header>" — the same naming the campaign report
-// scraper derives from the rendered text, so the typed and scraped
-// metric streams align.
+// "<row label>/<column header>" — the names campaign aggregates carry.
 type Table struct {
 	title     string
 	headers   []string
@@ -49,8 +47,7 @@ func (t *Table) Rows() int { return len(t.rows) }
 // publish emits every numeric cell of every row as a typed metric, in
 // row-major order, exactly once. Values are taken from the rendered
 // cell text via ParseMetricNumber, so the published value is precisely
-// the number the report displays (and the one the legacy scraper would
-// recover).
+// the number the report displays.
 func (t *Table) publish() {
 	if t.ms == nil || t.published {
 		return

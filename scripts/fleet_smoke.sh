@@ -20,9 +20,20 @@ set -eu
 cd "$(dirname "$0")/.."
 
 work="$(mktemp -d)"
-pids=""
+# start_daemon runs inside $(...), so a pid it recorded in a shell
+# variable would never reach this trap; each daemon's pid goes to
+# $work/<name>.pid instead. The daemons are not children of this shell,
+# so cleanup polls for their exit rather than using `wait`.
 cleanup() {
-    for p in $pids; do kill "$p" 2>/dev/null || true; done
+    for f in "$work"/*.pid; do
+        [ -f "$f" ] || continue
+        p="$(cat "$f")"
+        kill "$p" 2>/dev/null || true
+        for i in $(seq 1 50); do
+            kill -0 "$p" 2>/dev/null || break
+            sleep 0.1
+        done
+    done
     rm -rf "$work"
 }
 trap cleanup EXIT INT TERM
@@ -36,12 +47,12 @@ go build -o "$work/avsecd" ./cmd/avsecd
 IDS="fig3 exp-ids exp-ota"
 CELLS=6
 
-# start_daemon <name> — starts an avsecd on the shared cache dir and
-# echoes its announced base URL.
+# start_daemon <name> — starts an avsecd on the shared cache dir,
+# records its pid in $work/<name>.pid and echoes its announced base URL.
 start_daemon() {
     "$work/avsecd" -addr 127.0.0.1:0 -cache-dir "$work/cache" \
         > "$work/$1.addr" 2>"$work/$1.err" &
-    pids="$pids $!"
+    echo "$!" > "$work/$1.pid"
     url=""
     for i in $(seq 1 50); do
         url="$(sed -n 's/^avsecd: listening on //p' "$work/$1.addr")"

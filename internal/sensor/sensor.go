@@ -87,9 +87,9 @@ type Suite struct {
 	SecureRanging bool
 
 	session uint32
-	// ranging is the persistent UWB session RangeTo reconfigures per
-	// call: keeping it (and its scratch arena) across measurements makes
-	// repeated ranging allocation-free.
+	// ranging is the UWB session RangeTo reconfigures per call; its
+	// buffers come from uwb's shared arena pool, so ranging stays
+	// allocation-free across calls and across encounters.
 	ranging uwb.Session
 	// neighbors is Sense's scratch for the world neighbourhood query,
 	// reused across ticks so the per-tick query is allocation-free.

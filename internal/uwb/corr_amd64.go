@@ -4,27 +4,32 @@ package uwb
 
 import "unsafe"
 
-// haveCorrAsm gates the SSE2 correlation kernel in correlateScratch.
-const haveCorrAsm = true
+// corrAsm gates the AVX2 correlation kernel in correlateScratch. It is
+// set once at package init from a CPUID + XGETBV probe; hosts without
+// AVX2 run the pure-Go block loop. Tests flip it to pin both tiers.
+var corrAsm = cpuHasAVX2()
 
-// corrBlock16 accumulates 16 adjacent correlation windows over the
-// two-plane decimated signal. p points at the first window's base in the
-// positive plane (dec[0] + 8·q); pack holds the template as packed byte
-// offsets, two pulses per word (low 32 bits first), each offset already
-// selecting the plane; when n is odd the final pulse's offset is tailOff.
-// out[c] receives window q+c's raw (pre-division) sum.
+// cpuHasAVX2 reports whether the CPU supports AVX2 and the OS has
+// enabled the YMM register state.
+func cpuHasAVX2() bool
+
+// corrBlock32 computes 32 adjacent correlation windows over the
+// two-plane buffer dec = [rx | −rx]. p points at the first window's
+// base in the positive plane (&dec[q]); pack holds the template as
+// packed byte offsets, two pulses per word (low 32 bits first), each
+// offset already selecting the plane; when n is odd the final pulse's
+// offset is tailOff. out[c] receives window q+c's sum divided by
+// float64(n).
 //
-// Each XMM lane owns exactly one window and adds its taps in ascending
+// Each YMM lane owns exactly one window and adds its taps in ascending
 // template order — lanes are never combined — so every out[c] is
 // bit-identical to the scalar accumulation in correlateScratch and
-// correlateRef. SSE2 is part of the amd64 baseline, so no CPUID gate is
-// needed.
+// correlateRef.
 //
-// Bounds contract (caller-proved, see correlateScratch): windows q..q+15
-// are all < nq, so for every template offset the furthest float read,
-// plane_base + (q+15) + (n−1), lies inside the live cnt floats of its
-// plane; the 16-byte MOVUPD loads pairs of adjacent windows and never
-// reads past window q+15's taps.
+// Bounds contract (caller-proved, see correlateScratch): windows
+// q..q+31 are all < maxOffset, so for every template offset the
+// furthest float read, plane_base + (q+31) + 8(n−1), lies inside its
+// plane's len(rx) floats.
 //
 //go:noescape
-func corrBlock16(p unsafe.Pointer, pack []uint64, tailOff uintptr, n int, out *[16]float64)
+func corrBlock32(p unsafe.Pointer, pack []uint64, tailOff uintptr, n int, out *[32]float64)

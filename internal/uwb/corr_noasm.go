@@ -4,12 +4,12 @@ package uwb
 
 import "unsafe"
 
-// haveCorrAsm gates the SSE2 correlation kernel in correlateScratch.
+// corrAsm gates the AVX2 correlation kernel in correlateScratch.
 // Without it the 6-wide pure-Go block loop handles everything.
-const haveCorrAsm = false
+var corrAsm = false
 
-// corrBlock16 is never called when haveCorrAsm is false; this stub only
+// corrBlock32 is never called when corrAsm is false; this stub only
 // satisfies the compiler on non-amd64 targets.
-func corrBlock16(p unsafe.Pointer, pack []uint64, tailOff uintptr, n int, out *[16]float64) {
-	panic("uwb: corrBlock16 without asm kernel")
+func corrBlock32(p unsafe.Pointer, pack []uint64, tailOff uintptr, n int, out *[32]float64) {
+	panic("uwb: corrBlock32 without asm kernel")
 }

@@ -12,7 +12,8 @@
 // correlation and detection mathematics, which this package implements
 // faithfully on float64 sample vectors.
 //
-// Exercised by experiments fig2 and ablate-sts.
+// Exercised by experiments fig2 and ablate-sts, and by exp-ca, its
+// largest consumer, through the sensor suite's UWB ranging.
 package uwb
 
 import (

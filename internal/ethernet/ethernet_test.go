@@ -178,50 +178,3 @@ func TestMultidropSendValidation(t *testing.T) {
 		t.Error("oversize frame accepted")
 	}
 }
-
-func TestSwitchLearnsAndForwards(t *testing.T) {
-	k := sim.NewKernel(1)
-	sw := NewSwitch("sw", k)
-
-	hostA := &PortFunc{MAC: mac(1)}
-	hostB := &PortFunc{MAC: mac(2)}
-	var atA, atB int
-	hostA.Fn = func(_ *sim.Kernel, f *Frame) { atA++ }
-	hostB.Fn = func(_ *sim.Kernel, f *Frame) { atB++ }
-
-	pA := sw.AddPort(mac(0xA))
-	pB := sw.AddPort(mac(0xB))
-	linkA := NewLink("a", 1e9, k, hostA, pA)
-	linkB := NewLink("b", 1e9, k, hostB, pB)
-	if err := sw.BindLink(0, linkA); err != nil {
-		t.Fatal(err)
-	}
-	if err := sw.BindLink(1, linkB); err != nil {
-		t.Fatal(err)
-	}
-
-	// A sends to B (unknown → flood, B learns), then B replies
-	// (unicast, no flood back beyond A's port).
-	_ = linkA.Send(mac(1), &Frame{Dst: mac(2), Src: mac(1), Payload: []byte("hello")})
-	if err := k.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if atB != 1 {
-		t.Fatalf("B received %d", atB)
-	}
-	_ = linkB.Send(mac(2), &Frame{Dst: mac(1), Src: mac(2), Payload: []byte("reply")})
-	if err := k.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if atA != 1 {
-		t.Errorf("A received %d after learned unicast", atA)
-	}
-}
-
-func TestSwitchBindLinkRange(t *testing.T) {
-	k := sim.NewKernel(1)
-	sw := NewSwitch("sw", k)
-	if err := sw.BindLink(0, nil); err == nil {
-		t.Error("out-of-range port bind accepted")
-	}
-}

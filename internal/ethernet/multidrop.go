@@ -95,74 +95,3 @@ func (m *Multidrop) cycle(k *sim.Kernel, idx int) {
 		m.cycle(k, next)
 	})
 }
-
-// Switch is a learning Ethernet switch connecting point-to-point links.
-// Each attached port is one switch interface; the switch learns source
-// MACs and forwards to the learned port, flooding unknowns.
-type Switch struct {
-	name   string
-	kernel *sim.Kernel
-	ports  []*switchPort
-	table  map[MAC]int
-}
-
-type switchPort struct {
-	sw   *Switch
-	idx  int
-	mac  MAC
-	peer *Link
-}
-
-func (p *switchPort) PortMAC() MAC { return p.mac }
-
-func (p *switchPort) Receive(k *sim.Kernel, f *Frame) {
-	p.sw.forward(k, p.idx, f)
-}
-
-// NewSwitch creates a switch.
-func NewSwitch(name string, k *sim.Kernel) *Switch {
-	return &Switch{name: name, kernel: k, table: make(map[MAC]int)}
-}
-
-// AddPort creates a new switch interface with the given MAC and returns
-// it; connect it to a Link.
-func (s *Switch) AddPort(mac MAC) Port {
-	p := &switchPort{sw: s, idx: len(s.ports), mac: mac}
-	s.ports = append(s.ports, p)
-	return p
-}
-
-// BindLink tells the switch which link serves the i-th port.
-func (s *Switch) BindLink(portIndex int, l *Link) error {
-	if portIndex < 0 || portIndex >= len(s.ports) {
-		return fmt.Errorf("ethernet: switch port %d out of range", portIndex)
-	}
-	s.ports[portIndex].peer = l
-	return nil
-}
-
-func (s *Switch) forward(k *sim.Kernel, inPort int, f *Frame) {
-	s.table[f.Src] = inPort
-	k.Metrics().Inc("switch."+s.name+".forwarded", 1)
-	if out, ok := s.table[f.Dst]; ok && f.Dst != Broadcast {
-		s.transmit(out, f)
-		return
-	}
-	for i := range s.ports {
-		if i != inPort {
-			s.transmit(i, f)
-		}
-	}
-}
-
-func (s *Switch) transmit(portIndex int, f *Frame) {
-	p := s.ports[portIndex]
-	if p.peer == nil {
-		return
-	}
-	// Errors here mean an unbound or mis-wired topology; surface them
-	// in metrics rather than silently dropping.
-	if err := p.peer.Send(p.mac, f); err != nil {
-		s.kernel.Metrics().Inc("switch."+s.name+".txerror", 1)
-	}
-}

@@ -286,18 +286,6 @@ func DefenceNames() []string {
 	return Extensions.NamesWith(ext.CapCore)
 }
 
-// ParseDefence resolves a canonical defence name (the String form, e.g.
-// "disable-heapdump") back to its Defence. Unknown names error with the
-// full vocabulary so declarative callers get a self-diagnosing message.
-func ParseDefence(name string) (Defence, error) {
-	for _, d := range Defences() {
-		if d.String() == name {
-			return d, nil
-		}
-	}
-	return 0, fmt.Errorf("killchain: unknown defence %q (known: %s)", name, strings.Join(DefenceNames(), ", "))
-}
-
 // ConfigFor returns the worst-case config with the named defences
 // deployed, resolving every name — built-in or drop-in — through the
 // extension registry. This is the scenario DSL's deployment path.

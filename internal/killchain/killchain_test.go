@@ -129,22 +129,25 @@ func TestStageAndDefenceStrings(t *testing.T) {
 	}
 }
 
-func TestParseDefenceRoundTrip(t *testing.T) {
+// TestConfigForDefenceNames pins the scenario DSL's deployment path:
+// every built-in name resolves to the same config as its Defence, and an
+// unknown name errors with the full vocabulary.
+func TestConfigForDefenceNames(t *testing.T) {
 	for _, d := range Defences() {
-		got, err := ParseDefence(d.String())
+		got, err := ConfigFor([]string{d.String()})
 		if err != nil {
-			t.Errorf("ParseDefence(%q): %v", d.String(), err)
+			t.Errorf("ConfigFor(%q): %v", d.String(), err)
 		}
-		if got != d {
-			t.Errorf("ParseDefence(%q) = %v, want %v", d.String(), got, d)
+		if want := Apply(d); got != want {
+			t.Errorf("ConfigFor(%q) = %+v, want %+v", d.String(), got, want)
 		}
 	}
 	if names := DefenceNames(); len(names) != len(Defences()) {
 		t.Errorf("DefenceNames has %d entries, want %d", len(names), len(Defences()))
 	}
-	_, err := ParseDefence("moat")
+	_, err := ConfigFor([]string{"moat"})
 	if err == nil {
-		t.Fatal("ParseDefence accepted an unknown name")
+		t.Fatal("ConfigFor accepted an unknown name")
 	}
 	if !strings.Contains(err.Error(), "disable-heapdump") {
 		t.Errorf("error %q does not list the vocabulary", err)

@@ -41,6 +41,22 @@ func TestRoundTripKillChain(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsUnknownDefence: a [killchain] defence name that is
+// not registered in killchain.Extensions parses but fails validation.
+func TestValidateRejectsUnknownDefence(t *testing.T) {
+	sp, err := Parse([]byte("[scenario]\nname = a\n[attacker]\ntype = killchain\n[killchain]\ndefences = moat\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = sp.Validate()
+	if err == nil {
+		t.Fatal("Validate accepted [killchain] defences = moat")
+	}
+	if !strings.Contains(err.Error(), `"moat"`) {
+		t.Errorf("error %q does not name the unknown defence", err)
+	}
+}
+
 // TestParseMinimal: absent keys keep their DefaultSpec values; only the
 // name is required.
 func TestParseMinimal(t *testing.T) {

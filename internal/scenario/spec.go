@@ -119,8 +119,8 @@ type IDS struct {
 
 // KillChain parameterises the AttackKillChain scenario type.
 type KillChain struct {
-	// Defences names the deployed killchain defences (killchain
-	// .ParseDefence names), deduplicated, in deployment order.
+	// Defences names the deployed killchain defences (names registered
+	// in killchain.Extensions), deduplicated, in deployment order.
 	Defences []string
 }
 

@@ -92,14 +92,8 @@ func (ms *MetricSet) WriteJSON(w io.Writer) error {
 	return enc.Encode(m)
 }
 
-// WriteCSV writes the metrics as "name,value" CSV rows with a header.
-// Names containing commas or quotes are quoted per RFC 4180.
-func (ms *MetricSet) WriteCSV(w io.Writer) error {
-	return WriteMetricsCSV(w, ms.Metrics())
-}
-
-// WriteMetricsCSV writes an already-collected metric slice as the same
-// "name,value" CSV document MetricSet.WriteCSV produces.
+// WriteMetricsCSV writes metrics as "name,value" CSV rows with a
+// header. Names containing commas or quotes are quoted per RFC 4180.
 func WriteMetricsCSV(w io.Writer, metrics []Metric) error {
 	if _, err := io.WriteString(w, "name,value\n"); err != nil {
 		return err

@@ -52,7 +52,7 @@ func TestMetricSetJSONAndCSV(t *testing.T) {
 		t.Fatalf("decoded %v", decoded)
 	}
 	var cs bytes.Buffer
-	if err := ms.WriteCSV(&cs); err != nil {
+	if err := WriteMetricsCSV(&cs, ms.Metrics()); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(cs.String()), "\n")

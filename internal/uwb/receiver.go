@@ -214,18 +214,12 @@ type ToAResult struct {
 	Reason string
 }
 
-// NaiveToA implements the insecure first-path search the paper warns
+// naiveToA implements the insecure first-path search the paper warns
 // about: it finds the global correlation maximum, then walks backwards
 // without bound accepting any earlier sample whose correlation exceeds
 // threshold·peak as the "first path". An attacker who injects even a
 // modest ghost peak in front of the legitimate arrival shortens the
 // measured distance. It performs no validity check on the result.
-func NaiveToA(rx Signal, sts *STS, threshold float64) ToAResult {
-	scr := getScratch()
-	defer scratchPool.Put(scr)
-	return naiveToA(scr, rx, sts, threshold)
-}
-
 func naiveToA(scr *scratch, rx Signal, sts *STS, threshold float64) ToAResult {
 	corr := correlateScratch(scr, rx, sts)
 	if len(corr) == 0 {

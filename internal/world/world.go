@@ -136,16 +136,10 @@ func (w *World) Collisions() [][2]string {
 	return out
 }
 
-// Neighbors returns actors other than excludeID within radius of pos,
-// in insertion order.
-func (w *World) Neighbors(pos Vec2, radius float64, excludeID string) []*Actor {
-	return w.NeighborsAppend(nil, pos, radius, excludeID)
-}
-
-// NeighborsAppend is Neighbors with a caller-provided scratch slice:
-// the result is appended to dst (which may be nil) and returned, so
-// per-tick callers can reuse one backing array instead of allocating a
-// fresh slice for every query. Order matches Neighbors exactly.
+// NeighborsAppend appends the actors other than excludeID within radius
+// of pos to dst (which may be nil), in insertion order, and returns it,
+// so per-tick callers can reuse one backing array instead of allocating
+// a fresh slice for every query.
 func (w *World) NeighborsAppend(dst []*Actor, pos Vec2, radius float64, excludeID string) []*Actor {
 	for _, id := range w.order {
 		a := w.actors[id]

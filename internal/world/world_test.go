@@ -106,8 +106,9 @@ func TestCollisionsPairOrder(t *testing.T) {
 	}
 }
 
-// TestNeighborsAppendReusesScratch pins NeighborsAppend to Neighbors'
-// order while confirming the scratch slice is actually reused.
+// TestNeighborsAppendReusesScratch pins NeighborsAppend into a scratch
+// slice to the order of a fresh query while confirming the scratch slice
+// is actually reused.
 func TestNeighborsAppendReusesScratch(t *testing.T) {
 	w := New()
 	for i, id := range []string{"ego", "n1", "n2", "n3"} {
@@ -117,7 +118,7 @@ func TestNeighborsAppendReusesScratch(t *testing.T) {
 	}
 	scratch := make([]*Actor, 0, 8)
 	got := w.NeighborsAppend(scratch[:0], Vec2{}, 10, "ego")
-	want := w.Neighbors(Vec2{}, 10, "ego")
+	want := w.NeighborsAppend(nil, Vec2{}, 10, "ego")
 	if len(got) != len(want) {
 		t.Fatalf("NeighborsAppend = %v, want %v", got, want)
 	}
@@ -136,9 +137,9 @@ func TestNeighborsExcludesSelfAndFar(t *testing.T) {
 	_ = w.Add(&Actor{ID: "ego", Pos: Vec2{0, 0}})
 	_ = w.Add(&Actor{ID: "near", Pos: Vec2{5, 0}})
 	_ = w.Add(&Actor{ID: "far", Pos: Vec2{100, 0}})
-	ns := w.Neighbors(Vec2{0, 0}, 10, "ego")
+	ns := w.NeighborsAppend(nil, Vec2{0, 0}, 10, "ego")
 	if len(ns) != 1 || ns[0].ID != "near" {
-		t.Errorf("Neighbors = %v", ns)
+		t.Errorf("NeighborsAppend = %v", ns)
 	}
 }
 

@@ -1,6 +1,7 @@
 package sos
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -224,5 +225,62 @@ func TestInterfaceKindStrings(t *testing.T) {
 		if s := k.String(); s == "" || s[0] == 'I' {
 			t.Errorf("kind %d renders as %q", int(k), s)
 		}
+	}
+}
+
+// TestCascadePinned pins every fig9 cascade — the four entries on the
+// baseline and the hardened model — at three seeds: the mean, the
+// safety-critical probability, the RNG draws consumed and the number of
+// systems ever reached. The values are what the map-based walk over
+// the links produced before systems were interned to dense indices, so
+// a change in edge order or draw order fails here.
+func TestCascadePinned(t *testing.T) {
+	const want = `42 backend false 3.009 0.1499 51929 12
+42 backend true 1.2628 0.0031 25804 12
+42 hub false 2.139 0.1005 30619 12
+42 hub true 1.1211 0.0025 13840 12
+42 passenger-os false 3.9481 0.2703 74908 12
+42 passenger-os true 1.432 0.0187 40116 12
+42 sense false 3.7775 0.3439 59295 12
+42 sense true 1.404 0.025 24982 12
+7919 backend false 2.9914 0.152 51824 12
+7919 backend true 1.2804 0.0032 26245 12
+7919 hub false 2.1581 0.1014 31060 12
+7919 hub true 1.1256 0.0024 13910 12
+7919 passenger-os false 3.9633 0.2743 75009 12
+7919 passenger-os true 1.4433 0.02 40311 12
+7919 sense false 3.7844 0.3466 59412 12
+7919 sense true 1.4258 0.0259 25229 12
+1 backend false 3.0534 0.1536 52532 12
+1 backend true 1.2775 0.0036 26055 12
+1 hub false 2.1905 0.1035 31371 12
+1 hub true 1.1354 0.0027 14176 12
+1 passenger-os false 3.9542 0.2697 74910 12
+1 passenger-os true 1.4486 0.0184 40464 12
+1 sense false 3.8357 0.3484 60079 12
+1 sense true 1.4291 0.0276 25336 12
+`
+	var b strings.Builder
+	for _, seed := range []int64{42, 7919, 1} {
+		for _, entry := range []string{"backend", "hub", "passenger-os", "sense"} {
+			for _, hardened := range []bool{false, true} {
+				m := maas(t)
+				if hardened {
+					if _, err := m.Harden(0.3, "unified-security-owner"); err != nil {
+						t.Fatal(err)
+					}
+				}
+				rng := sim.NewRNG(seed)
+				r, err := m.Cascade(entry, 10000, rng)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fmt.Fprintf(&b, "%d %s %v %v %v %d %d\n", seed, entry, hardened,
+					r.MeanCompromised, r.SafetyCriticalProb, rng.Draws(), len(r.ReachedOnce))
+			}
+		}
+	}
+	if got := b.String(); got != want {
+		t.Errorf("cascade results changed:\n got:\n%s\nwant:\n%s", got, want)
 	}
 }

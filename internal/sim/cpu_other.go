@@ -1,0 +1,11 @@
+//go:build !amd64
+
+package sim
+
+func probeCPU() CPUFeatures { return CPUFeatures{} }
+
+// normFast8 is never called when normAsm is false; this stub only
+// satisfies the compiler off amd64.
+func normFast8(state *uint64, dst []float64) int {
+	panic("sim: normFast8 without asm kernel")
+}

@@ -20,8 +20,11 @@ import "math"
 // The sampler never calls math.Exp: on amd64 its implementation is
 // chosen at run time by CPU feature (FMA), so an ulp of difference
 // could flip a wedge decision between hosts. The wedge test compares
-// logarithms instead, and the tables are committed literals, so the
-// normal stream is a pure function of the seed on every host.
+// logarithms instead, and most wedge heights are settled before that
+// by linear bounds from the tables (wedgeSqueeze), with a margin that
+// leaves every decision the log test's. The tables are committed
+// literals, so the normal stream is a pure function of the seed on
+// every host, with or without the AVX-512 fast path.
 
 // zigR is the start of the tail: the right edge of layer 127.
 const zigR = 3.442619855899
@@ -34,12 +37,29 @@ func (r *RNG) NormFloat64() float64 {
 	return x[0]
 }
 
+// normAsm gates NormFill's AVX-512 fast-path kernel (normFast8). It is
+// set once at init from HostCPU; tests flip it to pin the kernel
+// against the scalar loop.
+var normAsm = hostCPU.AVX512
+
 // NormFill fills dst with standard normal samples. Sample k of the
 // stream is the same value however the stream is sliced into NormFill
 // and NormFloat64 calls: each sample consumes whole draws and carries
 // no state into the next.
+//
+// With normAsm the kernel fills each run of fast-path samples and
+// stops at the first draw that misses; the loop below takes that draw
+// to normSlow. Draws are consumed in stream order either way, so the
+// samples, the state and Draws() match the scalar loop bit for bit.
 func (r *RNG) NormFill(dst []float64) {
-	for k := range dst {
+	for k := 0; k < len(dst); k++ {
+		if normAsm && len(dst)-k >= 8 {
+			n := normFast8(&r.state, dst[k:])
+			r.draws += uint64(n)
+			if k += n; k == len(dst) {
+				return
+			}
+		}
 		u := r.Uint64()
 		i := u & 0x7f
 		if j := u >> 11; j < zigK[i] {
@@ -71,12 +91,66 @@ func (r *RNG) normSlow(u uint64) float64 {
 				}
 			}
 		}
-		// height < exp(-x²/2), compared as logarithms.
-		if math.Log(zigF[i]+r.Float64()*(zigF[i-1]-zigF[i])) < -0.5*x*x {
+		y := zigF[i] + r.Float64()*(zigF[i-1]-zigF[i])
+		under, ok := wedgeSqueeze(i, x, y)
+		if !ok {
+			under = wedgeLogTest(x, y)
+		}
+		if under {
 			return signed(x, u)
 		}
 		u = r.Uint64()
 	}
+}
+
+// wedgeLogTest is the wedge's defining test: height y lies under the
+// density at x, compared as logarithms (y < exp(-x²/2)).
+func wedgeLogTest(x, y float64) bool {
+	return math.Log(y) < -0.5*x*x
+}
+
+// wedgeMargin is how far a height must clear a linear bound before
+// wedgeSqueeze decides it. math.Log and −0.5·x·x each round within an
+// ulp, so the log test can disagree with the exact comparison
+// y < f(x) only for |y − f(x)| under ~1e-15. The bounds carry the
+// tables' error (zigF is within 1e-12 of f at the layer edges,
+// TestWedgeSqueezeBounds) plus a few ulps of rounding. A margin of
+// 1e-9 clears both by three orders of magnitude, so every verdict the
+// squeeze reaches is the one the log test would reach.
+const wedgeMargin = 1e-9
+
+// wedgeSqueeze decides the wedge test for height y at x in layer
+// i ≥ 1 from linear bounds on f(x) = exp(-x²/2), without math.Log or
+// math.Exp; ok is false when the log test must decide. The layer spans
+// [a, b] = [x_{i-1}, x_i] (a = 0 for the top layer), with f(a) =
+// zigF[i-1] and f(b) = zigF[i] from the committed tables. Since
+// f′(x) = −x·f(x), the endpoint tangents are f(a)(1 − a(x−a)) and
+// f(b)(1 − b(x−b)). f is convex for x ≥ 1, where the chord lies above
+// it and both tangents below, and concave for x ≤ 1, where the chord
+// lies below it and both tangents above. The one layer straddling
+// x = 1 has no such bounds and always takes the log test.
+func wedgeSqueeze(i uint64, x, y float64) (under, ok bool) {
+	a, b := 0.0, zigW[i]*(1<<53)
+	if i > 1 {
+		a = zigW[i-1] * (1 << 53)
+	}
+	if a < 1 && b > 1 {
+		return false, false
+	}
+	fa, fb := zigF[i-1], zigF[i]
+	chord := fa + (x-a)*(fb-fa)/(b-a)
+	ta, tb := fa*(1-a*(x-a)), fb*(1-b*(x-b))
+	lo, hi := max(ta, tb), chord
+	if b <= 1 {
+		lo, hi = chord, min(ta, tb)
+	}
+	switch {
+	case y < lo-wedgeMargin:
+		return true, true
+	case y > hi+wedgeMargin:
+		return false, true
+	}
+	return false, false
 }
 
 // signed applies u's sign bit (bit 7) to the magnitude x.

@@ -180,6 +180,96 @@ func TestNormFillPinnedStream(t *testing.T) {
 	}
 }
 
+// normFillPath draws pre words at seed, then fills n normal samples
+// with the AVX-512 kernel switched on or off, and returns the samples
+// and the generator's final state.
+func normFillPath(kernel bool, seed int64, pre, n int) ([]float64, RNG) {
+	saved := normAsm
+	defer func() { normAsm = saved }()
+	normAsm = kernel
+	r := NewRNG(seed)
+	for i := 0; i < pre; i++ {
+		r.Uint64()
+	}
+	dst := make([]float64, n)
+	r.NormFill(dst)
+	return dst, *r
+}
+
+// checkNormFillKernel compares the kernel path with the scalar loop for
+// one (seed, pre, n): every sample's bits, the final state and Draws().
+func checkNormFillKernel(t testing.TB, seed int64, pre, n int) {
+	t.Helper()
+	got, gr := normFillPath(true, seed, pre, n)
+	want, wr := normFillPath(false, seed, pre, n)
+	for k := range want {
+		if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+			t.Fatalf("seed %d, pre %d, n %d: sample %d = %v, scalar loop gives %v", seed, pre, n, k, got[k], want[k])
+		}
+	}
+	if gr.state != wr.state || gr.Draws() != wr.Draws() {
+		t.Fatalf("seed %d, pre %d, n %d: kernel ends at state %#x after %d draws, scalar loop at %#x after %d",
+			seed, pre, n, gr.state, gr.Draws(), wr.state, wr.Draws())
+	}
+}
+
+// requireNormKernel skips a kernel test on hosts without AVX-512, where
+// the scalar loop is NormFill's only path.
+func requireNormKernel(t testing.TB) {
+	t.Helper()
+	if !hostCPU.AVX512 {
+		t.Skip("host has no AVX-512F+DQ: NormFill runs the scalar loop only")
+	}
+}
+
+// TestNormFillKernelMatchesScalar pins the AVX-512 fast path to the
+// scalar loop bit for bit. The lengths straddle the 8-lane block (a
+// remainder below 8 runs scalar) and reach chunks where many blocks
+// end in a miss handed to normSlow.
+func TestNormFillKernelMatchesScalar(t *testing.T) {
+	requireNormKernel(t)
+	lengths := []int{0, 1, 7, 8, 9, 15, 16, 17, 255, 256, 257, 4096, 10007}
+	for seed := int64(0); seed < 64; seed++ {
+		for _, n := range lengths {
+			checkNormFillKernel(t, seed, int(seed%9), n)
+		}
+	}
+}
+
+// FuzzNormFillEquivalence drives the kernel and the scalar loop from a
+// random seed, after a random number of pre-drawn words, for a random
+// length up to 10k samples, and requires identical bits, state and
+// Draws().
+func FuzzNormFillEquivalence(f *testing.F) {
+	f.Add(int64(42), uint16(0), uint16(4096))
+	f.Add(int64(7919), uint16(3), uint16(257))
+	f.Add(int64(1), uint16(1), uint16(9))
+	f.Add(int64(-5), uint16(500), uint16(10000))
+	f.Fuzz(func(t *testing.T, seed int64, pre, n uint16) {
+		requireNormKernel(t)
+		checkNormFillKernel(t, seed, int(pre%1024), int(n)%10001)
+	})
+}
+
+// sinkNorm keeps the allocation test's samples live.
+var sinkNorm float64
+
+// TestNormFillStackChunkNoAlloc pins NormFill into a stack array at
+// zero allocations, the shape of the UWB channel's noise loop. The
+// kernel's dst must not escape (//go:noescape); if it did, every
+// caller's stack chunk would move to the heap.
+func TestNormFillStackChunkNoAlloc(t *testing.T) {
+	r := NewRNG(42)
+	allocs := testing.AllocsPerRun(100, func() {
+		var chunk [256]float64
+		r.NormFill(chunk[:])
+		sinkNorm += chunk[255]
+	})
+	if allocs != 0 {
+		t.Errorf("NormFill into a stack chunk allocates %v times per call, want 0", allocs)
+	}
+}
+
 // BenchmarkRNGNormFill measures bulk sampling in 4096-sample chunks,
 // the channel-noise shape.
 func BenchmarkRNGNormFill(b *testing.B) {
@@ -191,4 +281,89 @@ func BenchmarkRNGNormFill(b *testing.B) {
 		r.NormFill(buf)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(buf)), "ns/sample")
+}
+
+// wedgeLayerEdges returns layer i's x range [a, b] as wedgeSqueeze
+// sees it.
+func wedgeLayerEdges(i int) (a, b float64) {
+	b = zigW[i] * (1 << 53)
+	if i > 1 {
+		a = zigW[i-1] * (1 << 53)
+	}
+	return a, b
+}
+
+// TestWedgeSqueezeBounds checks the geometry behind wedgeSqueeze with
+// math.Exp, which the sampler itself never calls. The committed
+// densities match f at the committed edges to far inside wedgeMargin;
+// exactly one layer straddles x = 1; and on a grid over every other
+// layer, heights just past the density on either side are never
+// decided against the log test, while heights outside the layer's
+// height range are decided without it.
+func TestWedgeSqueezeBounds(t *testing.T) {
+	f := func(x float64) float64 { return math.Exp(-0.5 * x * x) }
+	straddle := 0
+	for i := 1; i < 128; i++ {
+		a, b := wedgeLayerEdges(i)
+		if d := math.Abs(zigF[i] - f(b)); d > 1e-12 {
+			t.Errorf("zigF[%d] is %g from f(x_%d), beyond 1e-12", i, d, i)
+		}
+		if a < 1 && b > 1 {
+			straddle++
+			continue
+		}
+		for s := 0; s <= 64; s++ {
+			x := a + (b-a)*float64(s)/64
+			fx := f(x)
+			for _, y := range []float64{fx * (1 - 1e-12), fx, fx * (1 + 1e-12)} {
+				if under, ok := wedgeSqueeze(uint64(i), x, y); ok && under != wedgeLogTest(x, y) {
+					t.Fatalf("layer %d, x = %v: squeeze says %v at height %v next to f(x) = %v", i, x, under, y, fx)
+				}
+			}
+			// Heights just outside the layer's range [f(b), f(a)] are
+			// decided outright: both lower bounds stay at or above
+			// f(b), both upper bounds at or below f(a).
+			if under, ok := wedgeSqueeze(uint64(i), x, zigF[i]*(1-1e-3)); !ok || !under {
+				t.Fatalf("layer %d, x = %v: a height under the layer's floor gives (%v, %v), want an accept", i, x, under, ok)
+			}
+			if under, ok := wedgeSqueeze(uint64(i), x, zigF[i-1]*(1+1e-3)); !ok || under {
+				t.Fatalf("layer %d, x = %v: a height over the layer's ceiling gives (%v, %v), want a reject", i, x, under, ok)
+			}
+		}
+	}
+	if straddle != 1 {
+		t.Errorf("%d layers straddle x = 1, want exactly 1", straddle)
+	}
+}
+
+// TestWedgeSqueezeMatchesLogTest replays the sampler's wedge decisions
+// over 200 Mi draws at each of two seeds: every layer-1..127 miss gets
+// a height as in normSlow, and every verdict wedgeSqueeze reaches must
+// equal the log test's. It logs the share of wedge decisions still left
+// to the log test.
+func TestWedgeSqueezeMatchesLogTest(t *testing.T) {
+	const n = 200 << 20
+	for _, seed := range []int64{42, 7919} {
+		r := NewRNG(seed)
+		wedge, logged := 0, 0
+		for k := 0; k < n; k++ {
+			u := r.Uint64()
+			i, j := u&0x7f, u>>11
+			if i == 0 || j < zigK[i] {
+				continue
+			}
+			x := float64(int64(j)) * zigW[i]
+			y := zigF[i] + r.Float64()*(zigF[i-1]-zigF[i])
+			wedge++
+			under, ok := wedgeSqueeze(i, x, y)
+			if !ok {
+				logged++
+				continue
+			}
+			if want := wedgeLogTest(x, y); under != want {
+				t.Fatalf("seed %d, layer %d, x = %v, height %v: squeeze says %v, log test %v", seed, i, x, y, under, want)
+			}
+		}
+		t.Logf("seed %d: %d wedge decisions, %.2f%% left to the log test", seed, wedge, 100*float64(logged)/float64(wedge))
+	}
 }

@@ -2,41 +2,6 @@
 
 #include "textflag.h"
 
-// func cpuHasAVX2() bool
-//
-// AVX2 is usable when the CPU reports it (CPUID leaf 7, EBX bit 5) and
-// the OS saves the YMM state across context switches: CPUID leaf 1
-// reports OSXSAVE (ECX bit 27) and AVX (ECX bit 28), and XCR0 has the
-// SSE and AVX state bits (1 and 2) set.
-TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
-	XORL AX, AX
-	XORL CX, CX
-	CPUID
-	CMPL AX, $7
-	JB   no
-	MOVL $1, AX
-	XORL CX, CX
-	CPUID
-	ANDL $0x18000000, CX
-	CMPL CX, $0x18000000
-	JNE  no
-	XORL CX, CX
-	XGETBV
-	ANDL $6, AX
-	CMPL AX, $6
-	JNE  no
-	MOVL $7, AX
-	XORL CX, CX
-	CPUID
-	TESTL $(1<<5), BX
-	JZ   no
-	MOVB $1, ret+0(FP)
-	RET
-
-no:
-	MOVB $0, ret+0(FP)
-	RET
-
 // func corrBlock32(p unsafe.Pointer, pack []uint64, tailOff uintptr, n int, out *[32]float64)
 //
 // Y0..Y7 are the accumulators: lane j of Yc is window 4c+j. Per packed
@@ -124,5 +89,94 @@ store:
 	VMOVUPD Y5, 160(DX)
 	VMOVUPD Y6, 192(DX)
 	VMOVUPD Y7, 224(DX)
+	VZEROUPPER
+	RET
+
+// func corrBlock64(p unsafe.Pointer, pack []uint64, tailOff uintptr, n int, out *[64]float64)
+//
+// corrBlock32 on ZMM registers: Z0..Z7 are the accumulators, lane j of
+// Zc is window 8c+j, so one template step is eight 64-byte VADDPDs.
+// Each lane still adds its taps in ascending template order with the
+// accumulator as the first operand and ends with one VDIVPD, so every
+// window's bits match corrBlock32, the Go loop and correlateRef.
+TEXT ·corrBlock64(SB), NOSPLIT, $0-56
+	MOVQ p+0(FP), DI
+	MOVQ pack_base+8(FP), SI
+	MOVQ pack_len+16(FP), CX
+	MOVQ tailOff+32(FP), R8
+	MOVQ n+40(FP), R9
+	MOVQ out+48(FP), DX
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+	TESTQ CX, CX
+	JZ   tail64
+
+loop64:
+	MOVQ (SI), AX
+	ADDQ $8, SI
+	MOVL AX, BX  // offA = low 32 bits (zero-extends)
+	SHRQ $32, AX // offB = high 32 bits
+	ADDQ DI, BX
+	ADDQ DI, AX
+	// Pulse A into all 64 windows.
+	VADDPD (BX), Z0, Z0
+	VADDPD 64(BX), Z1, Z1
+	VADDPD 128(BX), Z2, Z2
+	VADDPD 192(BX), Z3, Z3
+	VADDPD 256(BX), Z4, Z4
+	VADDPD 320(BX), Z5, Z5
+	VADDPD 384(BX), Z6, Z6
+	VADDPD 448(BX), Z7, Z7
+	// Pulse B into all 64 windows.
+	VADDPD (AX), Z0, Z0
+	VADDPD 64(AX), Z1, Z1
+	VADDPD 128(AX), Z2, Z2
+	VADDPD 192(AX), Z3, Z3
+	VADDPD 256(AX), Z4, Z4
+	VADDPD 320(AX), Z5, Z5
+	VADDPD 384(AX), Z6, Z6
+	VADDPD 448(AX), Z7, Z7
+	DECQ CX
+	JNZ  loop64
+
+tail64:
+	// Odd pulse count: one more template step at tailOff.
+	TESTQ $1, R9
+	JZ   store64
+	ADDQ DI, R8
+	VADDPD (R8), Z0, Z0
+	VADDPD 64(R8), Z1, Z1
+	VADDPD 128(R8), Z2, Z2
+	VADDPD 192(R8), Z3, Z3
+	VADDPD 256(R8), Z4, Z4
+	VADDPD 320(R8), Z5, Z5
+	VADDPD 384(R8), Z6, Z6
+	VADDPD 448(R8), Z7, Z7
+
+store64:
+	VCVTSI2SDQ R9, X8, X8
+	VBROADCASTSD X8, Z8
+	VDIVPD Z8, Z0, Z0
+	VDIVPD Z8, Z1, Z1
+	VDIVPD Z8, Z2, Z2
+	VDIVPD Z8, Z3, Z3
+	VDIVPD Z8, Z4, Z4
+	VDIVPD Z8, Z5, Z5
+	VDIVPD Z8, Z6, Z6
+	VDIVPD Z8, Z7, Z7
+	VMOVUPD Z0, (DX)
+	VMOVUPD Z1, 64(DX)
+	VMOVUPD Z2, 128(DX)
+	VMOVUPD Z3, 192(DX)
+	VMOVUPD Z4, 256(DX)
+	VMOVUPD Z5, 320(DX)
+	VMOVUPD Z6, 384(DX)
+	VMOVUPD Z7, 448(DX)
 	VZEROUPPER
 	RET

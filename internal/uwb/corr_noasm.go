@@ -4,12 +4,13 @@ package uwb
 
 import "unsafe"
 
-// corrAsm gates the AVX2 correlation kernel in correlateScratch.
-// Without it the 6-wide pure-Go block loop handles everything.
-var corrAsm = false
+// The vector kernels are never called off amd64, where corrTier is
+// always tierGo; these stubs only satisfy the compiler.
 
-// corrBlock32 is never called when corrAsm is false; this stub only
-// satisfies the compiler on non-amd64 targets.
 func corrBlock32(p unsafe.Pointer, pack []uint64, tailOff uintptr, n int, out *[32]float64) {
 	panic("uwb: corrBlock32 without asm kernel")
+}
+
+func corrBlock64(p unsafe.Pointer, pack []uint64, tailOff uintptr, n int, out *[64]float64) {
+	panic("uwb: corrBlock64 without asm kernel")
 }

@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"math"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -48,20 +49,29 @@ func equalBits(a, b []float64) bool {
 	return true
 }
 
-// forEachCorrTier runs fn once per correlator tier: "asm" with the
-// package's own gate (the AVX2 kernel when the host has it, otherwise
-// the pure-Go loop again) and "go" with the kernel switched off. It
-// flips the package-level gate, so its callers must not run in
-// parallel with other correlator users.
-func forEachCorrTier(fn func(tier string)) {
-	asm := corrAsm
-	defer func() { corrAsm = asm }()
-	for _, tier := range []struct {
-		name string
-		on   bool
-	}{{"asm", asm}, {"go", false}} {
-		corrAsm = tier.on
-		fn(tier.name)
+// tierNames names the correlator tiers in test messages.
+var tierNames = [...]string{tierGo: "go", tierAVX2: "avx2", tierAVX512: "avx512"}
+
+// tiersLogged holds the tests that have logged their tier list.
+var tiersLogged = map[string]bool{}
+
+// forEachCorrTier runs fn once per correlator tier the host has, from
+// its fastest (corrTier) down to the pure-Go loop, and logs the tiers
+// once per test. It lowers the package-level corrTier, so its callers
+// must not run in parallel with other correlator users.
+func forEachCorrTier(t testing.TB, fn func(tier string)) {
+	t.Helper()
+	host := corrTier
+	defer func() { corrTier = host }()
+	var ran []string
+	for tier := host; tier >= tierGo; tier-- {
+		corrTier = tier
+		fn(tierNames[tier])
+		ran = append(ran, tierNames[tier])
+	}
+	if !tiersLogged[t.Name()] {
+		tiersLogged[t.Name()] = true
+		t.Logf("correlator tiers run: %s", strings.Join(ran, ", "))
 	}
 }
 
@@ -92,7 +102,7 @@ func TestCorrelateMatchesReference(t *testing.T) {
 		rx := randomSignal(rng, obsLen)
 
 		want := correlateRef(rx, sts)
-		forEachCorrTier(func(tier string) {
+		forEachCorrTier(t, func(tier string) {
 			if got := Correlate(rx, sts); !equalBits(got, want) {
 				t.Fatalf("%s tier, pulses=%d obsLen=%d: scratchless Correlate diverged from reference", tier, pulses, obsLen)
 			}
@@ -103,11 +113,13 @@ func TestCorrelateMatchesReference(t *testing.T) {
 	}
 }
 
-// TestCorrelateTiersBlockEdges pins both tiers at the window counts
+// TestCorrelateTiersBlockEdges pins every tier at the window counts
 // where the block structure changes: below one 32-window block (the
 // pure-Go loop only), exactly one block, one block plus a window (the
-// overlapping final block), and so on, plus exp-ca's shape (256 pulses,
-// observation delay + 2048 + 512 samples). The pulse counts cover a
+// overlapping final block), the same around one and two 64-window
+// blocks (below 64 the AVX-512 tier runs the 32-window kernel), plus
+// exp-ca's shape (256 pulses, observation delay + 2048 + 512 samples).
+// The pulse counts cover a
 // power of two (reciprocal multiply in the Go tier), odd counts (the
 // unpaired final pulse) and even non-powers of two (division).
 func TestCorrelateTiersBlockEdges(t *testing.T) {
@@ -127,7 +139,7 @@ func TestCorrelateTiersBlockEdges(t *testing.T) {
 		ref := correlateRef(rx, sts)
 		for _, obsLen := range obsLens {
 			want := ref[:obsLen-(pulses-1)*ChipSpacing]
-			forEachCorrTier(func(tier string) {
+			forEachCorrTier(t, func(tier string) {
 				if got := correlateScratch(scr, rx[:obsLen], sts); !equalBits(got, want) {
 					t.Fatalf("%s tier, pulses=%d obsLen=%d: correlator diverged from reference", tier, pulses, obsLen)
 				}
@@ -137,10 +149,10 @@ func TestCorrelateTiersBlockEdges(t *testing.T) {
 	for _, pulses := range []int{1, 2, 7, 12, 64, 99, 100, 255, 256} {
 		span := (pulses - 1) * ChipSpacing
 		var obsLens []int
-		for _, maxOffset := range []int{1, 31, 32, 33, 63, 64, 65} {
+		for _, maxOffset := range []int{1, 31, 32, 33, 63, 64, 65, 95, 96, 97, 127, 128, 129} {
 			obsLens = append(obsLens, span+maxOffset)
 		}
-		check(pulses, randomSignal(rng, span+65), obsLens)
+		check(pulses, randomSignal(rng, span+129), obsLens)
 	}
 	var obsLens []int
 	for delay := 0; delay <= 600; delay++ {
@@ -162,7 +174,7 @@ func TestCorrelateHandConstructedSTS(t *testing.T) {
 		sts := &STS{Polarity: pol}
 		rx := randomSignal(rng, (pulses-1)*ChipSpacing+20)
 		want := correlateRef(rx, sts)
-		forEachCorrTier(func(tier string) {
+		forEachCorrTier(t, func(tier string) {
 			if !equalBits(Correlate(rx, sts), want) {
 				t.Fatalf("%s tier, pulses=%d: hand-constructed STS diverged from reference", tier, pulses)
 			}
@@ -332,8 +344,8 @@ func FuzzCorrelateEquivalence(f *testing.F) {
 	f.Add(int64(3), uint16(255), uint16(2100))
 	f.Add(int64(4), uint16(256), uint16(2048))
 	f.Add(int64(5), uint16(13), uint16(97))
-	// Inputs reaching the 32-window block kernel, with an overlapping
-	// final block.
+	// Inputs reaching the 32- and 64-window block kernels, with an
+	// overlapping final block.
 	f.Add(int64(6), uint16(255), uint16(2600))
 	f.Add(int64(7), uint16(99), uint16(1000))
 	f.Fuzz(func(t *testing.T, seed int64, pulses16, obsLen16 uint16) {
@@ -346,7 +358,7 @@ func FuzzCorrelateEquivalence(f *testing.F) {
 		}
 		rx := randomSignal(rng, obsLen)
 		want := correlateRef(rx, sts)
-		forEachCorrTier(func(tier string) {
+		forEachCorrTier(t, func(tier string) {
 			if got := Correlate(rx, sts); !equalBits(got, want) {
 				t.Fatalf("%s tier, pulses=%d obsLen=%d seed=%d: optimised correlator diverged", tier, pulses, obsLen, seed)
 			}

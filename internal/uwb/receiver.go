@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"unsafe"
+
+	"autosec/internal/sim"
 )
 
 // Correlate computes the normalized cross-correlation of the received
@@ -19,8 +21,26 @@ func Correlate(rx Signal, sts *STS) []float64 {
 	return out
 }
 
-// corrBlock is the number of windows one corrBlock32 call computes.
-const corrBlock = 32
+// Correlator tiers, slowest first. corrTier is the host's fastest,
+// set once at init from sim.HostCPU; tests lower it to pin every tier
+// against correlateRef.
+const (
+	tierGo     = iota // 6-wide pure-Go loop: arm64, wasm, pre-AVX2 amd64
+	tierAVX2          // corrBlock32
+	tierAVX512        // corrBlock64, then corrBlock32 below 64 windows
+)
+
+var corrTier = hostCorrTier()
+
+func hostCorrTier() int {
+	switch cpu := sim.HostCPU(); {
+	case cpu.AVX512:
+		return tierAVX512
+	case cpu.AVX2:
+		return tierAVX2
+	}
+	return tierGo
+}
 
 // correlateScratch is Correlate into the arena's buffers; the result
 // aliases scr.corr. The computation is restructured for the cache and
@@ -35,10 +55,11 @@ const corrBlock = 32
 //     for −1), making the inner loop one load and one add per pulse per
 //     window;
 //   - adjacent output offsets are adjacent floats of rx, so blocks of
-//     windows accumulate together: 32 at a time in the AVX2 kernel
-//     (each vector lane owns one window), else 6-wide in pure Go, then
-//     one at a time — independent add chains hide FP latency and each
-//     template offset loaded once serves the whole block.
+//     windows accumulate together: 64 at a time in the AVX-512 kernel,
+//     32 in the AVX2 one (each vector lane owns one window), else
+//     6-wide in pure Go, then one at a time — independent add chains
+//     hide FP latency and each template offset loaded once serves the
+//     whole block.
 //
 // Each output's summation order — template index ascending, then one
 // division — is exactly the reference order, so every float rounds
@@ -103,15 +124,21 @@ func correlateScratch(scr *scratch, rx Signal, sts *STS) []float64 {
 	// pointer loads give the bounds-check-free form of dec[k+8i] that
 	// the range prover cannot reach for data-dependent indices.
 	pBase := unsafe.Pointer(&dec[0])
-	if corrAsm && maxOffset >= corrBlock {
-		// 32 windows per call. The final block starts at
-		// maxOffset−corrBlock, overlapping the one before it: its windows
-		// are < maxOffset like every other block's, and a window computed
-		// twice gets the same bits both times, so no scalar tail is
-		// needed.
-		for k := 0; k < maxOffset; k += corrBlock {
-			k = min(k, maxOffset-corrBlock)
-			corrBlock32(unsafe.Add(pBase, 8*k), pack, tailOff, n, (*[corrBlock]float64)(out[k:]))
+	// The final vector block starts at maxOffset minus its width,
+	// overlapping the one before it: its windows are < maxOffset like
+	// every other block's, and a window computed twice gets the same
+	// bits both times, so no scalar tail is needed.
+	if corrTier >= tierAVX512 && maxOffset >= 64 {
+		for k := 0; k < maxOffset; k += 64 {
+			k = min(k, maxOffset-64)
+			corrBlock64(unsafe.Add(pBase, 8*k), pack, tailOff, n, (*[64]float64)(out[k:]))
+		}
+		return out
+	}
+	if corrTier >= tierAVX2 && maxOffset >= 32 {
+		for k := 0; k < maxOffset; k += 32 {
+			k = min(k, maxOffset-32)
+			corrBlock32(unsafe.Add(pBase, 8*k), pack, tailOff, n, (*[32]float64)(out[k:]))
 		}
 		return out
 	}

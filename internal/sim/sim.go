@@ -9,6 +9,11 @@
 //
 // Every registry experiment runs on this kernel; the structured trace
 // facility (Tracer, TraceEvent) is documented in docs/OBSERVABILITY.md.
+//
+// RNG.NormFill is the UWB channel's noise source. On amd64 hosts with
+// AVX-512 (HostCPU) its fast path runs eight draws at a time in
+// assembly; the samples, the state and Draws() are bit-identical to
+// the scalar loop every other host runs.
 package sim
 
 import (

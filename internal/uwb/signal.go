@@ -14,6 +14,11 @@
 //
 // Exercised by experiments fig2 and ablate-sts, and by exp-ca, its
 // largest consumer, through the sensor suite's UWB ranging.
+//
+// The correlator runs in one of three tiers chosen once at init from
+// sim.HostCPU: a 64-window AVX-512 kernel, a 32-window AVX2 kernel, or
+// a 6-wide pure-Go loop (arm64, wasm, older amd64). Every tier is
+// bit-identical to correlateRef, so results never depend on the host.
 package uwb
 
 import (

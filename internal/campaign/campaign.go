@@ -37,10 +37,10 @@ import (
 // goroutines.
 type TypedRunFunc func(id string, seed int64) (string, []sim.Metric, error)
 
-// defaultRecheckSeed drives the deterministic selection of which cells
-// get the double-execution self-check. Fixed so that a given grid always
+// recheckSeed drives the deterministic selection of which cells get
+// the double-execution self-check. Fixed so that a given grid always
 // rechecks the same cells, independent of worker count or wall clock.
-const defaultRecheckSeed int64 = 0x5EEDC4EC
+const recheckSeed int64 = 0x5EEDC4EC
 
 // Spec describes a campaign.
 type Spec struct {
@@ -54,8 +54,6 @@ type Spec struct {
 	// twice with the same seed for the determinism self-check. When
 	// positive, at least one cell is always rechecked.
 	Recheck float64
-	// RecheckSeed seeds the cell-selection RNG; 0 uses a fixed default.
-	RecheckSeed int64
 	// RunTyped executes one cell. Required.
 	RunTyped TypedRunFunc
 	// OnCell, when non-nil, is called from Run's goroutine for every
@@ -163,21 +161,18 @@ func Seeds(base int64, n int) []int64 {
 
 // SelectRechecks returns the deterministic recheck mask for a grid of n
 // cells in grid order: mask[i] is true when cell i is double-executed
-// by the determinism self-check. seed 0 uses the fixed default, so the
+// by the determinism self-check. The selection seed is fixed, so the
 // same (grid size, fraction) always selects the same cells — the
 // property that lets a distributed coordinator (internal/fleet)
 // reproduce exactly the cells a serial campaign.Run would recheck and
 // keep its rendered header byte-identical. When fraction is positive,
 // at least one cell is always selected.
-func SelectRechecks(n int, fraction float64, seed int64) []bool {
+func SelectRechecks(n int, fraction float64) []bool {
 	mask := make([]bool, n)
 	if fraction <= 0 || n == 0 {
 		return mask
 	}
-	if seed == 0 {
-		seed = defaultRecheckSeed
-	}
-	rng := sim.NewRNG(seed)
+	rng := sim.NewRNG(recheckSeed)
 	any := false
 	for i := range mask {
 		if rng.Bool(fraction) {
@@ -218,7 +213,7 @@ func Run(spec Spec) (*Result, error) {
 			grid = append(grid, CellResult{ID: id, Seed: seed})
 		}
 	}
-	for i, re := range SelectRechecks(len(grid), spec.Recheck, spec.RecheckSeed) {
+	for i, re := range SelectRechecks(len(grid), spec.Recheck) {
 		grid[i].Rechecked = re
 	}
 

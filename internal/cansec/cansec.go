@@ -58,9 +58,6 @@ type Endpoint struct {
 	Window uint32                      // acceptance window above peer counter
 
 	macMsg []byte // scratch for the header‖payload MAC message
-	// ProtectBatch header scratch: a stack array would escape to the
-	// heap through the AEAD's aad argument, an allocation per frame.
-	hdrBuf [headerLen]byte
 }
 
 // NewEndpoint creates a node endpoint in the zone. nodeID must be unique
@@ -113,7 +110,6 @@ func (e *Endpoint) Protect(priorityID uint32, payload []byte) (*canbus.Frame, er
 }
 
 // Verify checks a CANsec frame and returns the authenticated payload.
-// The verification core is shared with VerifyBatch (see batch.go).
 func (e *Endpoint) Verify(f *canbus.Frame) ([]byte, error) {
 	if f.SDUType != canbus.SDUCANsec {
 		return nil, fmt.Errorf("cansec: SDU type %#x is not CANsec", f.SDUType)
@@ -121,14 +117,47 @@ func (e *Endpoint) Verify(f *canbus.Frame) ([]byte, error) {
 	return e.verifySDU(nil, f.Payload)
 }
 
-// Verification errors, shared by the single-frame and batched paths so
-// both report identical failures.
-func errFrameTooShort() error { return fmt.Errorf("cansec: frame too short") }
-func errWrongZone(got, want uint16) error {
-	return fmt.Errorf("cansec: zone %d, expected %d", got, want)
+// verifySDU is Verify's core: it checks one CANsec SDU (frame payload)
+// and appends the authenticated payload to dst.
+func (e *Endpoint) verifySDU(dst, sdu []byte) ([]byte, error) {
+	if len(sdu) < Overhead {
+		return nil, fmt.Errorf("cansec: frame too short")
+	}
+	hdr := sdu[:headerLen]
+	zoneID := binary.BigEndian.Uint16(hdr[0:2])
+	src := binary.BigEndian.Uint16(hdr[2:4])
+	fv := binary.BigEndian.Uint32(hdr[4:8])
+	if zoneID != e.zone.ID {
+		return nil, fmt.Errorf("cansec: zone %d, expected %d", zoneID, e.zone.ID)
+	}
+	ctr := e.peer(src)
+	if !ctr.Accept(uint64(fv)) {
+		last := uint32(ctr.Last())
+		return nil, fmt.Errorf("cansec: freshness %d outside (%d, %d]", fv, last, last+e.Window)
+	}
+
+	sci := uint64(zoneID)<<16 | uint64(src)
+	body := sdu[headerLen:]
+	var payload []byte
+	var err error
+	if e.zone.Mode == AuthEncrypt {
+		payload, err = vcrypto.GCMOpenInto(dst, e.zone.key, sci, fv, hdr, body)
+		if err != nil {
+			return nil, err
+		}
+	} else {
+		if len(body) < tagLen {
+			return nil, fmt.Errorf("cansec: short auth body")
+		}
+		pt := body[:len(body)-tagLen]
+		tag := body[len(body)-tagLen:]
+		msg := append(append(e.macMsg[:0], hdr...), pt...)
+		e.macMsg = msg[:0]
+		if !vcrypto.GCMVerifyTag(e.zone.key, sci, fv, msg, tag) {
+			return nil, fmt.Errorf("cansec: tag verification failed")
+		}
+		payload = append(dst, pt...)
+	}
+	ctr.Commit(uint64(fv))
+	return payload, nil
 }
-func errStaleFreshness(fv, lo, hi uint32) error {
-	return fmt.Errorf("cansec: freshness %d outside (%d, %d]", fv, lo, hi)
-}
-func errShortAuthBody() error { return fmt.Errorf("cansec: short auth body") }
-func errBadTag() error        { return fmt.Errorf("cansec: tag verification failed") }

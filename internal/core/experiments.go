@@ -291,13 +291,10 @@ func RunTable1(rc *RunContext) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		// The batch entry point dispatches to each suite's native batched
-		// fast path (contractually byte-identical to Protect).
-		wires, err := secchan.ProtectBatch(s, [][]byte{payload}, nil)
+		wire, err := s.Protect(payload)
 		if err != nil {
 			return "", err
 		}
-		wire := wires[0]
 		auth, conf, replay := s.Properties().YesNo()
 		tb.AddRow(s.Layer(), s.Name(), s.Media(), len(wire)-len(payload), auth, conf, replay)
 	}

@@ -9,8 +9,9 @@ import (
 )
 
 // TestDocLinks is the CI doc-link checker: every relative markdown
-// link and every backtick-quoted repo path in README.md, DESIGN.md,
-// and docs/*.md must resolve to a real file or directory. Writing docs
+// link, every backtick-quoted repo path, and every repo path in a
+// fenced code block in README.md, DESIGN.md, and docs/*.md must
+// resolve to a real file or directory. Writing docs
 // that name moved or deleted files is how a docs tree rots; this test
 // makes the rot a red build instead of a reader's dead end.
 func TestDocLinks(t *testing.T) {
@@ -48,6 +49,9 @@ func TestDocLinks(t *testing.T) {
 			}
 			checkMarkdownLinks(t, root, rel, string(data))
 			checkBacktickPaths(t, root, string(data))
+			for _, p := range staleFencedPaths(root, string(data)) {
+				t.Errorf("path %q in a code block does not resolve", p)
+			}
 		})
 	}
 }
@@ -116,5 +120,68 @@ func checkBacktickPaths(t *testing.T, root, body string) {
 			}
 			t.Errorf("backticked path %q does not resolve: %v", span, err)
 		}
+	}
+}
+
+// fencedPath matches a code-block token that names a repo path: path
+// characters with at least one slash, optionally a glob.
+var fencedPath = regexp.MustCompile(`^[A-Za-z0-9_./*-]+/[A-Za-z0-9_./*-]+$`)
+
+// staleFencedPaths returns the repo paths named in the body's fenced
+// code blocks (commands such as `go run ./cmd/avsecd` or
+// `scripts/fleet_smoke.sh`) that do not resolve. Only paths rooted in a
+// topLevel directory count; a glob must match at least one file, and a
+// Go package pattern's `/...` suffix is dropped before the lookup.
+func staleFencedPaths(root, body string) []string {
+	var stale []string
+	inFence := false
+	for _, line := range strings.Split(body, "\n") {
+		if strings.HasPrefix(strings.TrimSpace(line), "```") {
+			inFence = !inFence
+			continue
+		}
+		if !inFence {
+			continue
+		}
+		for _, tok := range strings.Fields(line) {
+			if i := strings.LastIndexByte(tok, '='); i >= 0 {
+				tok = tok[i+1:] // -flag=value
+			}
+			tok = strings.Trim(tok, `"',;:()`)
+			tok = strings.TrimSuffix(strings.TrimPrefix(tok, "./"), "/...")
+			if !fencedPath.MatchString(tok) {
+				continue
+			}
+			if first, _, _ := strings.Cut(tok, "/"); !topLevel[first] {
+				continue
+			}
+			if matches, _ := filepath.Glob(filepath.Join(root, tok)); len(matches) == 0 {
+				stale = append(stale, tok)
+			}
+		}
+	}
+	return stale
+}
+
+// TestStaleFencedPaths checks the code-block scan on a synthetic
+// README: live commands, scripts, globs and package patterns pass, and
+// a command or script that does not exist is reported.
+func TestStaleFencedPaths(t *testing.T) {
+	root, err := filepath.Abs(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := "Run `go run ./cmd/nosuchtool` in prose: not a code block.\n" +
+		"```sh\n" +
+		"go run ./cmd/avsecd -addr 127.0.0.1:0 &\n" +
+		"go test ./internal/... && bash scripts/*.sh\n" +
+		"avsec campaign -scenarios=internal/ext/demo/scenario > /tmp/out.txt\n" +
+		"go run ./cmd/uwbrange\n" +
+		"scripts/missing_smoke.sh\n" +
+		"```\n"
+	got := staleFencedPaths(root, body)
+	want := []string{"cmd/uwbrange", "scripts/missing_smoke.sh"}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("stale paths = %q, want %q", got, want)
 	}
 }

@@ -53,8 +53,8 @@ type Meta struct {
 	// Paper cites the paper artefact the extension models (Table I row,
 	// figure, section).
 	Paper string `json:"paper,omitempty"`
-	// Caps are free-form capability flags ("core", "table1", "batch",
-	// "rng", ...) the shim layers filter on.
+	// Caps are free-form capability flags ("core", "table1", "rng",
+	// ...) the shim layers filter on.
 	Caps []string `json:"caps,omitempty"`
 	// Rank orders iteration: lower first, ties broken by Name. Built-ins
 	// use it to preserve canonical paper order; drop-ins default to 0

@@ -79,10 +79,8 @@ type Config struct {
 	// Recheck is the determinism self-check fraction in [0, 1],
 	// evaluated at the coordinator with the exact cell selection
 	// campaign.Run uses, so the merged header line stays
-	// byte-identical to the serial CLI's. RecheckSeed 0 uses the fixed
-	// default selection seed.
-	Recheck     float64
-	RecheckSeed int64
+	// byte-identical to the serial CLI's.
+	Recheck float64
 	// Cache forwards the per-request cache opt-out; nil leaves every
 	// worker's default in place.
 	Cache *bool
@@ -196,7 +194,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 			grid = append(grid, campaign.CellResult{ID: id, Seed: seed})
 		}
 	}
-	mask := campaign.SelectRechecks(len(grid), cfg.Recheck, cfg.RecheckSeed)
+	mask := campaign.SelectRechecks(len(grid), cfg.Recheck)
 	for i, re := range mask {
 		grid[i].Rechecked = re
 	}

@@ -29,19 +29,6 @@ type SA struct {
 	replay secchan.Window
 	// WindowSize is the anti-replay window (default 64, RFC minimum 32).
 	WindowSize uint32
-
-	// DecapsulateBatch scratch (sequence burst and screen results).
-	batchSeqs []uint64
-	batchOK   []bool
-	// EncapsulateBatch header scratch: a stack array would escape to the
-	// heap through the AEAD's aad argument, an allocation per packet.
-	hdrBuf [8]byte
-}
-
-// errSeqExhausted is the sequence-space error shared by the single and
-// batched encapsulation paths.
-func errSeqExhausted() error {
-	return fmt.Errorf("ipsec: sequence space exhausted; rekey the SA")
 }
 
 // NewSA creates a security association with the given 16- or 32-byte
@@ -56,7 +43,7 @@ func NewSA(spi uint32, key []byte) (*SA, error) {
 // Encapsulate protects an inner packet into an ESP packet.
 func (sa *SA) Encapsulate(inner []byte) ([]byte, error) {
 	if sa.sendSeq == ^uint32(0) {
-		return nil, errSeqExhausted()
+		return nil, fmt.Errorf("ipsec: sequence space exhausted; rekey the SA")
 	}
 	sa.sendSeq++
 	hdr := make([]byte, 8)

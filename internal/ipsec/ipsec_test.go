@@ -2,6 +2,7 @@ package ipsec
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -74,6 +75,43 @@ func TestDecapWindowReorder(t *testing.T) {
 	for _, i := range []int{9, 5, 2, 8, 0} {
 		if _, err := rx.Decapsulate(pkts[i]); err == nil {
 			t.Errorf("replayed packet %d accepted", i)
+		}
+	}
+	// A corrupted copy of an unseen in-window packet fails
+	// authentication without marking its sequence number, so the
+	// genuine packet is still accepted afterwards.
+	bad := append([]byte(nil), pkts[7]...)
+	bad[len(bad)-1] ^= 1
+	if _, err := rx.Decapsulate(bad); err == nil {
+		t.Error("corrupted packet accepted")
+	}
+	if _, err := rx.Decapsulate(pkts[7]); err != nil {
+		t.Errorf("genuine packet rejected after a corrupted copy: %v", err)
+	}
+}
+
+// TestEncapsulateStopsAtExhaustion drives an SA across the
+// sequence-space cliff: the packets before it are protected, the next
+// Encapsulate fails with the rekey error, and a failed call leaves the
+// sequence number where it was.
+func TestEncapsulateStopsAtExhaustion(t *testing.T) {
+	tx, rx := saPair(t)
+	tx.sendSeq = ^uint32(0) - 2
+	for i := 0; i < 2; i++ {
+		pkt, err := tx.Encapsulate([]byte{byte(i)})
+		if err != nil {
+			t.Fatalf("packet %d before the cliff: %v", i, err)
+		}
+		if _, err := rx.Decapsulate(pkt); err != nil {
+			t.Fatalf("packet %d before the cliff rejected: %v", i, err)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := tx.Encapsulate([]byte{9}); err == nil || !strings.Contains(err.Error(), "sequence space exhausted") {
+			t.Fatalf("call %d past the cliff: err = %v, want exhaustion", i, err)
+		}
+		if tx.sendSeq != ^uint32(0) {
+			t.Fatalf("call %d past the cliff moved sendSeq to %d", i, tx.sendSeq)
 		}
 	}
 }

@@ -50,13 +50,11 @@ func Scaling(n, payloadBytes int) ([]ScalingRow, error) {
 		if err != nil {
 			return 0, nil, err
 		}
-		// Batch entry point: dispatches to the suite's native batched
-		// fast path, byte-identical to Protect.
-		wires, err := secchan.ProtectBatch(s, [][]byte{payload}, nil)
+		wire, err := s.Protect(payload)
 		if err != nil {
 			return 0, nil, err
 		}
-		return len(wires[0]) - len(payload), wires[0], nil
+		return len(wire) - len(payload), wire, nil
 	}
 
 	secocOverhead, _, err := measure("SECOC", secocKey)

@@ -62,24 +62,15 @@ func (t *SecTAG) marshal() []byte {
 }
 
 func parseSecTAG(b []byte) (*SecTAG, error) {
-	var t SecTAG
-	if err := parseSecTAGInto(b, &t); err != nil {
-		return nil, err
-	}
-	return &t, nil
-}
-
-// parseSecTAGInto is the allocation-free form of parseSecTAG for the
-// batch verify path.
-func parseSecTAGInto(b []byte, t *SecTAG) error {
 	if len(b) < secTAGLen {
-		return fmt.Errorf("macsec: short SecTAG")
+		return nil, fmt.Errorf("macsec: short SecTAG")
 	}
-	t.AN = b[0] & 0x03
-	t.Enc = b[0]&0x08 != 0
-	t.PN = binary.BigEndian.Uint32(b[2:6])
-	t.SCI = binary.BigEndian.Uint64(b[6:14])
-	return nil
+	return &SecTAG{
+		AN:  b[0] & 0x03,
+		Enc: b[0]&0x08 != 0,
+		PN:  binary.BigEndian.Uint32(b[2:6]),
+		SCI: binary.BigEndian.Uint64(b[6:14]),
+	}, nil
 }
 
 // SCIFromMAC builds a secure channel identifier from a MAC and port id,
@@ -104,12 +95,6 @@ type SecY struct {
 	peers map[uint64]*rxChannel
 	// ReplayWindow 0 means strict in-order; >0 tolerates reordering.
 	ReplayWindow uint32
-
-	// Batch-path scratch (see batch.go): inner frame, AAD, and
-	// integrity-only MAC message buffers reused across frames.
-	innerBuf []byte
-	aadBuf   []byte
-	msgBuf   []byte
 }
 
 type rxChannel struct {

@@ -1,7 +1,7 @@
 // Package ranging implements the protocol layer above the UWB PHY:
-// single-sided and double-sided two-way ranging (SS-TWR, DS-TWR) with
-// clock-drift modelling, and Brands–Chaum-style rapid-bit-exchange
-// distance bounding with the classic fraud strategies. Where package uwb
+// double-sided two-way ranging (DS-TWR) with clock-drift modelling,
+// and Brands–Chaum-style rapid-bit-exchange distance bounding with the
+// classic fraud strategies. Where package uwb
 // models what one radio observation can be made to say, this package
 // models what a *protocol* concludes from message round trips.
 //
@@ -50,23 +50,6 @@ func (c *TWRConfig) validate() error {
 		return fmt.Errorf("ranging: relay cannot remove propagation delay (ExtraPathNs=%f)", c.ExtraPathNs)
 	}
 	return nil
-}
-
-// SSTWR performs single-sided two-way ranging: the initiator measures
-// the round-trip time, subtracts the responder's declared reply delay,
-// and halves the remainder. Responder clock drift scales the (long)
-// reply delay and is the dominant error term — the reason 802.15.4z
-// deployments prefer DS-TWR.
-func SSTWR(cfg TWRConfig) (float64, error) {
-	if err := cfg.validate(); err != nil {
-		return 0, err
-	}
-	tof := cfg.DistanceM*NsPerMetre + cfg.ExtraPathNs
-	trueRound := 2*tof + cfg.ReplyDelayNs
-	measuredRound := cfg.Initiator.Elapsed(trueRound)
-	declaredReply := cfg.Responder.Elapsed(cfg.ReplyDelayNs)
-	est := (measuredRound - declaredReply) / 2
-	return est / NsPerMetre, nil
 }
 
 // DSTWR performs double-sided two-way ranging (two round trips, one

@@ -10,7 +10,7 @@ import (
 
 func TestSSTWRExactWithPerfectClocks(t *testing.T) {
 	cfg := TWRConfig{DistanceM: 37.5, ReplyDelayNs: 1000}
-	got, err := SSTWR(cfg)
+	got, err := ssTWR(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,13 +21,13 @@ func TestSSTWRExactWithPerfectClocks(t *testing.T) {
 
 func TestSSTWRDriftErrorGrowsWithReplyDelay(t *testing.T) {
 	base := TWRConfig{DistanceM: 10, ReplyDelayNs: 1000, Responder: Clock{DriftPPM: 20}}
-	short, err := SSTWR(base)
+	short, err := ssTWR(base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	long := base
 	long.ReplyDelayNs = 1e6 // 1 ms turnaround
-	longEst, err := SSTWR(long)
+	longEst, err := ssTWR(long)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestDSTWRCancelsDrift(t *testing.T) {
 		Initiator:    Clock{DriftPPM: 15},
 		Responder:    Clock{DriftPPM: -20},
 	}
-	ss, err := SSTWR(cfg)
+	ss, err := ssTWR(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestRelayOnlyEnlargesToFDistance(t *testing.T) {
 	// a relay reports a *larger* distance, never a smaller one.
 	f := func(extra uint16) bool {
 		cfg := TWRConfig{DistanceM: 5, ReplyDelayNs: 1000, ExtraPathNs: float64(extra)}
-		got, err := SSTWR(cfg)
+		got, err := ssTWR(cfg)
 		return err == nil && got >= 5-1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -75,7 +75,7 @@ func TestRelayOnlyEnlargesToFDistance(t *testing.T) {
 }
 
 func TestTWRRejectsNegativeInputs(t *testing.T) {
-	if _, err := SSTWR(TWRConfig{DistanceM: -1}); err == nil {
+	if _, err := ssTWR(TWRConfig{DistanceM: -1}); err == nil {
 		t.Error("negative distance accepted")
 	}
 	if _, err := DSTWR(TWRConfig{DistanceM: 1, ExtraPathNs: -5}); err == nil {
@@ -211,4 +211,22 @@ func TestFraudStrategyString(t *testing.T) {
 			t.Errorf("%d.String() = %q", int(s), s.String())
 		}
 	}
+}
+
+// ssTWR performs single-sided two-way ranging, the drift-sensitive
+// baseline DS-TWR is compared against: the initiator measures
+// the round-trip time, subtracts the responder's declared reply delay,
+// and halves the remainder. Responder clock drift scales the (long)
+// reply delay and is the dominant error term — the reason 802.15.4z
+// deployments prefer DS-TWR.
+func ssTWR(cfg TWRConfig) (float64, error) {
+	if err := cfg.validate(); err != nil {
+		return 0, err
+	}
+	tof := cfg.DistanceM*NsPerMetre + cfg.ExtraPathNs
+	trueRound := 2*tof + cfg.ReplyDelayNs
+	measuredRound := cfg.Initiator.Elapsed(trueRound)
+	declaredReply := cfg.Responder.Elapsed(cfg.ReplyDelayNs)
+	est := (measuredRound - declaredReply) / 2
+	return est / NsPerMetre, nil
 }

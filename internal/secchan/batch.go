@@ -1,12 +1,12 @@
 package secchan
 
-// Batched secure-channel fast path. The per-frame experiments (Table I,
-// the fig4-6 IVN overhead curves, the MAC ablation's forgery sweeps)
-// are millions of Protect/Verify calls; batching amortizes the per-call
-// fixed costs — key-state lookup, stats updates, header/tag scratch —
-// across N frames and lets suites reach kernels that only pay off in
-// bulk (the AES-NI batched CMAC in vcrypto pipelines 8 MAC chains per
-// call).
+// Batched secure-channel entry points. ProtectBatch and VerifyBatch
+// take a suite's native batch path when it implements BatchSuite and a
+// frame-at-a-time loop otherwise. Among the built-in suites only SECOC
+// has a native path: the MAC ablation verifies its forgery floods in
+// bursts, and SECOC's batch verify pipelines their MACs through the
+// AES-NI batched CMAC kernel in vcrypto (8 MAC chains per call). The
+// AES-GCM suites have no cross-frame crypto to merge and take the loop.
 //
 // The contract is strict serial equivalence, byte for byte: a suite's
 // ProtectBatch must produce exactly the wires, stats, and first-error

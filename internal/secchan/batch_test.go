@@ -7,79 +7,6 @@ import (
 	"testing"
 )
 
-// TestCheckBatchMatchesCheck drives random window states and bursts,
-// requiring CheckBatch to agree with a serial Check loop (no marks —
-// the screening semantics CheckBatch documents).
-func TestCheckBatchMatchesCheck(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 200; trial++ {
-		w := &Window{Size: uint32(rng.Intn(80))}
-		for i := 0; i < rng.Intn(40); i++ {
-			w.Mark(uint64(rng.Intn(200)) + 1)
-		}
-		seqs := make([]uint64, rng.Intn(33))
-		for i := range seqs {
-			seqs[i] = uint64(rng.Intn(260)) // includes 0 and out-of-window
-		}
-		ok := make([]bool, len(seqs))
-		w.CheckBatch(seqs, ok)
-		for i, seq := range seqs {
-			if want := w.Check(seq); ok[i] != want {
-				t.Fatalf("trial %d: seq %d: batch %v, serial %v (high %d)", trial, seq, ok[i], want, w.High())
-			}
-		}
-	}
-}
-
-// TestMarkBatchMatchesMark folds random bursts through MarkBatch and a
-// serial Mark loop on a twin window, comparing the full state via
-// subsequent Checks.
-func TestMarkBatchMatchesMark(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 200; trial++ {
-		a := &Window{Size: 64}
-		b := &Window{Size: 64}
-		seqs := make([]uint64, 1+rng.Intn(32))
-		for i := range seqs {
-			seqs[i] = uint64(rng.Intn(300)) + 1
-		}
-		a.MarkBatch(seqs)
-		for _, s := range seqs {
-			b.Mark(s)
-		}
-		if a.High() != b.High() {
-			t.Fatalf("trial %d: high %d vs %d", trial, a.High(), b.High())
-		}
-		for probe := uint64(1); probe <= 310; probe++ {
-			if a.Check(probe) != b.Check(probe) {
-				t.Fatalf("trial %d: probe %d diverges after %v", trial, probe, seqs)
-			}
-		}
-	}
-}
-
-func TestAscendingAbove(t *testing.T) {
-	cases := []struct {
-		high uint64
-		seqs []uint64
-		want bool
-	}{
-		{0, nil, true},
-		{0, []uint64{1, 2, 3}, true},
-		{5, []uint64{6, 7, 9}, true},
-		{5, []uint64{5, 6}, false}, // not above high
-		{5, []uint64{7, 7}, false}, // duplicate
-		{5, []uint64{8, 6}, false}, // reordered
-		{5, []uint64{6, 0}, false}, // zero after
-		{^uint64(0), []uint64{1}, false},
-	}
-	for _, c := range cases {
-		if got := AscendingAbove(c.high, c.seqs); got != c.want {
-			t.Errorf("AscendingAbove(%d, %v) = %v, want %v", c.high, c.seqs, got, c.want)
-		}
-	}
-}
-
 // TestFirstCandidateAfterMatchesIterator compares the O(1) predictor
 // against the scanning iterator across bit widths, windows, and last
 // values, including the window edges.

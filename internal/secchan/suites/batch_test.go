@@ -8,8 +8,10 @@ import (
 	"autosec/internal/sim"
 )
 
-// batchEntries returns every suite with a native batch path, including
-// the integrity-only MACsec variant that is not a registry row.
+// batchEntries returns every built-in suite, including the
+// integrity-only MACsec variant that is not a registry row. SECOC takes
+// its native batch path; the others take secchan's frame-at-a-time
+// loop, which must honour the same contract.
 func batchEntries() []secchan.Entry {
 	entries := append(secchan.Registry{}, Registry()...)
 	integ := macsecMeta
@@ -35,7 +37,7 @@ func newTwin(t *testing.T, e secchan.Entry) (batch, serial secchan.Suite) {
 	return b, s
 }
 
-// TestBatchMatchesSingleFrame drives every native batch suite and its
+// TestBatchMatchesSingleFrame drives every suite's batch path and its
 // single-frame twin through the same traffic — honest frames, a
 // corrupted frame, a truncated frame, and a replayed frame mid-batch —
 // and requires identical wires, per-frame verdicts, payloads, and
@@ -111,20 +113,24 @@ func TestBatchMatchesSingleFrame(t *testing.T) {
 	}
 }
 
-// TestProtectBatchZeroAlloc pins the batch protect path's steady-state
-// allocation behaviour: once the suite scratch and the caller's wire
-// buffers have grown to size, protecting a burst must not allocate at
-// all, for every native batch suite.
+// TestProtectBatchZeroAlloc pins the native batch protect path's
+// steady-state allocation behaviour: once the suite scratch and the
+// caller's wire buffers have grown to size, protecting a burst must not
+// allocate at all. Suites without a secchan.BatchSuite path allocate
+// per frame in Protect and are left out.
 func TestProtectBatchZeroAlloc(t *testing.T) {
 	if raceEnabled {
-		t.Skip("sync.Pool deliberately drops items under the race detector, so the nonce pool allocates")
+		t.Skip("sync.Pool deliberately drops items under the race detector, so the CMAC buffer pool allocates")
 	}
 	for _, e := range batchEntries() {
+		s, err := e.New(secchan.Params{Key: testKey, RNG: sim.NewRNG(7)})
+		if err != nil {
+			t.Fatalf("%s: New: %v", e.Name, err)
+		}
+		if _, ok := s.(secchan.BatchSuite); !ok {
+			continue
+		}
 		t.Run(e.Name, func(t *testing.T) {
-			s, err := e.New(secchan.Params{Key: testKey, RNG: sim.NewRNG(7)})
-			if err != nil {
-				t.Fatalf("New: %v", err)
-			}
 			payloads := make([][]byte, 64)
 			for i := range payloads {
 				payloads[i] = bytes.Repeat([]byte{byte(i)}, 64)
@@ -147,8 +153,8 @@ func TestProtectBatchZeroAlloc(t *testing.T) {
 	}
 }
 
-// FuzzBatchVerifyEquivalence differentially fuzzes every suite's native
-// batch path against its single-frame twin: the fuzzer picks a delivery
+// FuzzBatchVerifyEquivalence differentially fuzzes every suite's batch
+// path against its single-frame twin: the fuzzer picks a delivery
 // schedule over protected frames — reorderings, duplicates, corruptions
 // — and an arbitrary batch segmentation, and the batched verdicts,
 // payloads, and Stats must equal the serial loop's. Wired into the CI

@@ -26,16 +26,9 @@ import (
 	"autosec/internal/tlslite"
 )
 
-// Capability flags the suite kind uses on top of ext.CapCore.
-const (
-	// CapTable1 marks a paper Table I row; Registry() is exactly the
-	// table1-capped entries in rank order.
-	CapTable1 = "table1"
-	// CapBatch marks a suite whose constructor yields a
-	// secchan.BatchSuite, so the campaign fast path can amortise MAC
-	// setup across a whole frame batch.
-	CapBatch = "batch"
-)
+// CapTable1 marks a paper Table I row; Registry() is exactly the
+// table1-capped entries in rank order.
+const CapTable1 = "table1"
 
 // Suites is the extension registry of channel suites (ext kind
 // "suite"). Built-ins register below at init; drop-in suites register
@@ -50,21 +43,21 @@ func init() {
 		Suites.Register(ext.Meta{Name: e.Name, Description: desc, Paper: e.Paper, Caps: caps, Rank: rank}, e)
 	}
 	reg(1, secocMeta, "AUTOSAR SecOC: truncated-MAC + freshness at the application layer",
-		newSECOC, ext.CapCore, CapTable1, CapBatch)
+		newSECOC, ext.CapCore, CapTable1)
 	reg(2, tlsMeta, "(D)TLS-style transport records with AEAD and handshake key schedule",
-		newTLS, ext.CapCore, CapTable1, CapBatch)
+		newTLS, ext.CapCore, CapTable1)
 	reg(3, ipsecMeta, "IPsec ESP tunnel: encrypt-then-MAC with an anti-replay window",
-		newIPsec, ext.CapCore, CapTable1, CapBatch)
+		newIPsec, ext.CapCore, CapTable1)
 	reg(4, macsecMeta, "IEEE 802.1AE MACsec SecY in confidential mode (SecTAG + ICV)",
-		newMACsec, ext.CapCore, CapTable1, CapBatch)
+		newMACsec, ext.CapCore, CapTable1)
 	reg(5, cansecMeta, "CiA 613-2 CANsec zones on CAN XL with authenticated encryption",
-		newCANsec, ext.CapCore, CapTable1, CapBatch)
+		newCANsec, ext.CapCore, CapTable1)
 	integ := macsecMeta
 	integ.Name = "MACsec-integ"
 	integ.Paper = "Table I row 4 variant; 802.1AE integrity-only mode (E=0)"
 	integ.Props.Conf = false
 	reg(6, integ, "802.1AE MACsec integrity-only variant (authenticated, plaintext payload)",
-		NewMACsecIntegrityOnly, ext.CapCore, CapBatch)
+		NewMACsecIntegrityOnly, ext.CapCore)
 }
 
 // Registry returns the Table I suites in paper row order: SECOC,
@@ -154,6 +147,28 @@ func (s *secocSuite) Verify(wire []byte) ([]byte, error) {
 	pt, err := s.recv.Verify(wire)
 	s.stats.RecordVerify(err == nil)
 	return pt, err
+}
+
+// SECOC is the one suite with a native secchan.BatchSuite path: its
+// batch verify pipelines the MACs of a burst through the batched CMAC
+// kernel. The adapters replay the per-frame stats updates Protect and
+// Verify perform, so Stats stay identical to a frame-at-a-time run.
+var _ secchan.BatchSuite = (*secocSuite)(nil)
+
+func (s *secocSuite) ProtectBatch(payloads, dst [][]byte) ([][]byte, error) {
+	wires, err := s.send.ProtectBatch(payloads, dst)
+	for i, w := range wires {
+		s.stats.RecordProtect(len(payloads[i]), len(w))
+	}
+	return wires, err
+}
+
+func (s *secocSuite) VerifyBatch(wires [][]byte, verdicts []secchan.Verdict) []secchan.Verdict {
+	verdicts = s.recv.VerifyBatch(wires, verdicts)
+	for i := range verdicts {
+		s.stats.RecordVerify(verdicts[i].Err == nil)
+	}
+	return verdicts
 }
 
 // --- (D)TLS (transport layer, Table I row 2) ---

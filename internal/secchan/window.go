@@ -63,69 +63,6 @@ func (w *Window) Mark(seq uint64) {
 // High returns the highest sequence number marked so far.
 func (w *Window) High() uint64 { return w.high }
 
-// CheckBatch screens a burst of sequence numbers against the current
-// window state, writing Check(seqs[i]) into ok[i]. It is the
-// word-at-a-time form of calling Check per frame *without interleaved
-// Marks*: the window does not advance mid-batch, so two in-window
-// duplicates of the same unseen sequence both screen as acceptable —
-// batch verify paths that must match serial Check→verify→Mark
-// interleaving exactly pair this with AscendingAbove, under which the
-// two interleavings coincide. The loop body is branch-free (masked
-// shifts and boolean arithmetic, no per-frame state), so the compiler
-// can keep the whole window in registers and unroll or vectorize it.
-func (w *Window) CheckBatch(seqs []uint64, ok []bool) {
-	high, bitmap := w.high, w.bitmap
-	depth := uint64(w.Size)
-	if depth > 64 {
-		depth = 64
-	}
-	for i, seq := range seqs {
-		diff := high - seq // wraps huge for seq > high
-		inWin := diff < depth
-		unseen := bitmap&(1<<(diff&63)) == 0
-		ok[i] = seq != 0 && (seq > high || (inWin && unseen))
-	}
-}
-
-// MarkBatch records a burst of authenticated sequence numbers, exactly
-// equivalent to calling Mark per frame in order but folding the window
-// state through registers instead of memory.
-func (w *Window) MarkBatch(seqs []uint64) {
-	high, bitmap := w.high, w.bitmap
-	for _, seq := range seqs {
-		if seq > high {
-			shift := seq - high
-			if shift >= 64 {
-				bitmap = 0
-			} else {
-				bitmap <<= shift
-			}
-			bitmap |= 1
-			high = seq
-		} else {
-			bitmap |= 1 << (high - seq)
-		}
-	}
-	w.high, w.bitmap = high, bitmap
-}
-
-// AscendingAbove reports whether seqs are strictly increasing and all
-// above high — the in-order honest-traffic shape. Under it, a batched
-// CheckBatch screen followed by per-frame Marks of the authenticated
-// frames is byte-equivalent to the serial Check→verify→Mark
-// interleaving: marking can only raise the high mark, and every later
-// sequence stays strictly above it. The comparison chain is branch-free
-// so the scan vectorizes.
-func AscendingAbove(high uint64, seqs []uint64) bool {
-	prev := high
-	good := true
-	for _, seq := range seqs {
-		good = good && seq > prev
-		prev = seq
-	}
-	return good
-}
-
 // Counter is a strictly-increasing freshness counter with an
 // acceptance window: sequence seq is acceptable iff
 // last < seq ≤ last+Window. Unlike Window it keeps no bitmap — once a

@@ -43,52 +43,6 @@ type Tracer interface {
 	Trace(ev TraceEvent)
 }
 
-// RingTracer retains the most recent Cap events in memory. It is the
-// cheap always-on option: attach it to a kernel and inspect the tail
-// after a failure without paying for serialization.
-type RingTracer struct {
-	buf     []TraceEvent
-	next    int
-	wrapped bool
-	dropped int
-}
-
-// NewRingTracer returns a tracer retaining the last cap events.
-func NewRingTracer(cap int) *RingTracer {
-	if cap < 1 {
-		cap = 1
-	}
-	return &RingTracer{buf: make([]TraceEvent, cap)}
-}
-
-// Trace records ev, overwriting the oldest event when full.
-func (r *RingTracer) Trace(ev TraceEvent) {
-	if r.wrapped {
-		r.dropped++
-	}
-	r.buf[r.next] = ev
-	r.next++
-	if r.next == len(r.buf) {
-		r.next = 0
-		r.wrapped = true
-	}
-}
-
-// Events returns the retained events in arrival order.
-func (r *RingTracer) Events() []TraceEvent {
-	if !r.wrapped {
-		return append([]TraceEvent(nil), r.buf[:r.next]...)
-	}
-	out := make([]TraceEvent, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
-	return out
-}
-
-// Dropped reports how many events were overwritten after the ring
-// filled.
-func (r *RingTracer) Dropped() int { return r.dropped }
-
 // JSONLTracer streams every event to w as one JSON object per line
 // (JSON Lines). Encoding uses the TraceEvent field order, so the byte
 // stream is deterministic. Write errors are sticky: the first one is
@@ -127,15 +81,3 @@ func (t *JSONLTracer) Count() int { return t.n }
 
 // Err returns the first write or encoding error, if any.
 func (t *JSONLTracer) Err() error { return t.err }
-
-// MultiTracer fans events out to several tracers.
-type MultiTracer []Tracer
-
-// Trace forwards ev to every non-nil tracer.
-func (m MultiTracer) Trace(ev TraceEvent) {
-	for _, t := range m {
-		if t != nil {
-			t.Trace(ev)
-		}
-	}
-}

@@ -12,7 +12,7 @@ import (
 // RNG draw checkpoints.
 func TestKernelTraceEvents(t *testing.T) {
 	t.Parallel()
-	tr := NewRingTracer(64)
+	tr := newRingTracer(64)
 	k := NewKernel(7)
 	k.SetTracer(tr)
 
@@ -93,7 +93,7 @@ func TestTraceDeterminism(t *testing.T) {
 // TestRingTracerWrap checks ring-buffer retention and drop accounting.
 func TestRingTracerWrap(t *testing.T) {
 	t.Parallel()
-	tr := NewRingTracer(3)
+	tr := newRingTracer(3)
 	for i := 0; i < 5; i++ {
 		tr.Trace(TraceEvent{Seq: i})
 	}
@@ -114,7 +114,7 @@ func TestNilTracerFastPath(t *testing.T) {
 	run := func(trace bool) (Time, uint64) {
 		k := NewKernel(5)
 		if trace {
-			k.SetTracer(NewRingTracer(8))
+			k.SetTracer(newRingTracer(8))
 		}
 		k.Schedule(1, "x", func(k *Kernel) { k.RNG().Uint64() })
 		if err := k.Run(0); err != nil {
@@ -128,3 +128,48 @@ func TestNilTracerFastPath(t *testing.T) {
 		t.Fatalf("traced (%v,%d) != untraced (%v,%d)", at, ad, bt, bd)
 	}
 }
+
+// ringTracer retains the most recent cap events in memory, so tests
+// can inspect a kernel's trace without serializing it.
+type ringTracer struct {
+	buf     []TraceEvent
+	next    int
+	wrapped bool
+	dropped int
+}
+
+// newRingTracer returns a tracer retaining the last cap events.
+func newRingTracer(cap int) *ringTracer {
+	if cap < 1 {
+		cap = 1
+	}
+	return &ringTracer{buf: make([]TraceEvent, cap)}
+}
+
+// Trace records ev, overwriting the oldest event when full.
+func (r *ringTracer) Trace(ev TraceEvent) {
+	if r.wrapped {
+		r.dropped++
+	}
+	r.buf[r.next] = ev
+	r.next++
+	if r.next == len(r.buf) {
+		r.next = 0
+		r.wrapped = true
+	}
+}
+
+// Events returns the retained events in arrival order.
+func (r *ringTracer) Events() []TraceEvent {
+	if !r.wrapped {
+		return append([]TraceEvent(nil), r.buf[:r.next]...)
+	}
+	out := make([]TraceEvent, 0, len(r.buf))
+	out = append(out, r.buf[r.next:]...)
+	out = append(out, r.buf[:r.next]...)
+	return out
+}
+
+// Dropped reports how many events were overwritten after the ring
+// filled.
+func (r *ringTracer) Dropped() int { return r.dropped }

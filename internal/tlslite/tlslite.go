@@ -43,13 +43,6 @@ type Session struct {
 	recvKey []byte
 	sendSeq uint64
 	replay  secchan.Window // DTLS sliding window over the 64 records below the highest seq
-
-	// OpenBatch scratch (sequence burst and screen results).
-	batchSeqs []uint64
-	batchOK   []bool
-	// SealBatch header scratch: a stack array would escape to the heap
-	// through the AEAD's aad argument, costing an allocation per batch.
-	hdrBuf [13]byte
 }
 
 // Handshake derives a connected client/server session pair from a

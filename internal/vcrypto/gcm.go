@@ -14,20 +14,13 @@ import (
 // aad is additionally authenticated but not encrypted. The returned
 // slice is ciphertext||tag (16-byte tag).
 func GCMSeal(key []byte, sci uint64, pn uint32, aad, plaintext []byte) ([]byte, error) {
-	return GCMSealInto(nil, key, sci, pn, aad, plaintext)
-}
-
-// GCMSealInto is GCMSeal appending into dst: batch protect paths hand
-// in a pooled wire buffer (typically the header already written) so the
-// sealed frame costs no allocation once the buffer has grown to size.
-func GCMSealInto(dst, key []byte, sci uint64, pn uint32, aad, plaintext []byte) ([]byte, error) {
 	aead, err := aeadFor(key)
 	if err != nil {
 		return nil, err
 	}
 	nonce := noncePool.Get().(*[12]byte)
 	fillNonce(nonce, sci, pn)
-	out := aead.Seal(dst, nonce[:], plaintext, aad)
+	out := aead.Seal(nil, nonce[:], plaintext, aad)
 	noncePool.Put(nonce)
 	return out, nil
 }
@@ -42,8 +35,7 @@ func GCMOpen(key []byte, sci uint64, pn uint32, aad, sealed []byte) ([]byte, err
 	return pt, nil
 }
 
-// GCMOpenInto is GCMOpen appending the plaintext into dst, for verify
-// paths that recycle their output buffers across a batch.
+// GCMOpenInto is GCMOpen appending the plaintext into dst.
 func GCMOpenInto(dst, key []byte, sci uint64, pn uint32, aad, sealed []byte) ([]byte, error) {
 	aead, err := aeadFor(key)
 	if err != nil {
@@ -65,11 +57,6 @@ func GCMOpenInto(dst, key []byte, sci uint64, pn uint32, aad, sealed []byte) ([]
 // profiles are modelled.
 func GCMTag(key []byte, sci uint64, pn uint32, msg []byte) ([]byte, error) {
 	return GCMSeal(key, sci, pn, msg, nil)
-}
-
-// GCMTagInto is GCMTag appending the 16-byte tag into dst.
-func GCMTagInto(dst, key []byte, sci uint64, pn uint32, msg []byte) ([]byte, error) {
-	return GCMSealInto(dst, key, sci, pn, msg, nil)
 }
 
 // GCMVerifyTag checks a tag produced by GCMTag.

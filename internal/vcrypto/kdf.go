@@ -4,7 +4,6 @@ import (
 	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/binary"
-	"fmt"
 )
 
 // DeriveKey implements a counter-mode KDF in the style of NIST SP
@@ -35,33 +34,4 @@ func DeriveKey(key []byte, label, context string, length int) []byte {
 		counter++
 	}
 	return out[:length]
-}
-
-// KeyHierarchy derives per-purpose keys from a single long-term root,
-// mirroring the automotive practice of provisioning one OEM master
-// secret per ECU and deriving link keys from it.
-type KeyHierarchy struct {
-	root []byte
-}
-
-// NewKeyHierarchy returns a hierarchy rooted at root. The root must be
-// at least 16 bytes of entropy.
-func NewKeyHierarchy(root []byte) (*KeyHierarchy, error) {
-	if len(root) < 16 {
-		return nil, fmt.Errorf("vcrypto: root key too short (%d bytes, need >=16)", len(root))
-	}
-	r := make([]byte, len(root))
-	copy(r, root)
-	return &KeyHierarchy{root: r}, nil
-}
-
-// SessionKey derives a 16-byte AES-128 session key for the named purpose
-// and peer context.
-func (h *KeyHierarchy) SessionKey(purpose, context string) []byte {
-	return DeriveKey(h.root, purpose, context, 16)
-}
-
-// SessionKey256 derives a 32-byte AES-256 session key.
-func (h *KeyHierarchy) SessionKey256(purpose, context string) []byte {
-	return DeriveKey(h.root, purpose, context, 32)
 }

@@ -169,28 +169,6 @@ func TestDeriveKeyLabelContextNotConfusable(t *testing.T) {
 	}
 }
 
-func TestKeyHierarchy(t *testing.T) {
-	t.Parallel()
-	h, err := NewKeyHierarchy([]byte("an-oem-master-secret-with-entropy"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	k1 := h.SessionKey("secoc", "ecu-7")
-	k2 := h.SessionKey("secoc", "ecu-7")
-	if !bytes.Equal(k1, k2) {
-		t.Error("not deterministic")
-	}
-	if len(k1) != 16 {
-		t.Errorf("session key length %d", len(k1))
-	}
-	if len(h.SessionKey256("macsec", "sc-1")) != 32 {
-		t.Error("256-bit key wrong length")
-	}
-	if _, err := NewKeyHierarchy([]byte("short")); err == nil {
-		t.Error("short root accepted")
-	}
-}
-
 func TestGCMSealOpenRoundTrip(t *testing.T) {
 	t.Parallel()
 	key := DeriveKey([]byte("0123456789abcdef"), "gcm", "t", 16)

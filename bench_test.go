@@ -352,18 +352,34 @@ func BenchmarkUWBCorrelate256(b *testing.B) {
 	}
 }
 
+// BenchmarkSecureToA times one secure 256-pulse Session.Measure at
+// exp-ca's channel. "fixed" repeats one session, so every call after the
+// first hits the arena's STS cache; "advancing" moves the session
+// counter every call, as exp-ca's RangeTo does, so each call also
+// derives a fresh STS.
 func BenchmarkSecureToA(b *testing.B) {
-	b.ReportAllocs()
-	rng := sim.NewRNG(1)
-	sess := uwb.Session{
-		Key: []byte("0123456789abcdef"), Session: 1, Pulses: 256,
-		Channel: uwb.Channel{DistanceM: 60, NoiseStd: 0.2},
-		Secure:  true, Config: uwb.DefaultSecureConfig(),
-	}
-	for i := 0; i < b.N; i++ {
-		if _, err := sess.Measure(nil, rng); err != nil {
-			b.Fatal(err)
+	for _, advance := range []bool{false, true} {
+		name := "fixed"
+		if advance {
+			name = "advancing"
 		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			rng := sim.NewRNG(1)
+			sess := uwb.Session{
+				Key: []byte("0123456789abcdef"), Session: 1, Pulses: 256,
+				Channel: uwb.Channel{DistanceM: 60, NoiseStd: 0.2},
+				Secure:  true, Config: uwb.DefaultSecureConfig(),
+			}
+			for i := 0; i < b.N; i++ {
+				if advance {
+					sess.Session++
+				}
+				if _, err := sess.Measure(nil, rng); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

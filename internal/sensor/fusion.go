@@ -1,6 +1,8 @@
 package sensor
 
 import (
+	"math/bits"
+
 	"autosec/internal/sim"
 	"autosec/internal/world"
 )
@@ -50,18 +52,20 @@ type Obstacle struct {
 const associationGate = 2.5
 
 // Fuse applies the policy to raw detections. For VerifiedFusion it
-// additionally issues ranging exchanges through the suite.
+// additionally issues ranging exchanges through the suite. Clustering
+// runs in the suite's reusable buffers, so only the returned slice is
+// allocated.
 func (s *Suite) Fuse(w *world.World, dets []Detection, policy FusionPolicy, att *Attack, rng *sim.RNG) []Obstacle {
-	clusters := clusterDetections(dets)
+	clusters := s.clusterDetections(dets)
 	var out []Obstacle
-	for _, c := range clusters {
-		ob := Obstacle{Pos: c.centroid(), Range: c.minRange(), Sources: c.modalities(), TruthID: c.truthID()}
+	for i := range clusters {
+		c := &clusters[i]
+		ob := Obstacle{Pos: c.centroid(), Range: c.minRange, Sources: bits.OnesCount64(c.modalities), TruthID: c.truthID(dets, s.next)}
 		switch policy {
 		case NaiveFusion:
-			out = append(out, ob)
 		case ConsensusFusion:
-			if ob.Sources >= 2 {
-				out = append(out, ob)
+			if ob.Sources < 2 {
+				continue
 			}
 		case VerifiedFusion:
 			if ob.Sources < 2 {
@@ -83,71 +87,95 @@ func (s *Suite) Fuse(w *world.World, dets []Detection, policy FusionPolicy, att 
 					}
 				}
 			}
-			out = append(out, ob)
+		default:
+			continue
 		}
+		if out == nil {
+			out = make([]Obstacle, 0, len(clusters)-i)
+		}
+		out = append(out, ob)
 	}
 	return out
 }
 
-// cluster groups detections of one physical (or ghost) object. sum is
-// the running position total over dets, maintained on append in the
-// same left-to-right order the old per-call summation used, so the
-// centroid stays bit-identical while the O(members) recomputation per
-// association test disappears.
+// cluster groups detections of one physical (or ghost) object. It
+// keeps running aggregates, each updated in member (append) order: sum
+// is the position total, so the centroid is bit-identical to summing
+// the members left to right; minRange is the first member's range
+// lowered by each later one; modalities has bit m set when a member has
+// Modality m (every defined Modality is below 64). The members
+// themselves are indices into the fused detections, chained from head
+// through the suite's next slice and ending at tail.
 type cluster struct {
-	dets []Detection
-	sum  world.Vec2
+	sum        world.Vec2
+	n          int
+	minRange   float64
+	modalities uint64
+	head, tail int
 }
 
-func clusterDetections(dets []Detection) []*cluster {
-	var clusters []*cluster
-	for _, d := range dets {
+// clusterDetections assigns each detection to the first cluster whose
+// centroid lies within the association gate, or opens a new one. The
+// clusters and member links live in the suite's buffers and are valid
+// until the next call.
+func (s *Suite) clusterDetections(dets []Detection) []cluster {
+	clusters := s.clusters[:0]
+	if cap(s.next) < len(dets) {
+		s.next = make([]int, len(dets))
+	}
+	next := s.next[:len(dets)]
+	for i, d := range dets {
+		next[i] = -1
 		placed := false
-		for _, c := range clusters {
+		for j := range clusters {
+			c := &clusters[j]
 			if world.Dist(c.centroid(), d.Pos) <= associationGate {
-				c.dets = append(c.dets, d)
 				c.sum = c.sum.Add(d.Pos)
+				c.n++
+				if d.Range < c.minRange {
+					c.minRange = d.Range
+				}
+				c.modalities |= 1 << uint(d.Modality)
+				next[c.tail], c.tail = i, i
 				placed = true
 				break
 			}
 		}
 		if !placed {
-			clusters = append(clusters, &cluster{dets: []Detection{d}, sum: d.Pos})
+			clusters = append(clusters, cluster{sum: d.Pos, n: 1, minRange: d.Range, modalities: 1 << uint(d.Modality), head: i, tail: i})
 		}
 	}
+	s.clusters, s.next = clusters, next
 	return clusters
 }
 
 func (c *cluster) centroid() world.Vec2 {
-	return c.sum.Scale(1 / float64(len(c.dets)))
+	return c.sum.Scale(1 / float64(c.n))
 }
 
-func (c *cluster) minRange() float64 {
-	min := c.dets[0].Range
-	for _, d := range c.dets[1:] {
-		if d.Range < min {
-			min = d.Range
-		}
-	}
-	return min
-}
-
-func (c *cluster) modalities() int {
-	seen := map[Modality]bool{}
-	for _, d := range c.dets {
-		seen[d.Modality] = true
-	}
-	return len(seen)
-}
-
-func (c *cluster) truthID() string {
-	// Majority ground truth within the cluster; ghosts have "".
-	counts := map[string]int{}
-	for _, d := range c.dets {
-		counts[d.TruthID]++
-	}
+// truthID is the majority ground truth among the members (ghosts have
+// ""); on a tie the ID seen first in member order wins. Each ID is
+// counted at its first occurrence, by walking the members after it.
+func (c *cluster) truthID(dets []Detection, next []int) string {
 	best, bestN := "", 0
-	for id, n := range counts {
+	for i := c.head; i >= 0; i = next[i] {
+		id := dets[i].TruthID
+		seen := false
+		for j := c.head; j != i; j = next[j] {
+			if dets[j].TruthID == id {
+				seen = true
+				break
+			}
+		}
+		if seen {
+			continue
+		}
+		n := 1
+		for j := next[i]; j >= 0; j = next[j] {
+			if dets[j].TruthID == id {
+				n++
+			}
+		}
 		if n > bestN {
 			best, bestN = id, n
 		}

@@ -94,6 +94,11 @@ type Suite struct {
 	// neighbors is Sense's scratch for the world neighbourhood query,
 	// reused across ticks so the per-tick query is allocation-free.
 	neighbors []*world.Actor
+	// clusters and next are Fuse's clustering buffers: the clusters of
+	// the current call and, per detection, the next member of its
+	// cluster (-1 at the end).
+	clusters []cluster
+	next     []int
 }
 
 // NewSuite returns a sensor suite with automotive-plausible defaults.
@@ -111,7 +116,15 @@ func (s *Suite) Sense(w *world.World, att *Attack, rng *sim.RNG) []Detection {
 	// One neighbourhood scan serves all three modalities: the world does
 	// not move mid-Sense, so the per-modality queries were identical.
 	s.neighbors = w.NeighborsAppend(s.neighbors[:0], ego.Pos, s.MaxRange, s.EgoID)
-	var out []Detection
+	// Every neighbour can appear once per modality, plus one ghost.
+	n := 3 * len(s.neighbors)
+	if att != nil && att.GhostAt != nil {
+		n++
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]Detection, 0, n)
 	for _, m := range []Modality{Lidar, Radar, Camera} {
 		for _, a := range s.neighbors {
 			if att != nil && att.Target == m && att.RemoveID == a.ID {

@@ -1,6 +1,7 @@
 package sensor
 
 import (
+	"math"
 	"testing"
 
 	"autosec/internal/sim"
@@ -294,5 +295,115 @@ func TestModalityAndPolicyStrings(t *testing.T) {
 	}
 	if NaiveFusion.String() != "naive" || VerifiedFusion.String() != "verified" {
 		t.Error("policy strings")
+	}
+}
+
+// TestTruthIDTieFirstSeen pins the majority-truth tie rule: with two
+// detections each of two actors in one cluster, the actor seen first
+// wins, every time. (Counting through a map let map iteration order
+// pick the winner.)
+func TestTruthIDTieFirstSeen(t *testing.T) {
+	w := buildWorld(t)
+	at := world.Vec2{X: 30}
+	dets := []Detection{
+		{Modality: Radar, Pos: at, Range: 30, TruthID: "lead"},
+		{Modality: Lidar, Pos: at, Range: 30, TruthID: "ped"},
+		{Modality: Camera, Pos: at, Range: 30, TruthID: "ped"},
+		{Modality: Lidar, Pos: at, Range: 30, TruthID: "lead"},
+	}
+	s := NewSuite("ego", key)
+	for run := 0; run < 100; run++ {
+		obs := s.Fuse(w, dets, NaiveFusion, nil, sim.NewRNG(1))
+		if len(obs) != 1 || obs[0].TruthID != "lead" {
+			t.Fatalf("run %d: fused %+v, want one obstacle with TruthID lead", run, obs)
+		}
+	}
+}
+
+// fuseRef is naive fusion as Fuse computed it before clustering moved
+// into the suite's buffers: per-cluster member slices, a recomputed
+// minimum range, and maps for the modality count and majority truth
+// (with the tie going to the first-seen ID).
+func fuseRef(dets []Detection) []Obstacle {
+	type refCluster struct {
+		dets []Detection
+		sum  world.Vec2
+	}
+	var clusters []*refCluster
+	for _, d := range dets {
+		placed := false
+		for _, c := range clusters {
+			if world.Dist(c.sum.Scale(1/float64(len(c.dets))), d.Pos) <= associationGate {
+				c.dets = append(c.dets, d)
+				c.sum = c.sum.Add(d.Pos)
+				placed = true
+				break
+			}
+		}
+		if !placed {
+			clusters = append(clusters, &refCluster{dets: []Detection{d}, sum: d.Pos})
+		}
+	}
+	var out []Obstacle
+	for _, c := range clusters {
+		minRange := c.dets[0].Range
+		seen := map[Modality]bool{}
+		counts := map[string]int{}
+		var order []string
+		for _, d := range c.dets {
+			if d.Range < minRange {
+				minRange = d.Range
+			}
+			seen[d.Modality] = true
+			if counts[d.TruthID] == 0 {
+				order = append(order, d.TruthID)
+			}
+			counts[d.TruthID]++
+		}
+		best, bestN := "", 0
+		for _, id := range order {
+			if counts[id] > bestN {
+				best, bestN = id, counts[id]
+			}
+		}
+		out = append(out, Obstacle{Pos: c.sum.Scale(1 / float64(len(c.dets))), Range: minRange, Sources: len(seen), TruthID: best})
+	}
+	return out
+}
+
+// TestFuseMatchesReference pins the running-aggregate clustering to
+// fuseRef bit for bit over random detection sets: crowded scenes where
+// gates overlap, repeated IDs, ghosts, and NaN ranges. One suite serves
+// every set, so stale buffer contents would surface as mismatches.
+func TestFuseMatchesReference(t *testing.T) {
+	w := buildWorld(t)
+	s := NewSuite("ego", key)
+	rng := sim.NewRNG(6)
+	ids := []string{"", "lead", "ped", "car1", "car2"}
+	for iter := 0; iter < 500; iter++ {
+		dets := make([]Detection, rng.Intn(30))
+		for i := range dets {
+			d := &dets[i]
+			d.Modality = Modality(rng.Intn(4))
+			d.Pos = world.Vec2{X: 20 * rng.Float64(), Y: 6 * rng.Float64()}
+			d.Range = 100 * rng.Float64()
+			if rng.Intn(20) == 0 {
+				d.Range = math.NaN()
+			}
+			d.TruthID = ids[rng.Intn(len(ids))]
+		}
+		got := s.Fuse(w, dets, NaiveFusion, nil, rng)
+		want := fuseRef(dets)
+		if len(got) != len(want) {
+			t.Fatalf("iter %d: %d obstacles, want %d", iter, len(got), len(want))
+		}
+		for i := range got {
+			g, r := got[i], want[i]
+			if math.Float64bits(g.Pos.X) != math.Float64bits(r.Pos.X) || math.Float64bits(g.Pos.Y) != math.Float64bits(r.Pos.Y) ||
+				math.Float64bits(g.Range) != math.Float64bits(r.Range) ||
+				g.Sources != r.Sources || g.TruthID != r.TruthID || g.Verified != r.Verified {
+				t.Fatalf("iter %d, obstacle %d: got %+v, want %+v", iter, i, g, r)
+			}
+		}
 	}
 }

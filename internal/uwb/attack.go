@@ -157,7 +157,10 @@ type Session struct {
 
 // Measure runs one observation: derive the STS, transmit it through the
 // channel, let the attacker (nil for benign) tamper with the air, then
-// estimate ToA with the configured receiver.
+// estimate ToA with the configured receiver. It is one pass over one
+// arena: the STS is derived into it, the channel writes the
+// observation into the correlator's positive plane, and the receiver's
+// consistency checks read the correlator's planes.
 func (s *Session) Measure(att Attacker, rng *sim.RNG) (Measurement, error) {
 	scr := getScratch()
 	defer scratchPool.Put(scr)
@@ -167,9 +170,15 @@ func (s *Session) Measure(att Attacker, rng *sim.RNG) (Measurement, error) {
 	}
 	tx := sts.waveformInto(scr.waveform)
 	scr.waveform = tx
+	// The observation lives in the positive plane of the arena's
+	// two-plane buffer, so the correlator need not copy it there. Its
+	// capacity ends at obsLen: an attacker that appends reallocates
+	// rather than writing into the other plane.
 	obsLen := s.Channel.DelaySamples() + len(tx) + 512
-	rx := s.Channel.propagateInto(scr.rx, tx, obsLen, rng)
-	scr.rx = rx
+	scr.dec = floatsFor(scr.dec, 2*planeStride(obsLen))
+	rx := scr.dec[:obsLen:obsLen]
+	clear(rx)
+	s.Channel.propagate(rx, tx, sts, rng)
 	legitToA := s.Channel.DelaySamples()
 	if att != nil {
 		rx = att.Inject(rx, tx, legitToA, rng)

@@ -9,6 +9,7 @@ package uwb
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -208,9 +209,10 @@ func TestPropagateMatchesReference(t *testing.T) {
 		seed := int64(3000 + iter)
 
 		want := ch.propagateRef(tx, obsLen, sim.NewRNG(seed))
-		got := ch.propagateInto(dst, tx, obsLen, sim.NewRNG(seed))
+		got := sliceFor(dst, obsLen)
+		ch.propagate(got, tx, nil, sim.NewRNG(seed))
 		if !equalBits(got, want) {
-			t.Fatalf("iter %d: propagateInto diverged from reference (obsLen=%d taps=%d noise=%v)",
+			t.Fatalf("iter %d: propagate diverged from reference (obsLen=%d taps=%d noise=%v)",
 				iter, obsLen, len(ch.Taps), ch.NoiseStd)
 		}
 		dst = got // reuse, often shrinking, next iteration
@@ -365,6 +367,316 @@ func FuzzCorrelateEquivalence(f *testing.F) {
 			scr := &scratch{}
 			if got := correlateScratch(scr, rx, sts); !equalBits(got, want) {
 				t.Fatalf("%s tier, pulses=%d obsLen=%d seed=%d: scratch correlator diverged", tier, pulses, obsLen, seed)
+			}
+		})
+	})
+}
+
+// measureRef is Session.Measure assembled from the reference pieces,
+// the way Measure ran before it became one pass over one arena: a
+// fresh STS, the dense propagateRef, correlateRef, Consistency on rx
+// and a sequential argmax.
+func measureRef(s *Session, att Attacker, rng *sim.RNG) (Measurement, error) {
+	sts, err := NewSTS(s.Key, s.Session, s.Pulses)
+	if err != nil {
+		return Measurement{}, err
+	}
+	tx := sts.Waveform()
+	obsLen := s.Channel.DelaySamples() + len(tx) + 512
+	rx := s.Channel.propagateRef(tx, obsLen, rng)
+	if att != nil {
+		rx = att.Inject(rx, tx, s.Channel.DelaySamples(), rng)
+	}
+	var res ToAResult
+	if s.Secure {
+		cfg := s.Config
+		if cfg.ExpectedNoiseStd == 0 {
+			cfg.ExpectedNoiseStd = max(s.Channel.NoiseStd, 0.05)
+		}
+		res = secureToARef(rx, sts, cfg)
+	} else {
+		th := s.NaiveThreshold
+		if th == 0 {
+			th = 0.4
+		}
+		res = naiveToARef(rx, sts, th)
+	}
+	return Measurement{
+		TrueDistanceM:     s.Channel.DistanceM,
+		MeasuredDistanceM: SamplesToMetres(res.Sample),
+		Accepted:          res.Accepted,
+		Reason:            res.Reason,
+	}, nil
+}
+
+// argmaxAbsRef is the sequential first-maximum scan argmaxAbs replaced.
+func argmaxAbsRef(v []float64) (int, float64) {
+	bestIdx, bestVal := 0, 0.0
+	for i, x := range v {
+		if math.Abs(x) > math.Abs(bestVal) {
+			bestIdx, bestVal = i, x
+		}
+	}
+	return bestIdx, bestVal
+}
+
+func naiveToARef(rx Signal, sts *STS, threshold float64) ToAResult {
+	corr := correlateRef(rx, sts)
+	if len(corr) == 0 {
+		return ToAResult{Sample: -1}
+	}
+	peakIdx, peakVal := argmaxAbsRef(corr)
+	first := peakIdx
+	for k := 0; k < peakIdx; k++ {
+		if math.Abs(corr[k]) >= threshold*math.Abs(peakVal) {
+			first = k
+			break
+		}
+	}
+	return ToAResult{Sample: first, Peak: corr[first], Accepted: true}
+}
+
+func secureToARef(rx Signal, sts *STS, cfg SecureConfig) ToAResult {
+	corr := correlateRef(rx, sts)
+	if len(corr) == 0 {
+		return ToAResult{Sample: -1, Reason: "observation too short"}
+	}
+	peakIdx, peakVal := argmaxAbsRef(corr)
+	if math.Abs(peakVal) < cfg.MinPeak {
+		return ToAResult{Sample: peakIdx, Peak: peakVal, Reason: "no signal: peak below floor"}
+	}
+	first := peakIdx
+	for k := max(peakIdx-cfg.BackSearchWindow, 0); k < peakIdx; k++ {
+		if math.Abs(corr[k]) >= cfg.FirstPathThreshold*math.Abs(peakVal) {
+			first = k
+			break
+		}
+	}
+	if agree := Consistency(rx, sts, first); agree < cfg.MinConsistency {
+		return ToAResult{Sample: first, Peak: corr[first], Reason: fmt.Sprintf("sts consistency %.2f < %.2f", agree, cfg.MinConsistency)}
+	}
+	if cfg.EnlargementGuard {
+		gStart := max(first-len(sts.Polarity)*ChipSpacing, 0)
+		gEnd := first - cfg.BackSearchWindow
+		if n := gEnd - gStart; n >= 64 {
+			rms := math.Sqrt(rx.Energy(gStart, gEnd) / float64(n))
+			floor := cfg.ExpectedNoiseStd
+			if floor <= 0 {
+				floor = 0.25
+			}
+			if rms > 1.5*floor {
+				return ToAResult{Sample: first, Peak: corr[first], Reason: fmt.Sprintf("pre-path energy rms %.3f over noise floor %.3f: enlargement suspected", rms, floor)}
+			}
+		}
+		for k := 0; k < gEnd; k++ {
+			if math.Abs(corr[k]) < 0.08 {
+				continue // a NaN correlation goes on to the check
+			}
+			if Consistency(rx, sts, k) >= 0.70 {
+				return ToAResult{Sample: first, Peak: corr[first], Reason: fmt.Sprintf("coherent early energy at sample %d: enlargement suspected", k)}
+			}
+		}
+	}
+	return ToAResult{Sample: first, Peak: corr[first], Accepted: true}
+}
+
+// freshAttacker returns a new, longer slice instead of rx, as an
+// attacker that rebuilds the air may: Measure must then correlate the
+// returned slice, not its arena plane.
+type freshAttacker struct{ extra int }
+
+func (a *freshAttacker) Name() string { return "fresh" }
+
+func (a *freshAttacker) Inject(rx, tx Signal, legitToA int, rng *sim.RNG) Signal {
+	out := make(Signal, len(rx)+a.extra)
+	copy(out, rx)
+	for i := legitToA + 40; i < len(out); i += 3 * ChipSpacing {
+		out[i] += 2 * rng.NormFloat64()
+	}
+	return out
+}
+
+// shiftAttacker returns rx shifted by a few samples, a subslice of the
+// arena's positive plane that the negated plane can overlap.
+type shiftAttacker struct{ by int }
+
+func (a *shiftAttacker) Name() string { return "shift" }
+
+func (a *shiftAttacker) Inject(rx, tx Signal, legitToA int, rng *sim.RNG) Signal {
+	return rx[min(a.by, len(rx)):]
+}
+
+// measureAttackers are the attackers the Measure equivalence checks
+// run: none, the three physical attacks, and two that return another
+// slice than the arena plane they were given.
+var measureAttackers = []Attacker{
+	nil,
+	&GhostPeakAttacker{AdvanceSamples: 200, Power: 4},
+	&JamReplayAttacker{DelaySamples: 20, JamStd: 1.2, ReplayGain: 3},
+	&OvershadowAttacker{DelaySamples: 15, ReplayGain: 5},
+	&freshAttacker{extra: 37},
+	&shiftAttacker{by: 5},
+}
+
+// measureSessions is the session grid TestMeasureMatchesReference pins:
+// both receivers, multipath taps with finite and non-finite gains, and
+// pulse counts that are odd, just past a power of two, and above
+// exp-ca's 256.
+func measureSessions() []Session {
+	channels := []Channel{
+		{DistanceM: 45, NoiseStd: 0.2},
+		{DistanceM: 12, NoiseStd: 0.05, LoSGain: 0.7,
+			Taps: []Tap{{DelaySamples: 3, Gain: 0.4}, {DelaySamples: -2, Gain: -0.3}, {DelaySamples: 9, Gain: -0}}},
+		{DistanceM: 30, NoiseStd: 0.1, Taps: []Tap{{DelaySamples: 5, Gain: math.Inf(1)}}},
+		{DistanceM: 30, NoiseStd: 0.1, Taps: []Tap{{DelaySamples: 4, Gain: math.Inf(-1)}, {DelaySamples: 6, Gain: 0.5}}},
+		{DistanceM: 20, NoiseStd: 0.2, Taps: []Tap{{DelaySamples: 2, Gain: math.NaN()}}},
+		{DistanceM: 70, LoSGain: math.NaN()},
+		{DistanceM: 0, NoiseStd: 0.3},
+	}
+	var sessions []Session
+	for _, pulses := range []int{31, 129, 300} {
+		for ci, ch := range channels {
+			for _, secure := range []bool{true, false} {
+				sessions = append(sessions, Session{
+					Key: testKey, Session: uint32(100*pulses + ci), Pulses: pulses, Channel: ch,
+					Secure: secure, Config: DefaultSecureConfig(),
+				})
+			}
+		}
+	}
+	return sessions
+}
+
+// TestMeasureMatchesReference pins Session.Measure to measureRef bit for
+// bit on every correlator tier: the one-arena pass (propagation into
+// the correlator's plane, chip-only tap placement, consistency from the
+// planes, the 4-lane argmax) must not move a single measurement.
+func TestMeasureMatchesReference(t *testing.T) {
+	sessions := measureSessions()
+	forEachCorrTier(t, func(tier string) {
+		for si := range sessions {
+			s := &sessions[si]
+			for ai, att := range measureAttackers {
+				seed := int64(1000*si + ai)
+				want, werr := measureRef(s, att, sim.NewRNG(seed))
+				got, gerr := s.Measure(att, sim.NewRNG(seed))
+				if (werr == nil) != (gerr == nil) || got != want {
+					t.Fatalf("%s tier, session %d (pulses=%d secure=%v channel=%+v), attacker %d:\n got %+v, %v\nwant %+v, %v",
+						tier, si, s.Pulses, s.Secure, s.Channel, ai, got, gerr, want, werr)
+				}
+			}
+		}
+	})
+}
+
+// TestConsistencyAtMatchesConsistency checks the plane-read consistency
+// against Consistency at every window, over signals holding ±0, NaN and
+// ±Inf samples, for odd and even pulse counts.
+func TestConsistencyAtMatchesConsistency(t *testing.T) {
+	rng := sim.NewRNG(4001)
+	scr := &scratch{}
+	special := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1)}
+	for _, pulses := range []int{1, 2, 7, 31, 64, 129, 256} {
+		sts, err := NewSTS(testKey, uint32(pulses), pulses)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rx := randomSignal(rng, (pulses-1)*ChipSpacing+200)
+		for i := range rx {
+			if rng.Intn(10) == 0 {
+				rx[i] = special[rng.Intn(len(special))]
+			}
+		}
+		corr := correlateScratch(scr, rx, sts)
+		for k := range corr {
+			want, got := Consistency(rx, sts, k), consistencyAt(scr, k)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("pulses=%d k=%d: consistencyAt %v, Consistency %v", pulses, k, got, want)
+			}
+		}
+	}
+}
+
+// TestArgmaxAbsMatchesSequential pins the 4-lane argmaxAbs to the
+// sequential scan: ties go to the first index, NaN never wins, and a
+// vector of zeros (either sign) and NaNs gives (0, +0).
+func TestArgmaxAbsMatchesSequential(t *testing.T) {
+	rng := sim.NewRNG(4002)
+	values := []float64{0, math.Copysign(0, -1), math.NaN(), 1, -1, 0.5, -0.5, 2, -2, math.Inf(1), math.Inf(-1)}
+	for iter := 0; iter < 5000; iter++ {
+		v := make([]float64, rng.Intn(20))
+		// Draw from a few values so ties are common; every few
+		// iterations mix in continuous noise.
+		pool := values[:1+rng.Intn(len(values))]
+		for i := range v {
+			v[i] = pool[rng.Intn(len(pool))]
+			if iter%7 == 0 {
+				v[i] *= rng.Float64()
+			}
+		}
+		wi, wv := argmaxAbsRef(v)
+		gi, gv := argmaxAbs(v)
+		if gi != wi || math.Float64bits(gv) != math.Float64bits(wv) {
+			t.Fatalf("argmaxAbs(%v) = (%d, %v), sequential scan (%d, %v)", v, gi, gv, wi, wv)
+		}
+	}
+}
+
+// TestMeasureNoAlloc pins exp-ca's shape, a session counter that
+// advances every call, to zero allocations once the arena pool is warm:
+// the STS derivation, propagation, an attacker and both receivers all
+// run in the arena. (A rejected secure measurement formats its Reason,
+// which allocates; the cases here are accepted.)
+func TestMeasureNoAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool deliberately drops items under the race detector, so arenas are reallocated")
+	}
+	rng := sim.NewRNG(4003)
+	for _, c := range []struct {
+		secure bool
+		att    Attacker
+	}{
+		{true, nil},
+		{false, &JamReplayAttacker{DelaySamples: 20, JamStd: 1.2, ReplayGain: 3}},
+	} {
+		s := Session{Key: testKey, Pulses: 256, Channel: Channel{DistanceM: 45, NoiseStd: 0.2},
+			Secure: c.secure, Config: DefaultSecureConfig()}
+		allocs := testing.AllocsPerRun(100, func() {
+			s.Session++
+			m, err := s.Measure(c.att, rng)
+			if err != nil || !m.Accepted {
+				t.Fatalf("secure=%v: measurement %+v, %v", c.secure, m, err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("secure=%v: Measure allocates %v per call, want 0", c.secure, allocs)
+		}
+	}
+}
+
+// FuzzMeasureEquivalence hunts for a session, channel and attacker for
+// which Measure and measureRef disagree. Any mismatch is a determinism
+// bug.
+func FuzzMeasureEquivalence(f *testing.F) {
+	f.Add(int64(1), uint16(256), uint16(900), true, uint8(0), int16(0), float64(0))
+	f.Add(int64(2), uint16(31), uint16(60), false, uint8(1), int16(3), 0.5)
+	f.Add(int64(3), uint16(129), uint16(3000), true, uint8(2), int16(-4), math.Inf(1))
+	f.Add(int64(4), uint16(300), uint16(10), true, uint8(3), int16(7), math.NaN())
+	f.Add(int64(5), uint16(1), uint16(0), false, uint8(4), int16(1), -0.25)
+	f.Add(int64(6), uint16(64), uint16(450), true, uint8(5), int16(-1), -1.0)
+	f.Fuzz(func(t *testing.T, seed int64, pulses16, distDm uint16, secure bool, attSel uint8, tapDelay int16, tapGain float64) {
+		s := Session{
+			Key: testKey, Session: uint32(seed), Pulses: int(pulses16)%400 + 1,
+			Channel: Channel{DistanceM: float64(distDm) / 10, NoiseStd: float64(seed&3) / 10,
+				Taps: []Tap{{DelaySamples: int(tapDelay) % 64, Gain: tapGain}}},
+			Secure: secure, Config: DefaultSecureConfig(),
+		}
+		att := measureAttackers[int(attSel)%len(measureAttackers)]
+		forEachCorrTier(t, func(tier string) {
+			want, werr := measureRef(&s, att, sim.NewRNG(seed))
+			got, gerr := s.Measure(att, sim.NewRNG(seed))
+			if (werr == nil) != (gerr == nil) || got != want {
+				t.Fatalf("%s tier, session %+v, attacker %d:\n got %+v, %v\nwant %+v, %v", tier, s, attSel, got, gerr, want, werr)
 			}
 		})
 	})

@@ -42,14 +42,26 @@ func hostCorrTier() int {
 	return tierGo
 }
 
+// maxPlanarLen is the longest observation the two-plane correlator
+// takes: plane offsets are packed as uint32 and reach ~16·len(rx) bytes.
+const maxPlanarLen = math.MaxUint32 / 32
+
+// planeStride is the distance, in floats, from the positive plane of a
+// length-n observation to its negated plane: the first 64-byte line
+// boundary at or after n, so the negated plane's taps are line-aligned
+// whenever the positive plane's are.
+func planeStride(n int) int { return (n + 7) &^ 7 }
+
 // correlateScratch is Correlate into the arena's buffers; the result
 // aliases scr.corr. The computation is restructured for the cache and
 // the pipeline while staying bit-identical to correlateRef:
 //
-//   - rx is copied into a two-plane buffer dec = [rx | −rx] (the second
-//     plane starting at the cache line after rx), so the ±1 template
-//     multiply becomes an offset-addressed add (negation is exact, so
-//     s += (−v) equals s += (−1)·v bit for bit);
+//   - rx sits in a two-plane buffer dec = [rx | −rx] (the second plane
+//     starting at the cache line after rx), so the ±1 template multiply
+//     becomes an offset-addressed add (negation is exact, so s += (−v)
+//     equals s += (−1)·v bit for bit). Measure propagates rx straight
+//     into the positive plane, so only the negated plane is written
+//     here; any other rx is first copied in;
 //   - the template is flattened per call into packed byte offsets that
 //     already select the plane (64i for +1, 64i plus the plane distance
 //     for −1), making the inner loop one load and one add per pulse per
@@ -64,6 +76,10 @@ func hostCorrTier() int {
 // Each output's summation order — template index ascending, then one
 // division — is exactly the reference order, so every float rounds
 // identically: vector lanes never combine across windows.
+//
+// On return the planes and scr.pack describe rx, for consistencyAt,
+// unless rx is longer than maxPlanarLen: then the reference correlator
+// runs and the planes are untouched.
 func correlateScratch(scr *scratch, rx Signal, sts *STS) []float64 {
 	pol := sts.Polarity
 	n := len(pol)
@@ -71,19 +87,18 @@ func correlateScratch(scr *scratch, rx Signal, sts *STS) []float64 {
 	if maxOffset <= 0 {
 		return nil
 	}
-	if len(rx) > math.MaxUint32/32 {
-		// Plane offsets are packed as uint32 and reach ~16·len(rx) bytes.
+	if len(rx) > maxPlanarLen {
 		return correlateRef(rx, sts)
 	}
 	scr.corr = floatsFor(scr.corr, maxOffset)
-	// The negative plane starts at the first 64-byte line boundary after
-	// rx, so its taps are line-aligned whenever the positive plane's are.
-	stride := (len(rx) + 7) &^ 7
+	stride := planeStride(len(rx))
 	scr.dec = floatsFor(scr.dec, 2*stride)
 	scr.pack = u64For(scr.pack, n/2)
 	out, dec, pack := scr.corr, scr.dec, scr.pack
 	pos, neg := dec[:len(rx)], dec[stride:stride+len(rx)]
-	copy(pos, rx)
+	if &pos[0] != &rx[0] {
+		copy(pos, rx)
+	}
 	// Four negations per step run about twice as fast as one.
 	j := 0
 	for ; j+4 <= len(pos); j += 4 {
@@ -117,6 +132,7 @@ func correlateScratch(scr *scratch, rx Signal, sts *STS) []float64 {
 		}
 		tailOff = uintptr(o)
 	}
+	scr.tailOff, scr.pulses = tailOff, n
 	// Window k reads plane byte offsets pack[·] from base &dec[k]. The
 	// furthest float touched is k + ChipSpacing·(n−1) in a plane, which
 	// is < len(rx) for every k < maxOffset (the last output's last tap
@@ -309,20 +325,28 @@ func DefaultSecureConfig() SecureConfig {
 	}
 }
 
-// SecureToA implements the integrity-checked receiver of §II-A: bounded
+// secureToA implements the integrity-checked receiver of §II-A: bounded
 // back-search, STS polarity consistency at the candidate ToA, and an
 // optional early-energy test against enlargement. It returns the chosen
 // sample plus whether the measurement should be trusted.
-func SecureToA(rx Signal, sts *STS, cfg SecureConfig) ToAResult {
-	scr := getScratch()
-	defer scratchPool.Put(scr)
-	return secureToA(scr, rx, sts, cfg)
-}
-
 func secureToA(scr *scratch, rx Signal, sts *STS, cfg SecureConfig) ToAResult {
 	corr := correlateScratch(scr, rx, sts)
 	if len(corr) == 0 {
 		return ToAResult{Sample: -1, Reason: "observation too short"}
+	}
+	// The checks below read rx from the correlator's positive plane,
+	// which holds rx's exact values (an rx that aliased the arena
+	// elsewhere may now overlap the negated plane), and take STS
+	// consistency from the planes.
+	planar := len(rx) <= maxPlanarLen
+	if planar {
+		rx = scr.dec[:len(rx):len(rx)]
+	}
+	consistency := func(k int) float64 {
+		if planar {
+			return consistencyAt(scr, k)
+		}
+		return Consistency(rx, sts, k)
 	}
 	peakIdx, peakVal := argmaxAbs(corr)
 	if math.Abs(peakVal) < cfg.MinPeak {
@@ -344,7 +368,7 @@ func secureToA(scr *scratch, rx Signal, sts *STS, cfg SecureConfig) ToAResult {
 	}
 
 	// STS consistency: per-pulse sign agreement at the chosen ToA.
-	agree := Consistency(rx, sts, first)
+	agree := consistency(first)
 	if agree < cfg.MinConsistency {
 		return ToAResult{Sample: first, Peak: corr[first], Reason: fmt.Sprintf("sts consistency %.2f < %.2f", agree, cfg.MinConsistency)}
 	}
@@ -382,7 +406,7 @@ func secureToA(scr *scratch, rx Signal, sts *STS, cfg SecureConfig) ToAResult {
 			if math.Abs(corr[k]) < 0.08 {
 				continue // nothing resembling coherent energy
 			}
-			if Consistency(rx, sts, k) >= 0.70 {
+			if consistency(k) >= 0.70 {
 				return ToAResult{Sample: first, Peak: corr[first], Reason: fmt.Sprintf("coherent early energy at sample %d: enlargement suspected", k)}
 			}
 		}
@@ -425,12 +449,71 @@ func Consistency(rx Signal, sts *STS, toa int) float64 {
 	return float64(agree) / float64(len(sts.Polarity))
 }
 
+// consistencyAt is Consistency(rx, sts, k) read from the planes and
+// template offsets correlateScratch left in scr for rx and sts, for a
+// window k < len(corr), whose pulses all lie inside rx. The tap a
+// packed offset selects holds p·v for pulse polarity p and sample v,
+// exactly (negation is exact), so the tap is > 0 exactly when v·p > 0,
+// Consistency's predicate, including for ±0 and NaN samples.
+func consistencyAt(scr *scratch, k int) float64 {
+	p := unsafe.Pointer(&scr.dec[k])
+	agree := 0
+	for _, pk := range scr.pack {
+		a, b := 0, 0
+		if *(*float64)(unsafe.Add(p, uintptr(uint32(pk)))) > 0 {
+			a = 1
+		}
+		if *(*float64)(unsafe.Add(p, uintptr(pk>>32))) > 0 {
+			b = 1
+		}
+		agree += a + b
+	}
+	if scr.pulses&1 != 0 && *(*float64)(unsafe.Add(p, scr.tailOff)) > 0 {
+		agree++
+	}
+	return float64(agree) / float64(scr.pulses)
+}
+
+// argmaxAbs returns the first index of v's largest magnitude and the
+// value there, or (0, 0) when no element beats zero (NaNs never win).
+// Four interleaved lanes each keep their own first maximum; merging
+// them by magnitude, ties to the smaller index, and then scanning the
+// tail gives exactly the sequential scan's answer.
 func argmaxAbs(v []float64) (int, float64) {
-	bestIdx, bestVal := 0, 0.0
-	for i, x := range v {
-		if math.Abs(x) > math.Abs(bestVal) {
-			bestIdx, bestVal = i, x
+	var b0, b1, b2, b3 float64
+	i0, i1, i2, i3 := -1, -1, -1, -1
+	i := 0
+	for ; i+4 <= len(v); i += 4 {
+		w := v[i : i+4 : i+4]
+		if a := math.Abs(w[0]); a > b0 {
+			b0, i0 = a, i
+		}
+		if a := math.Abs(w[1]); a > b1 {
+			b1, i1 = a, i+1
+		}
+		if a := math.Abs(w[2]); a > b2 {
+			b2, i2 = a, i+2
+		}
+		if a := math.Abs(w[3]); a > b3 {
+			b3, i3 = a, i+3
 		}
 	}
-	return bestIdx, bestVal
+	best, bestAbs := i0, b0
+	for _, l := range [...]struct {
+		abs float64
+		idx int
+	}{{b1, i1}, {b2, i2}, {b3, i3}} {
+		if l.abs > bestAbs || (l.abs == bestAbs && l.idx < best) {
+			best, bestAbs = l.idx, l.abs
+		}
+	}
+	for ; i < len(v); i++ {
+		if a := math.Abs(v[i]); a > bestAbs {
+			best, bestAbs = i, a
+		}
+	}
+	if best < 0 {
+		return 0, 0
+	}
+	return best, v[best]
 }

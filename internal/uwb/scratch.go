@@ -9,23 +9,27 @@ import (
 )
 
 // scratch is a buffer arena for one ranging measurement: the waveform,
-// observation, two-plane and correlation buffers, plus a one-entry STS
-// cache. Measure and the scratchless entry points borrow one from
-// scratchPool for the duration of a call, so the hundreds of
-// measurements an experiment sweep performs — across encounters,
-// sessions and goroutines — reuse a handful of arenas instead of
-// allocating per Session. Output cannot depend on which arena a call
-// gets: every buffer is fully (re)initialised before use, and the STS
-// cache is validated by (key, session, pulses).
+// two-plane and correlation buffers, plus a one-entry STS cache. Measure
+// propagates straight into the positive plane of dec, so the
+// observation has no buffer of its own. Measure and the scratchless
+// entry points borrow one from scratchPool for the duration of a call,
+// so the hundreds of measurements an experiment sweep performs — across
+// encounters, sessions and goroutines — reuse a handful of arenas
+// instead of allocating per Session. Output cannot depend on which
+// arena a call gets: every buffer is fully (re)initialised before use,
+// and the STS cache is validated by (key, session, pulses).
 //
 // A scratch must not be shared between concurrently running
 // measurements; the pool hands each borrower its own.
 type scratch struct {
 	waveform Signal
-	rx       Signal
 	corr     []float64
 	dec      []float64
-	pack     []uint64
+	// pack and tailOff are the last correlated template's plane-selecting
+	// byte offsets (see correlateScratch); pulses is its length.
+	pack    []uint64
+	tailOff uintptr
+	pulses  int
 
 	// One-entry STS cache keyed by (key, session, pulses): repeated
 	// measurements of an unchanged session skip the AES-CTR derivation.
@@ -36,6 +40,7 @@ type scratch struct {
 	stsSession uint32
 	aesBlock   cipher.Block
 	ksBuf      []byte
+	ctr        ctrState
 }
 
 // scratchPool holds the idle arenas shared by every measurement.
@@ -72,7 +77,7 @@ func (sc *scratch) stsFor(key []byte, session uint32, pulses int) (*STS, error) 
 		sc.ksBuf = make([]byte, need)
 	}
 	sc.ksBuf = sc.ksBuf[:need]
-	ctrKeystream(sc.aesBlock, session, sc.ksBuf)
+	sc.ctr.keystream(sc.aesBlock, session, sc.ksBuf)
 	if sc.sts == nil {
 		sc.sts = &STS{}
 	}

@@ -19,12 +19,17 @@
 // sim.HostCPU: a 64-window AVX-512 kernel, a 32-window AVX2 kernel, or
 // a 6-wide pure-Go loop (arm64, wasm, older amd64). Every tier is
 // bit-identical to correlateRef, so results never depend on the host.
+// The correlator reads a two-plane buffer [rx | −rx]; Session.Measure
+// propagates the observation straight into its positive plane, so only
+// the negated plane is written per correlation, and the receiver's STS
+// consistency checks read the same planes.
 package uwb
 
 import (
 	"crypto/aes"
 	"crypto/cipher"
 	"fmt"
+	"math"
 
 	"autosec/internal/sim"
 )
@@ -139,29 +144,33 @@ func newSTSFromBlock(block cipher.Block, session uint32, pulses int) (*STS, erro
 		return nil, fmt.Errorf("uwb: sts length %d", pulses)
 	}
 	buf := make([]byte, (pulses+7)/8)
-	ctrKeystream(block, session, buf)
+	new(ctrState).keystream(block, session, buf)
 	sts := &STS{}
 	sts.setFromKeystream(buf, pulses)
 	return sts, nil
 }
 
-// ctrKeystream fills dst with the AES-CTR keystream for the given
-// session counter: byte-identical to cipher.NewCTR over a zero buffer
-// with the session in the IV's first four bytes (the IV is incremented
-// as one big-endian counter, as the stdlib stream does), but without
+// ctrState is AES-CTR's working pair: the counter block and one block
+// of keystream. Both pass through cipher.Block's interface methods and
+// so escape; the scratch arena keeps its own pair, which makes a
+// derivation there allocation-free.
+type ctrState struct {
+	ctr, ks [aes.BlockSize]byte
+}
+
+// keystream fills dst with the AES-CTR keystream for the given session
+// counter: byte-identical to cipher.NewCTR over a zero buffer with the
+// session in the IV's first four bytes (the IV is incremented as one
+// big-endian counter, as the stdlib stream does), but without
 // allocating a stream object per derivation.
-func ctrKeystream(block cipher.Block, session uint32, dst []byte) {
-	var ctr, ks [aes.BlockSize]byte
-	ctr[0] = byte(session >> 24)
-	ctr[1] = byte(session >> 16)
-	ctr[2] = byte(session >> 8)
-	ctr[3] = byte(session)
+func (c *ctrState) keystream(block cipher.Block, session uint32, dst []byte) {
+	c.ctr = [aes.BlockSize]byte{byte(session >> 24), byte(session >> 16), byte(session >> 8), byte(session)}
 	for off := 0; off < len(dst); off += aes.BlockSize {
-		block.Encrypt(ks[:], ctr[:])
-		copy(dst[off:], ks[:])
+		block.Encrypt(c.ks[:], c.ctr[:])
+		copy(dst[off:], c.ks[:])
 		for i := aes.BlockSize - 1; i >= 0; i-- {
-			ctr[i]++
-			if ctr[i] != 0 {
+			c.ctr[i]++
+			if c.ctr[i] != 0 {
 				break
 			}
 		}
@@ -171,7 +180,9 @@ func ctrKeystream(block cipher.Block, session uint32, dst []byte) {
 // setFromKeystream (re)derives the polarity sequence and every cached
 // template form from a pseudorandom keystream, reusing the existing
 // backing arrays when they are large enough so repeated derivations in
-// a session scratch allocate nothing.
+// a session scratch allocate nothing. Pulse i takes bit i%8 of byte
+// i/8: set is +1, clear is −1. Whole bytes derive 8 pulses at a time
+// without branching on the (random) bits.
 func (s *STS) setFromKeystream(ks []byte, pulses int) {
 	if cap(s.Polarity) < pulses {
 		s.Polarity = make([]int8, pulses)
@@ -180,14 +191,17 @@ func (s *STS) setFromKeystream(ks []byte, pulses int) {
 		s.Polarity = s.Polarity[:pulses]
 		s.template = s.template[:pulses]
 	}
-	for i := range s.Polarity {
-		if ks[i/8]>>(uint(i)%8)&1 == 1 {
-			s.Polarity[i] = 1
-			s.template[i] = 1
-		} else {
-			s.Polarity[i] = -1
-			s.template[i] = -1
+	pol, tpl := s.Polarity, s.template
+	for k, b := range ks[:pulses/8] {
+		p, t := (*[8]int8)(pol[8*k:]), (*[8]float64)(tpl[8*k:])
+		for j := range p {
+			v := int8(b>>j&1)<<1 - 1
+			p[j], t[j] = v, float64(v)
 		}
+	}
+	for i := pulses &^ 7; i < pulses; i++ {
+		v := int8(ks[i/8]>>(i%8)&1)<<1 - 1
+		pol[i], tpl[i] = v, float64(v)
 	}
 }
 
@@ -233,53 +247,67 @@ func (c *Channel) DelaySamples() int {
 // observes in a window of length obsLen samples. The RNG supplies the
 // noise so runs are reproducible.
 func (c *Channel) Propagate(tx Signal, obsLen int, rng *sim.RNG) Signal {
-	return c.propagateInto(nil, tx, obsLen, rng)
+	rx := make(Signal, obsLen)
+	c.propagate(rx, tx, nil, rng)
+	return rx
 }
 
-// propagateInto is Propagate writing into a reusable buffer: dst is
-// grown (or allocated) to obsLen and fully overwritten. The output is
-// bit-identical to propagateRef for any buffer history because the
-// window is zeroed before the taps land and the noise stream is drawn
-// in the same per-sample order.
-func (c *Channel) propagateInto(dst Signal, tx Signal, obsLen int, rng *sim.RNG) Signal {
-	rx := sliceFor(dst, obsLen)
+// propagate applies the channel to tx over the zeroed window rx,
+// bit-identically to propagateRef: the taps land in the same order and
+// the noise stream is drawn in the same per-sample order. When chips is
+// non-nil, tx must be chips' waveform, and each tap with a finite gain
+// adds only the chip samples: the others are +0, and adding g·(+0) = ±0
+// leaves every sample unchanged because rx holds no −0 while taps land
+// (it starts at +0, and under round-to-nearest a sum is −0 only when
+// both addends are). A non-finite gain makes g·0 a NaN, so such a tap
+// takes the dense loop.
+func (c *Channel) propagate(rx, tx Signal, chips *STS, rng *sim.RNG) {
 	gain := c.LoSGain
 	if gain == 0 {
 		gain = 1.0
 	}
 	base := c.DelaySamples()
-	c.place(rx, tx, base, gain)
+	place := func(delay int, g float64) {
+		if chips == nil || !(math.Abs(g) <= math.MaxFloat64) {
+			for i, v := range tx {
+				if idx := delay + i; idx >= 0 && idx < len(rx) {
+					rx[idx] += g * v
+				}
+			}
+			return
+		}
+		for i, v := range chips.Template() {
+			if idx := delay + i*ChipSpacing; idx >= 0 && idx < len(rx) {
+				rx[idx] += g * v
+			}
+		}
+	}
+	place(base, gain)
 	for _, tap := range c.Taps {
-		c.place(rx, tx, base+tap.DelaySamples, tap.Gain)
+		place(base+tap.DelaySamples, tap.Gain)
 	}
 	if c.NoiseStd > 0 {
 		// Bulk noise: NormFill draws the identical stream a per-sample
 		// NormFloat64 loop would (the equivalence test pins this against
 		// propagateRef), in stack-sized chunks so the whole AWGN pass
-		// stays allocation-free.
+		// stays allocation-free. The add runs four samples per step.
 		std := c.NoiseStd
 		var chunk [256]float64
 		for off := 0; off < len(rx); off += len(chunk) {
-			m := len(rx) - off
-			if m > len(chunk) {
-				m = len(chunk)
+			r := rx[off:min(off+len(chunk), len(rx))]
+			z := chunk[:len(r)]
+			rng.NormFill(z)
+			i := 0
+			for ; i+4 <= len(r); i += 4 {
+				r4, z4 := r[i:i+4:i+4], z[i:i+4:i+4]
+				r4[0] += std * z4[0]
+				r4[1] += std * z4[1]
+				r4[2] += std * z4[2]
+				r4[3] += std * z4[3]
 			}
-			rng.NormFill(chunk[:m])
-			for i, v := range chunk[:m] {
-				rx[off+i] += std * v
+			for ; i < len(r); i++ {
+				r[i] += std * z[i]
 			}
-		}
-	}
-	return rx
-}
-
-// place mixes a delayed, scaled copy of tx into rx, clipping to the
-// observation window.
-func (c *Channel) place(rx, tx Signal, delay int, g float64) {
-	for i, v := range tx {
-		idx := delay + i
-		if idx >= 0 && idx < len(rx) {
-			rx[idx] += g * v
 		}
 	}
 }

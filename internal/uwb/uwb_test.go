@@ -220,7 +220,7 @@ func TestSecureToARejectsNoise(t *testing.T) {
 	for i := range rx {
 		rx[i] = 0.2 * rng.NormFloat64()
 	}
-	res := SecureToA(rx, sts, DefaultSecureConfig())
+	res := secureToA(&scratch{}, rx, sts, DefaultSecureConfig())
 	if res.Accepted {
 		t.Error("pure noise accepted as a ranging signal")
 	}

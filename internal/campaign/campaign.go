@@ -159,15 +159,13 @@ func Seeds(base int64, n int) []int64 {
 	return s
 }
 
-// SelectRechecks returns the deterministic recheck mask for a grid of n
-// cells in grid order: mask[i] is true when cell i is double-executed
+// selectRechecks returns the deterministic recheck mask for a grid of
+// n cells in grid order: mask[i] is true when cell i is double-executed
 // by the determinism self-check. The selection seed is fixed, so the
-// same (grid size, fraction) always selects the same cells — the
-// property that lets a distributed coordinator (internal/fleet)
-// reproduce exactly the cells a serial campaign.Run would recheck and
-// keep its rendered header byte-identical. When fraction is positive,
-// at least one cell is always selected.
-func SelectRechecks(n int, fraction float64) []bool {
+// same (grid size, fraction) always selects the same cells, whoever
+// executes them. When fraction is positive, at least one cell is
+// always selected.
+func selectRechecks(n int, fraction float64) []bool {
 	mask := make([]bool, n)
 	if fraction <= 0 || n == 0 {
 		return mask
@@ -186,6 +184,100 @@ func SelectRechecks(n int, fraction float64) []bool {
 	return mask
 }
 
+// Grid settles one campaign: every cell in grid order (experiment-major,
+// then seed) with its recheck selection, and the prefix of completed
+// cells already handed to OnCell. Run and the fleet coordinator
+// (internal/fleet) both settle through it, so a cell is rechecked,
+// compared, streamed and reported the same way whoever executes it.
+// Distinct cells may be filled and rechecked concurrently; Complete
+// must be called from one goroutine at a time.
+type Grid struct {
+	Result
+	onCell func(CellResult)
+	done   []bool
+	next   int // first cell not yet handed to onCell
+}
+
+// NewGrid validates the campaign's shape and lays out its grid. The
+// recheck cells are selected here, before any work is dispatched,
+// because the selection must not depend on scheduling.
+func NewGrid(ids []string, seeds []int64, recheck float64, onCell func(CellResult)) (*Grid, error) {
+	if len(ids) == 0 {
+		return nil, errors.New("campaign: no experiment ids")
+	}
+	if len(seeds) == 0 {
+		return nil, errors.New("campaign: no seeds")
+	}
+	if recheck < 0 || recheck > 1 {
+		return nil, fmt.Errorf("campaign: recheck fraction %v outside [0, 1]", recheck)
+	}
+	g := &Grid{
+		Result: Result{IDs: append([]string(nil), ids...), Seeds: append([]int64(nil), seeds...)},
+		onCell: onCell,
+		done:   make([]bool, len(ids)*len(seeds)),
+	}
+	g.Cells = make([]CellResult, 0, len(g.done))
+	for _, id := range ids {
+		for _, seed := range seeds {
+			g.Cells = append(g.Cells, CellResult{ID: id, Seed: seed})
+		}
+	}
+	for i, re := range selectRechecks(len(g.Cells), recheck) {
+		g.Cells[i].Rechecked = re
+	}
+	return g, nil
+}
+
+// Recheck settles the second execution of cell i against its first,
+// covering the metric stream as well as the report bytes.
+func (g *Grid) Recheck(i int, report string, metrics []sim.Metric, err error) {
+	c := &g.Cells[i]
+	if err != nil {
+		c.Err = fmt.Errorf("determinism recheck: %w", err)
+		return
+	}
+	if report != c.Report {
+		c.Diverged = true
+		c.RecheckReport = report
+	}
+	if !sim.MetricsEqual(c.Metrics, metrics) {
+		c.MetricsDiverged = true
+	}
+}
+
+// Complete marks cell i settled and hands every cell of the completed
+// grid-order prefix that OnCell has not seen yet to OnCell.
+func (g *Grid) Complete(i int) {
+	g.done[i] = true
+	for g.next < len(g.Cells) && g.done[g.next] {
+		if g.onCell != nil {
+			g.onCell(g.Cells[g.next])
+		}
+		g.next++
+	}
+}
+
+// Settle returns the result, stamped with the campaign wall time, and
+// the joined error of every cell failure and every determinism
+// divergence: a non-nil error means the campaign must not be trusted.
+func (g *Grid) Settle(elapsed time.Duration) (*Result, error) {
+	g.Elapsed = elapsed
+	var errs []error
+	for i := range g.Cells {
+		c := &g.Cells[i]
+		if c.Err != nil {
+			errs = append(errs, fmt.Errorf("campaign: %s seed %d: %w", c.ID, c.Seed, c.Err))
+		}
+		if c.Diverged {
+			errs = append(errs, &DivergenceError{ID: c.ID, Seed: c.Seed, First: c.Report, Second: c.RecheckReport})
+		}
+		if c.MetricsDiverged {
+			errs = append(errs, fmt.Errorf("campaign: determinism violation: %s seed %d produced identical reports but diverging typed metrics", c.ID, c.Seed))
+		}
+	}
+	return &g.Result, errors.Join(errs...)
+}
+
 // Run executes the campaign grid. It always returns the full Result
 // (every cell that ran, in grid order); the error joins every cell
 // failure and every determinism divergence, so a non-nil error means
@@ -194,28 +286,11 @@ func Run(spec Spec) (*Result, error) {
 	if spec.RunTyped == nil {
 		return nil, errors.New("campaign: Spec.RunTyped is required")
 	}
-	if len(spec.IDs) == 0 {
-		return nil, errors.New("campaign: no experiment ids")
+	g, err := NewGrid(spec.IDs, spec.Seeds, spec.Recheck, spec.OnCell)
+	if err != nil {
+		return nil, err
 	}
-	if len(spec.Seeds) == 0 {
-		return nil, errors.New("campaign: no seeds")
-	}
-	if spec.Recheck < 0 || spec.Recheck > 1 {
-		return nil, fmt.Errorf("campaign: recheck fraction %v outside [0, 1]", spec.Recheck)
-	}
-
-	// Build the grid and pre-select recheck cells deterministically, in
-	// grid order, before any work is dispatched: the selection must not
-	// depend on scheduling.
-	grid := make([]CellResult, 0, len(spec.IDs)*len(spec.Seeds))
-	for _, id := range spec.IDs {
-		for _, seed := range spec.Seeds {
-			grid = append(grid, CellResult{ID: id, Seed: seed})
-		}
-	}
-	for i, re := range SelectRechecks(len(grid), spec.Recheck) {
-		grid[i].Rechecked = re
-	}
+	grid := g.Cells
 
 	jobs := spec.Jobs
 	if jobs <= 0 {
@@ -228,8 +303,8 @@ func Run(spec Spec) (*Result, error) {
 	// Dispatch order: grid order, unless a cost hint says some
 	// experiments run long — then longest-known-first, so the pool's
 	// tail is short cells instead of one straggler. Stable sort keeps
-	// grid order within equal cost; the collector below re-imposes grid
-	// order on all observable output either way.
+	// grid order within equal cost; the grid re-imposes grid order on
+	// all observable output either way.
 	order := make([]int, len(grid))
 	for i := range order {
 		order[i] = i
@@ -272,7 +347,7 @@ func Run(spec Spec) (*Result, error) {
 				if err := ctx.Err(); err != nil {
 					grid[i].Err = fmt.Errorf("skipped: %w", err)
 				} else {
-					runCell(&spec, &grid[i])
+					runCell(&spec, g, i)
 				}
 				spec.Pool.Release()
 				done <- i
@@ -280,46 +355,18 @@ func Run(spec Spec) (*Result, error) {
 		}()
 	}
 
-	// Collect in the caller's goroutine, flushing the completed prefix so
-	// OnCell observes grid order regardless of completion order.
-	completed := make([]bool, len(grid))
-	next := 0
+	// Settle in the caller's goroutine, so OnCell observes grid order
+	// regardless of completion order.
 	for range grid {
-		completed[<-done] = true
-		for next < len(grid) && completed[next] {
-			if spec.OnCell != nil {
-				spec.OnCell(grid[next])
-			}
-			next++
-		}
+		g.Complete(<-done)
 	}
 	wg.Wait()
-
-	res := &Result{
-		IDs:     append([]string(nil), spec.IDs...),
-		Seeds:   append([]int64(nil), spec.Seeds...),
-		Cells:   grid,
-		Elapsed: time.Since(start),
-	}
-	var errs []error
-	for i := range grid {
-		c := &grid[i]
-		if c.Err != nil {
-			errs = append(errs, fmt.Errorf("campaign: %s seed %d: %w", c.ID, c.Seed, c.Err))
-		}
-		if c.Diverged {
-			errs = append(errs, &DivergenceError{ID: c.ID, Seed: c.Seed, First: c.Report, Second: c.RecheckReport})
-		}
-		if c.MetricsDiverged {
-			errs = append(errs, fmt.Errorf("campaign: determinism violation: %s seed %d produced identical reports but diverging typed metrics", c.ID, c.Seed))
-		}
-	}
-	return res, errors.Join(errs...)
+	return g.Settle(time.Since(start))
 }
 
-// runCell executes one cell, including its optional determinism
-// recheck, which covers the metric stream as well as the report bytes.
-func runCell(spec *Spec, c *CellResult) {
+// runCell executes cell i, including its optional determinism recheck.
+func runCell(spec *Spec, g *Grid, i int) {
+	c := &g.Cells[i]
 	t0 := time.Now()
 	c.Report, c.Metrics, c.Err = spec.RunTyped(c.ID, c.Seed)
 	c.Elapsed = time.Since(t0)
@@ -332,18 +379,8 @@ func runCell(spec *Spec, c *CellResult) {
 		c.Err = fmt.Errorf("skipped: %w", spec.Context.Err())
 		return
 	}
-	second, secondMetrics, err := spec.RunTyped(c.ID, c.Seed)
-	if err != nil {
-		c.Err = fmt.Errorf("determinism recheck: %w", err)
-		return
-	}
-	if second != c.Report {
-		c.Diverged = true
-		c.RecheckReport = second
-	}
-	if !sim.MetricsEqual(c.Metrics, secondMetrics) {
-		c.MetricsDiverged = true
-	}
+	report, metrics, err := spec.RunTyped(c.ID, c.Seed)
+	g.Recheck(i, report, metrics, err)
 }
 
 // Rechecked counts the cells the determinism self-check double-executed.

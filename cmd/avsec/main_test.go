@@ -3,11 +3,9 @@ package main
 import (
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"autosec/internal/campaign"
-	"autosec/internal/core"
 	"autosec/internal/scenario"
 	"autosec/internal/sim"
 )
@@ -24,52 +22,6 @@ func writeScenario(t *testing.T, dir string, sp *scenario.Spec) {
 	}
 }
 
-// TestFindExperimentResolvesScenarios: scn-* ids resolve from the
-// corpus dir through the same lookup registry experiments use.
-func TestFindExperimentResolvesScenarios(t *testing.T) {
-	dir := t.TempDir()
-	writeScenario(t, dir, scenario.DefaultSpec("replay-probe"))
-
-	e, err := findExperiment("scn-replay-probe", dir)
-	if err != nil {
-		t.Fatalf("scenario id did not resolve: %v", err)
-	}
-	if e.Source != "scenario" {
-		t.Errorf("Source = %q, want scenario", e.Source)
-	}
-	if _, err := findExperiment("fig8", dir); err != nil {
-		t.Errorf("registry id stopped resolving: %v", err)
-	}
-	if _, err := findExperiment("fig8", filepath.Join(dir, "missing")); err != nil {
-		t.Errorf("missing scenarios dir must not break registry lookup: %v", err)
-	}
-}
-
-// TestUnknownIDSuggestsScenarioNames is the satellite: a typoed
-// scenario id gets a did-you-mean pointing at the corpus, alongside
-// the registry suggestions that already existed.
-func TestUnknownIDSuggestsScenarioNames(t *testing.T) {
-	dir := t.TempDir()
-	writeScenario(t, dir, scenario.DefaultSpec("replay-probe"))
-
-	_, err := findExperiment("scn-replay-prob", dir)
-	if err == nil {
-		t.Fatal("typoed scenario id must fail")
-	}
-	msg := err.Error()
-	for _, want := range []string{`unknown experiment "scn-replay-prob"`, "did you mean", "scn-replay-probe", "avsec scenarios"} {
-		if !strings.Contains(msg, want) {
-			t.Errorf("error %q does not contain %q", msg, want)
-		}
-	}
-
-	// Registry typos still suggest registry ids with scenarios loaded.
-	_, err = findExperiment("fig88", dir)
-	if err == nil || !strings.Contains(err.Error(), "fig8") {
-		t.Errorf("registry typo lost its suggestion: %v", err)
-	}
-}
-
 // TestCampaignScenarioCellsJobsInvariant pins the corpus-golden
 // contract at the aggregation layer: a campaign over scenario cells
 // renders byte-identical summaries at -jobs 1 and -jobs 4.
@@ -81,15 +33,13 @@ func TestCampaignScenarioCellsJobsInvariant(t *testing.T) {
 		sp.Title = scenario.AutoTitle(sp)
 		writeScenario(t, dir, sp)
 	}
-	exps, err := scenario.CompileDir(dir)
+	ns, err := scenario.LoadNamespace(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	byID := make(map[string]core.Experiment)
-	var ids []string
-	for _, e := range exps {
-		byID[e.ID] = e
-		ids = append(ids, e.ID)
+	ids, err := ns.Select(nil, true)
+	if err != nil {
+		t.Fatal(err)
 	}
 	render := func(jobs int) string {
 		pool := sim.NewWorkerPool(jobs)
@@ -98,8 +48,8 @@ func TestCampaignScenarioCellsJobsInvariant(t *testing.T) {
 			Seeds:    campaign.Seeds(42, 2),
 			Jobs:     jobs,
 			Pool:     pool,
-			RunTyped: typedRunWith(pool, byID),
-			CostHint: costHint(byID),
+			RunTyped: ns.Typed(pool),
+			CostHint: ns.Cost,
 		})
 		if err != nil {
 			t.Fatalf("jobs=%d: %v", jobs, err)

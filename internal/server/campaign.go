@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
-	"strings"
 	"sync"
 	"time"
 
@@ -74,7 +73,7 @@ type campaignPlan struct {
 	req     CampaignRequest
 }
 
-// planCampaign validates req against the server's namespaces and fills
+// planCampaign validates req against the server's namespace and fills
 // defaults. All failures are reported before any work starts, so a bad
 // request never occupies the pool.
 func (s *Server) planCampaign(req CampaignRequest) (*campaignPlan, error) {
@@ -86,32 +85,13 @@ func (s *Server) planCampaign(req CampaignRequest) (*campaignPlan, error) {
 		return nil, fmt.Errorf("format %q is not one of ndjson, text", req.Format)
 	}
 
-	// Experiment selection mirrors `avsec campaign`: explicit ids win;
+	// Experiment selection is `avsec campaign`'s: explicit ids win;
 	// otherwise the registry, or the corpus under corpus=true.
-	switch {
-	case len(req.IDs) > 0:
-		for _, id := range req.IDs {
-			if _, ok := s.lookupExperiment(id); !ok {
-				msg := fmt.Sprintf("unknown experiment %q", id)
-				if sug := core.SuggestIDs(id, s.allIDs, 3); len(sug) > 0 {
-					msg += fmt.Sprintf(" (did you mean %s?)", strings.Join(sug, ", "))
-				}
-				return nil, fmt.Errorf("%s", msg)
-			}
-		}
-		p.ids = req.IDs
-	case req.Corpus:
-		if len(s.scnList) == 0 {
-			return nil, fmt.Errorf("corpus requested but the server loaded no scenarios (scenario_dir %q)", s.cfg.ScenarioDir)
-		}
-		for _, si := range s.scnList {
-			p.ids = append(p.ids, si.ID)
-		}
-	default:
-		for _, e := range s.registry {
-			p.ids = append(p.ids, e.ID)
-		}
+	ids, err := s.ns.Select(req.IDs, req.Corpus)
+	if err != nil {
+		return nil, err
 	}
+	p.ids = ids
 
 	// Seed schedule: explicit list, or the consecutive-seed form.
 	switch {
@@ -171,11 +151,10 @@ type cellKey struct {
 	seed int64
 }
 
-// typedRun adapts the merged experiment namespace to the campaign
-// pool, with the result cache in front: a hit replays the stored
-// report and metric stream (byte-identical to recomputation by the
-// determinism contract); a miss computes through the shared worker
-// pool and stores. origins records, per cell, whether its *first*
+// typedRun adapts the experiment namespace to the campaign pool, with
+// the result cache in front: a hit replays the stored report and metric
+// stream (byte-identical to recomputation by the determinism contract);
+// a miss computes through the shared worker pool and stores. origins records, per cell, whether its *first*
 // execution came from cache — the recheck's second call must not
 // overwrite it, so the opt-in timings fields tell the truth about
 // where the primary result came from.
@@ -198,13 +177,7 @@ func (p *campaignPlan) typedRun(ctx context.Context, s *Server, pool *sim.Worker
 			}
 		}
 		origins.LoadOrStore(cellKey{id, seed}, false)
-		var r *core.RunResult
-		var err error
-		if e, ok := s.scnExps[id]; ok {
-			r, err = core.RunResultOf(e, seed, core.RunOptions{Pool: pool})
-		} else {
-			r, err = core.RunExperimentResult(id, seed, core.RunOptions{Pool: pool})
-		}
+		r, err := s.ns.Run(id, seed, core.RunOptions{Pool: pool})
 		if err != nil {
 			return "", nil, err
 		}
@@ -301,11 +274,6 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 
 	pool := sim.NewWorkerPool(plan.jobs)
 	var origins sync.Map
-	byID := make(map[string]core.Experiment, len(plan.ids))
-	for _, id := range plan.ids {
-		e, _ := s.lookupExperiment(id)
-		byID[id] = e
-	}
 	spec := campaign.Spec{
 		IDs:      plan.ids,
 		Seeds:    plan.seeds,
@@ -314,7 +282,7 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 		Pool:     pool,
 		Recheck:  plan.recheck,
 		RunTyped: plan.typedRun(ctx, s, pool, &origins),
-		CostHint: func(id string) int { return byID[id].Cost },
+		CostHint: s.ns.Cost,
 	}
 
 	if plan.req.Format == "text" {

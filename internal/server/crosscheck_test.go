@@ -8,8 +8,7 @@ import (
 	"testing"
 
 	"autosec/internal/campaign"
-	"autosec/internal/core"
-	"autosec/internal/sim"
+	"autosec/internal/scenario"
 )
 
 // TestSerialParallelCrossCheckHTTP extends the replicate-pool
@@ -30,22 +29,17 @@ func TestSerialParallelCrossCheckHTTP(t *testing.T) {
 
 	// The serial baseline: the exact campaign.Spec `avsec campaign
 	// -seeds 2 -jobs 1` builds, run pool-free in-process.
-	var ids []string
-	for _, e := range core.Experiments() {
-		ids = append(ids, e.ID)
+	ns, err := scenario.LoadNamespace(cfg.ScenarioDir)
+	if err != nil {
+		t.Fatal(err)
 	}
+	ids, _ := ns.Select(nil, false)
 	serial, err := campaign.Run(campaign.Spec{
-		IDs:     ids,
-		Seeds:   campaign.Seeds(42, 2),
-		Jobs:    1,
-		Recheck: 0.25,
-		RunTyped: func(id string, seed int64) (string, []sim.Metric, error) {
-			r, err := core.RunExperimentResult(id, seed, core.RunOptions{})
-			if err != nil {
-				return "", nil, err
-			}
-			return r.Report, r.Metrics, nil
-		},
+		IDs:      ids,
+		Seeds:    campaign.Seeds(42, 2),
+		Jobs:     1,
+		Recheck:  0.25,
+		RunTyped: ns.Typed(nil),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -22,38 +22,23 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
-	"sort"
 	"strconv"
 	"sync"
 
 	"autosec/internal/config"
-	"autosec/internal/core"
 	"autosec/internal/ext"
 	"autosec/internal/resultcache"
 	"autosec/internal/scenario"
 )
 
-// Server is the avsecd HTTP service: the experiment registry, the
-// scenario corpus (loaded once at startup), and the result cache.
+// Server is the avsecd HTTP service: the experiment namespace (the
+// registry plus the scenario corpus, loaded once at startup) and the
+// result cache.
 type Server struct {
 	cfg   config.Config
+	ns    *scenario.Namespace
 	cache *resultcache.Cache // nil when disabled
 	cells cellLocks          // one computation per cache key at a time
-
-	// Immutable after New: the merged experiment namespace.
-	registry []core.Experiment
-	scnExps  map[string]core.Experiment
-	scnFps   map[string]string // scenario id -> spec fingerprint
-	scnList  []scenarioInfo
-	allIDs   []string // registry order, then scenarios by name
-}
-
-// scenarioInfo is one corpus entry as listed by /api/v1/scenarios.
-type scenarioInfo struct {
-	ID      string `json:"id"`
-	Attack  string `json:"attack"`
-	Title   string `json:"title"`
-	Replica int    `json:"replicates"`
 }
 
 // New builds a server from cfg: it loads and compiles the scenario
@@ -63,36 +48,11 @@ func New(cfg config.Config) (*Server, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Server{
-		cfg:      cfg,
-		registry: core.Experiments(),
-		scnExps:  make(map[string]core.Experiment),
-		scnFps:   make(map[string]string),
-	}
-	for _, e := range s.registry {
-		s.allIDs = append(s.allIDs, e.ID)
-	}
-	specs, err := scenario.LoadDir(cfg.ScenarioDir)
+	ns, err := scenario.LoadNamespace(cfg.ScenarioDir)
 	if err != nil {
 		return nil, fmt.Errorf("server: scenario corpus %s: %w", cfg.ScenarioDir, err)
 	}
-	for _, sp := range specs {
-		e, err := scenario.Compile(sp)
-		if err != nil {
-			return nil, fmt.Errorf("server: scenario %s: %w", sp.Name, err)
-		}
-		title := sp.Title
-		if title == "" {
-			title = scenario.AutoTitle(sp)
-		}
-		s.scnExps[e.ID] = e
-		s.scnFps[e.ID] = sp.Fingerprint()
-		s.scnList = append(s.scnList, scenarioInfo{
-			ID: e.ID, Attack: sp.Attacker.Type, Title: title, Replica: sp.Run.Replicates,
-		})
-		s.allIDs = append(s.allIDs, e.ID)
-	}
-	sort.Slice(s.scnList, func(i, j int) bool { return s.scnList[i].ID < s.scnList[j].ID })
+	s := &Server{cfg: cfg, ns: ns}
 	if !cfg.Cache.Disabled {
 		c, err := resultcache.New(cfg.Cache.Dir)
 		if err != nil {
@@ -158,8 +118,8 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		Status:      "ok",
 		CodeVersion: resultcache.CodeVersion(),
 		Extensions:  ext.Fingerprint(),
-		Experiments: len(s.registry),
-		Scenarios:   len(s.scnList),
+		Experiments: len(s.ns.Registry()),
+		Scenarios:   len(s.ns.Specs()),
 		Cache:       "disabled",
 		Jobs:        s.cfg.Jobs,
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
@@ -189,8 +149,8 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 		Source string `json:"source"`
 		Title  string `json:"title"`
 	}
-	out := make([]info, 0, len(s.registry))
-	for _, e := range s.registry {
+	out := []info{}
+	for _, e := range s.ns.Registry() {
 		out = append(out, info{ID: e.ID, Source: e.Source, Title: e.Title})
 	}
 	writeJSON(w, http.StatusOK, out)
@@ -198,9 +158,16 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 
 // handleScenarios lists the compiled corpus in name order.
 func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
-	out := s.scnList
-	if out == nil {
-		out = []scenarioInfo{}
+	type info struct {
+		ID      string `json:"id"`
+		Attack  string `json:"attack"`
+		Title   string `json:"title"`
+		Replica int    `json:"replicates"`
+	}
+	out := []info{}
+	for _, sp := range s.ns.Specs() {
+		e, _ := s.ns.Lookup(scenario.IDPrefix + sp.Name)
+		out = append(out, info{ID: e.ID, Attack: sp.Attacker.Type, Title: e.Title, Replica: sp.Run.Replicates})
 	}
 	writeJSON(w, http.StatusOK, out)
 }
@@ -223,17 +190,6 @@ func (s *Server) handleCacheStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, doc)
 }
 
-// lookupExperiment resolves an id against the merged namespace.
-func (s *Server) lookupExperiment(id string) (core.Experiment, bool) {
-	for _, e := range s.registry {
-		if e.ID == id {
-			return e, true
-		}
-	}
-	e, ok := s.scnExps[id]
-	return e, ok
-}
-
 // cellCacheKey is the content address of one (experiment, seed) cell:
 // the cache scheme version, the running binary's content hash, the
 // experiment id, the seed, and — for DSL scenarios — the canonical
@@ -242,7 +198,7 @@ func (s *Server) lookupExperiment(id string) (core.Experiment, bool) {
 // so their fingerprint part is empty.
 func (s *Server) cellCacheKey(id string, seed int64) string {
 	return resultcache.Key("avsecd-cell", "1", resultcache.CodeVersion(),
-		id, strconv.FormatInt(seed, 10), s.scnFps[id])
+		id, strconv.FormatInt(seed, 10), s.ns.Fingerprint(id))
 }
 
 // cellLocks serializes the cache-miss path per cache key. Two requests

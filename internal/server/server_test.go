@@ -261,32 +261,16 @@ func TestCampaignTextMatchesCLISerial(t *testing.T) {
 	ts := newTestServer(t, cfg)
 
 	ids := []string{"fig3", "exp-ids", "scn-alpha"}
-	scns, err := scenario.CompileDir(cfg.ScenarioDir)
+	ns, err := scenario.LoadNamespace(cfg.ScenarioDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	byID := make(map[string]core.Experiment)
-	for _, e := range scns {
-		byID[e.ID] = e
-	}
 	serial, err := campaign.Run(campaign.Spec{
-		IDs:     ids,
-		Seeds:   campaign.Seeds(42, 2),
-		Jobs:    1,
-		Recheck: 0.25,
-		RunTyped: func(id string, seed int64) (string, []sim.Metric, error) {
-			var r *core.RunResult
-			var err error
-			if e, ok := byID[id]; ok {
-				r, err = core.RunResultOf(e, seed, core.RunOptions{})
-			} else {
-				r, err = core.RunExperimentResult(id, seed, core.RunOptions{})
-			}
-			if err != nil {
-				return "", nil, err
-			}
-			return r.Report, r.Metrics, nil
-		},
+		IDs:      ids,
+		Seeds:    campaign.Seeds(42, 2),
+		Jobs:     1,
+		Recheck:  0.25,
+		RunTyped: ns.Typed(nil),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,7 @@
 #!/bin/sh
 # daemon_smoke.sh — end-to-end smoke test of the avsecd campaign
-# daemon, run by CI and usable locally. It proves the daemon's two
-# headline contracts on a small 3-cell campaign:
+# daemon, run by CI and usable locally. It proves the daemon's
+# headline contracts on a small 3-cell campaign, then on the corpus:
 #
 #   1. Sharding determinism: the daemon's text-format campaign output
 #      at two different -jobs values is byte-identical to the output
@@ -9,6 +9,9 @@
 #   2. Cache transparency: a repeated identical sweep is served from
 #      the content-addressed result cache (cache hit counters grow,
 #      nothing new is stored) while producing the same bytes again.
+#   3. The scenario path: a corpus campaign matches the committed
+#      corpus golden (scenarios/GOLDEN.campaign.txt), computed and then
+#      again from the cache.
 #
 # Usage: scripts/daemon_smoke.sh
 # Exits non-zero on the first divergence. docs/DAEMON.md documents the
@@ -95,5 +98,20 @@ for type in campaign cell summary done; do
     }
 done
 echo "   campaign/cell/summary/done events present"
+
+echo "== corpus campaign vs the corpus golden, computed then cached"
+CORPUS_REQ='{"corpus": true, "seed_count": 2, "jobs": 8, "format": "text"}'
+post_campaign "$CORPUS_REQ" > "$work/corpus.txt"
+cmp scenarios/GOLDEN.campaign.txt "$work/corpus.txt"
+hits_before="$(curl -sf "$url/api/v1/cache" | sed -n 's/^ *"hits": \([0-9]*\).*/\1/p')"
+post_campaign "$CORPUS_REQ" > "$work/corpus_cached.txt"
+cmp scenarios/GOLDEN.campaign.txt "$work/corpus_cached.txt"
+hits_after="$(curl -sf "$url/api/v1/cache" | sed -n 's/^ *"hits": \([0-9]*\).*/\1/p')"
+cells="$(ls scenarios/*/scenario.ini | wc -l)"
+if [ "$hits_after" -lt "$((hits_before + 2 * cells))" ]; then
+    echo "repeat corpus sweep did not hit the cache (hits $hits_before -> $hits_after, $cells scenarios)" >&2
+    exit 1
+fi
+echo "   corpus golden matched twice, cache hits $hits_before -> $hits_after"
 
 echo "daemon smoke: OK"

@@ -36,11 +36,11 @@ func benchExperiment(b *testing.B, id string) {
 	b.Helper()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		out, err := core.RunExperiment(id, 42)
+		r, err := core.RunExperimentResult(id, 42, core.RunOptions{Pool: sim.DefaultPool()})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(out) == 0 {
+		if len(r.Report) == 0 {
 			b.Fatal("empty report")
 		}
 	}

@@ -3,7 +3,19 @@ package core
 import (
 	"strings"
 	"testing"
+
+	"autosec/internal/sim"
 )
+
+// runReport runs one registry experiment on the process-wide pool, the
+// budget of callers that bring none, and returns its report.
+func runReport(id string, seed int64) (string, error) {
+	r, err := RunExperimentResult(id, seed, RunOptions{Pool: sim.DefaultPool()})
+	if err != nil {
+		return "", err
+	}
+	return r.Report, nil
+}
 
 func TestRegistryHasAllPaperArtefacts(t *testing.T) {
 	t.Parallel()
@@ -26,7 +38,7 @@ func TestRegistryHasAllPaperArtefacts(t *testing.T) {
 
 func TestRunExperimentUnknown(t *testing.T) {
 	t.Parallel()
-	if _, err := RunExperiment("fig99", 1); err == nil {
+	if _, err := runReport("fig99", 1); err == nil {
 		t.Error("unknown experiment id accepted")
 	}
 }
@@ -89,11 +101,11 @@ func TestAllExperimentsRun(t *testing.T) {
 func TestExperimentsDeterministic(t *testing.T) {
 	t.Parallel()
 	for _, id := range []string{"fig2", "fig6", "fig8", "exp-collab"} {
-		a, err := RunExperiment(id, 7)
+		a, err := runReport(id, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := RunExperiment(id, 7)
+		b, err := runReport(id, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +119,7 @@ func TestExperimentsDeterministic(t *testing.T) {
 // who wins, and roughly by what margin.
 func TestKeyExperimentClaims(t *testing.T) {
 	t.Parallel()
-	out, err := RunExperiment("fig8", 42)
+	out, err := runReport("fig8", 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +131,7 @@ func TestKeyExperimentClaims(t *testing.T) {
 		t.Error("fig8: enumeration defence row missing")
 	}
 
-	out, err = RunExperiment("fig2", 42)
+	out, err = runReport("fig2", 42)
 	if err != nil {
 		t.Fatal(err)
 	}

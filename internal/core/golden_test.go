@@ -82,7 +82,7 @@ func TestGoldenDeterminismAllExperiments(t *testing.T) {
 			}
 
 			for _, seed := range goldenSeeds {
-				out, err := RunExperiment(e.ID, seed)
+				out, err := runReport(e.ID, seed)
 				if err != nil {
 					t.Fatalf("%s at seed %d: %v", e.ID, seed, err)
 				}

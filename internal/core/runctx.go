@@ -162,51 +162,34 @@ func RunResultOf(e Experiment, seed int64, opt RunOptions) (*RunResult, error) {
 		Report: report, Metrics: rc.Metrics.Metrics()}, nil
 }
 
-// RunExperiment runs one experiment by id and returns only its report
-// text — RunExperimentResult for callers that want the report alone.
-// Replicate loops inside the experiment fan out over the process-wide
-// sim.DefaultPool; the report is bit-identical to a serial run (pinned
-// by TestSerialParallelCrossCheck in crosscheck_test.go).
-func RunExperiment(id string, seed int64) (string, error) {
-	r, err := RunExperimentResult(id, seed, RunOptions{Pool: sim.DefaultPool()})
-	if err != nil {
-		return "", err
-	}
-	return r.Report, nil
-}
-
-// lookup finds an experiment by id; unknown ids get an error that
-// lists near-miss suggestions so CLI typos are self-diagnosing.
+// lookup finds a registry experiment by id; an unknown id gets an
+// error that lists up to three near-miss registry ids, so CLI typos are
+// self-diagnosing.
 func lookup(id string) (Experiment, error) {
-	for _, e := range Experiments() {
+	exps := Experiments()
+	for _, e := range exps {
 		if e.ID == id {
 			return e, nil
 		}
 	}
+	ids := make([]string, len(exps))
+	for i, e := range exps {
+		ids[i] = e.ID
+	}
 	msg := fmt.Sprintf("core: unknown experiment %q", id)
-	if sug := SuggestExperiments(id, 3); len(sug) > 0 {
+	if sug := SuggestIDs(id, ids, 3); len(sug) > 0 {
 		msg += fmt.Sprintf(" (did you mean %s?)", strings.Join(sug, ", "))
 	}
 	return Experiment{}, fmt.Errorf("%s — run 'avsec list' for all ids", msg)
 }
 
-// SuggestExperiments returns up to max registry ids closest to the
-// misspelled id by Damerau–Levenshtein distance, nearest first, ties in
-// registry order.
-func SuggestExperiments(id string, max int) []string {
-	var ids []string
-	for _, e := range Experiments() {
-		ids = append(ids, e.ID)
-	}
-	return SuggestIDs(id, ids, max)
-}
-
 // SuggestIDs returns up to max candidates from ids closest to the
 // misspelled id, nearest first, ties in slice order. It delegates to
 // the extension kernel's did-you-mean (ext.SuggestNames), so id
-// suggestions and registry-name suggestions rank identically. The CLI
-// uses this over the union of registry experiments and loaded scenario
-// names, so a typoed scenario id is self-diagnosing too.
+// suggestions and registry-name suggestions rank identically.
+// scenario.Namespace uses this over the union of registry experiments
+// and loaded scenario names, so a typoed scenario id is
+// self-diagnosing too.
 func SuggestIDs(id string, ids []string, max int) []string {
 	return ext.SuggestNames(id, ids, max)
 }

@@ -3,7 +3,26 @@ package core
 import (
 	"strings"
 	"testing"
+
+	"autosec/internal/sim"
 )
+
+// lookupSuggestions returns the did-you-mean ids of lookup's error for
+// an unknown id, nearest first.
+func lookupSuggestions(t *testing.T, id string) []string {
+	t.Helper()
+	_, err := lookup(id)
+	if err == nil {
+		t.Fatalf("lookup(%q) resolved an unknown id", id)
+	}
+	msg := err.Error()
+	start := strings.Index(msg, "(did you mean ")
+	if start < 0 {
+		return nil
+	}
+	list := msg[start+len("(did you mean "):]
+	return strings.Split(list[:strings.Index(list, "?)")], ", ")
+}
 
 func TestSuggestExperiments(t *testing.T) {
 	cases := []struct {
@@ -18,25 +37,25 @@ func TestSuggestExperiments(t *testing.T) {
 		{"exp", "exp-ca"}, // prefix match: first exp-* in registry order
 	}
 	for _, c := range cases {
-		got := SuggestExperiments(c.id, 3)
+		got := lookupSuggestions(t, c.id)
 		if len(got) == 0 || got[0] != c.first {
-			t.Errorf("SuggestExperiments(%q) = %v, want first %q", c.id, got, c.first)
+			t.Errorf("lookup(%q) suggests %v, want first %q", c.id, got, c.first)
 		}
 		if len(got) > 3 {
-			t.Errorf("SuggestExperiments(%q) returned %d ids, max is 3", c.id, len(got))
+			t.Errorf("lookup(%q) suggests %d ids, max is 3", c.id, len(got))
 		}
 	}
 }
 
 func TestSuggestExperimentsGarbageYieldsNothing(t *testing.T) {
 	// A wildly wrong id must not produce noise suggestions.
-	if got := SuggestExperiments("zzzzzzzzzzzzzzzz", 3); len(got) != 0 {
-		t.Errorf("SuggestExperiments(garbage) = %v, want none", got)
+	if got := lookupSuggestions(t, "zzzzzzzzzzzzzzzz"); len(got) != 0 {
+		t.Errorf("lookup(garbage) suggests %v, want none", got)
 	}
 }
 
 func TestUnknownExperimentError(t *testing.T) {
-	_, err := RunExperiment("fig88", 42)
+	_, err := RunExperimentResult("fig88", 42, RunOptions{Pool: sim.DefaultPool()})
 	if err == nil {
 		t.Fatal("unknown id must fail")
 	}
@@ -52,9 +71,9 @@ func TestUnknownExperimentError(t *testing.T) {
 }
 
 func TestSuggestIDsMergedNamespace(t *testing.T) {
-	// The CLI feeds SuggestIDs the union of registry and scenario ids;
-	// nearest-first ordering and the noise cutoff must hold over any
-	// candidate slice, not just the registry.
+	// scenario.Namespace feeds SuggestIDs the union of registry and
+	// scenario ids; nearest-first ordering and the noise cutoff must hold
+	// over any candidate slice, not just the registry.
 	ids := []string{"fig8", "scn-replay-probe", "scn-forge-edge"}
 	if got := SuggestIDs("scn-replay-prob", ids, 3); len(got) == 0 || got[0] != "scn-replay-probe" {
 		t.Errorf("SuggestIDs scenario typo = %v, want scn-replay-probe first", got)

@@ -98,9 +98,10 @@ var (
 )
 
 // DefaultPool returns the process-wide pool, sized to GOMAXPROCS at
-// first use. It backs entry points that have no caller-provided budget
-// (e.g. core.RunExperiment); callers that coordinate several levels of
-// parallelism should size their own pool instead.
+// first use. It backs runs that have no caller-provided budget (e.g.
+// `avsec expmd`, which runs every experiment once); callers that
+// coordinate several levels of parallelism should size their own pool
+// instead.
 func DefaultPool() *WorkerPool {
 	defaultPoolOnce.Do(func() {
 		defaultPool = NewWorkerPool(runtime.GOMAXPROCS(0))

@@ -105,7 +105,7 @@ func BenchmarkCampaignAll(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				pool := sim.NewWorkerPool(jobs)
 				res, err := campaign.Run(campaign.Spec{
-					IDs: ids, Seeds: seeds, Jobs: jobs, Pool: pool,
+					IDs: ids, Seeds: seeds, Pool: pool,
 					RunTyped: func(id string, seed int64) (string, []sim.Metric, error) {
 						r, err := core.RunExperimentResult(id, seed, core.RunOptions{Pool: pool})
 						if err != nil {

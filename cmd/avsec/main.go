@@ -274,7 +274,6 @@ func runAll(args []string) {
 	res, err := campaign.Run(campaign.Spec{
 		IDs:      ids,
 		Seeds:    []int64{*seed},
-		Jobs:     *jobs,
 		Pool:     pool,
 		Recheck:  *recheck,
 		RunTyped: ns.Typed(pool),
@@ -359,7 +358,6 @@ func runCampaign(args []string) {
 	res, err := campaign.Run(campaign.Spec{
 		IDs:      ids,
 		Seeds:    campaign.Seeds(*base, *seeds),
-		Jobs:     *jobs,
 		Pool:     pool,
 		Recheck:  *recheck,
 		RunTyped: ns.Typed(pool),

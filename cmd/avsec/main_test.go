@@ -46,7 +46,6 @@ func TestCampaignScenarioCellsJobsInvariant(t *testing.T) {
 		res, err := campaign.Run(campaign.Spec{
 			IDs:      ids,
 			Seeds:    campaign.Seeds(42, 2),
-			Jobs:     jobs,
 			Pool:     pool,
 			RunTyped: ns.Typed(pool),
 			CostHint: ns.Cost,

@@ -48,7 +48,8 @@ type Spec struct {
 	IDs []string
 	// Seeds are the simulation seeds each experiment runs at.
 	Seeds []int64
-	// Jobs bounds the worker pool; <= 0 means GOMAXPROCS.
+	// Jobs bounds the worker count when Pool is nil; <= 0 means
+	// GOMAXPROCS. With a Pool, Run starts Pool.Size() workers instead.
 	Jobs int
 	// Recheck is the fraction of grid cells in [0, 1] that are executed
 	// twice with the same seed for the determinism self-check. When
@@ -80,10 +81,10 @@ type Spec struct {
 	// shares with intra-cell replicate fan-out: each cell holds one
 	// slot for its whole execution, so nested sim.Replicates calls
 	// inside the cell can only borrow slots that are currently idle.
-	// Size it to Jobs (and route the same pool into RunTyped, e.g.
-	// via core.RunOptions.Pool) to keep the two-level cells ×
-	// replicates parallelism inside one -jobs budget; once the grid
-	// drains to a last straggler cell, the idle workers' slots are
+	// Run starts one worker per slot. Route the same pool into
+	// RunTyped (e.g. via core.RunOptions.Pool) to keep the two-level
+	// cells × replicates parallelism inside one -jobs budget; once the
+	// grid drains to a last straggler cell, the idle workers' slots are
 	// donated to that cell's replicate loops. Purely a scheduling
 	// device: rendered output is identical with or without it.
 	Pool *sim.WorkerPool
@@ -293,7 +294,9 @@ func Run(spec Spec) (*Result, error) {
 	grid := g.Cells
 
 	jobs := spec.Jobs
-	if jobs <= 0 {
+	if spec.Pool != nil {
+		jobs = spec.Pool.Size()
+	} else if jobs <= 0 {
 		jobs = runtime.GOMAXPROCS(0)
 	}
 	if jobs > len(grid) {

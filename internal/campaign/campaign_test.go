@@ -182,6 +182,34 @@ func TestJobsIndependence(t *testing.T) {
 	}
 }
 
+// TestPoolSizesWorkers checks that a given pool, not Spec.Jobs, sets
+// the worker count: with Jobs 1 and a three-slot pool, three cells
+// must be able to run at once.
+func TestPoolSizesWorkers(t *testing.T) {
+	t.Parallel()
+	const slots = 3
+	var arrived sync.WaitGroup
+	arrived.Add(slots)
+	all := make(chan struct{})
+	go func() { arrived.Wait(); close(all) }()
+	run := func(id string, seed int64) (string, []sim.Metric, error) {
+		arrived.Done()
+		select {
+		case <-all:
+			return fakeRun(id, seed)
+		case <-time.After(5 * time.Second):
+			return "", nil, errors.New("cells did not run concurrently")
+		}
+	}
+	_, err := Run(Spec{
+		IDs: []string{"a"}, Seeds: Seeds(1, slots), Jobs: 1,
+		Pool: sim.NewWorkerPool(slots), RunTyped: run,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestRecheckSelectionDeterministicAndBounded(t *testing.T) {
 	t.Parallel()
 	spec := Spec{IDs: []string{"a", "b", "c"}, Seeds: Seeds(1, 20), Recheck: 0.25, RunTyped: fakeRun}

@@ -10,11 +10,11 @@
 //
 // Usage:
 //
-//	avsecd [-config avsecd.json] [-addr HOST:PORT] [-jobs N]
-//	       [-scenarios DIR] [-cache-dir DIR] [-no-cache]
+//	avsecd [-addr HOST:PORT] [-jobs N] [-scenarios DIR]
+//	       [-cache-dir DIR] [-no-cache]
 //
-// Flags override the config file. On startup the daemon announces the
-// resolved listen address on stdout as
+// On startup the daemon announces the resolved listen address on
+// stdout as
 //
 //	avsecd: listening on http://127.0.0.1:8787
 //
@@ -47,47 +47,24 @@ import (
 	_ "autosec/internal/ext/demo"
 )
 
+// readHeaderTimeout bounds how long a client may take to send its
+// request headers (slow-loris protection).
+const readHeaderTimeout = 5 * time.Second
+
 func main() {
+	cfg := config.Default()
 	fs := flag.NewFlagSet("avsecd", flag.ExitOnError)
-	cfgPath := fs.String("config", "", "JSON configuration file (absent fields keep defaults)")
-	addr := fs.String("addr", "", "listen address, host:port (port 0 = kernel-assigned; overrides config)")
-	jobs := fs.Int("jobs", -1, "default campaign worker-pool size, 0 = GOMAXPROCS (overrides config)")
-	scnDir := fs.String("scenarios", "", "scenario corpus directory (overrides config)")
-	cacheDir := fs.String("cache-dir", "", "result cache directory (overrides config)")
-	noCache := fs.Bool("no-cache", false, "disable the result cache entirely")
+	fs.StringVar(&cfg.Addr, "addr", cfg.Addr, "listen address, host:port (port 0 = kernel-assigned)")
+	fs.IntVar(&cfg.Jobs, "jobs", cfg.Jobs, "default campaign worker-pool size, 0 = GOMAXPROCS")
+	fs.StringVar(&cfg.ScenarioDir, "scenarios", cfg.ScenarioDir, "scenario corpus directory")
+	fs.StringVar(&cfg.Cache.Dir, "cache-dir", cfg.Cache.Dir, "result cache directory")
+	fs.BoolVar(&cfg.Cache.Disabled, "no-cache", cfg.Cache.Disabled, "disable the result cache entirely")
 	if err := fs.Parse(os.Args[1:]); err != nil {
 		os.Exit(2)
 	}
 	if fs.NArg() != 0 {
 		fmt.Fprintf(os.Stderr, "avsecd: unexpected argument %q\n", fs.Arg(0))
 		os.Exit(2)
-	}
-
-	cfg := config.Default()
-	if *cfgPath != "" {
-		var err error
-		cfg, err = config.Load(*cfgPath)
-		if err != nil {
-			fail(err)
-		}
-	}
-	if *addr != "" {
-		cfg.Addr = *addr
-	}
-	if *jobs >= 0 {
-		cfg.Jobs = *jobs
-	}
-	if *scnDir != "" {
-		cfg.ScenarioDir = *scnDir
-	}
-	if *cacheDir != "" {
-		cfg.Cache.Dir = *cacheDir
-	}
-	if *noCache {
-		cfg.Cache.Disabled = true
-	}
-	if err := cfg.Validate(); err != nil {
-		fail(err)
 	}
 
 	srv, err := server.New(cfg)
@@ -105,7 +82,7 @@ func main() {
 
 	hs := &http.Server{
 		Handler:           srv.Handler(),
-		ReadHeaderTimeout: time.Duration(cfg.ReadHeaderTimeoutMS) * time.Millisecond,
+		ReadHeaderTimeout: readHeaderTimeout,
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

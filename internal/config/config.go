@@ -1,111 +1,55 @@
-// Package config loads and validates the avsecd daemon configuration.
+// Package config holds and validates the avsecd daemon configuration.
 //
-// The daemon is configured by one JSON document (conventionally
-// avsecd.json) whose every field is optional: absent fields keep their
-// defaults, so a partial file like {"addr": ":9000"} is a complete
-// configuration. Decoding is strict — unknown fields are rejected with
-// the offending name, so a typoed key fails loudly at startup instead
-// of silently running with a default. The zero-dependency, one-file
-// loader follows the pattern the ROADMAP names for the fleet-scale
-// service (stdlib only, cmd/avsecd is the single entry point).
+// The daemon is configured by command-line flags alone: cmd/avsecd
+// binds each flag straight to a field of Default(), and server.New
+// validates the result. The request body bound and the read-header
+// timeout are fixed constants, not settings (docs/DAEMON.md "Limits").
 package config
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"os"
 	"strings"
 )
 
-// Config is the avsecd daemon configuration. The JSON field names are
-// the documented schema (docs/DAEMON.md "Configuration").
+// Config is the avsecd daemon configuration.
 type Config struct {
 	// Addr is the listen address, host:port. The port may be 0 to let
 	// the kernel choose (the daemon announces the resolved address on
 	// startup, which is how the CI smoke script finds it).
-	Addr string `json:"addr"`
+	Addr string
 	// Jobs is the default worker-pool size for campaign requests that
 	// do not set their own: 0 means GOMAXPROCS. Requests may lower or
 	// raise it per campaign; output bytes never depend on it.
-	Jobs int `json:"jobs"`
+	Jobs int
 	// ScenarioDir is the scenario corpus directory resolved for scn-*
 	// experiment ids (missing directory = zero scenarios, same as the
 	// CLI's -scenarios flag).
-	ScenarioDir string `json:"scenario_dir"`
+	ScenarioDir string
 	// Cache configures the content-addressed result cache.
-	Cache CacheConfig `json:"cache"`
-	// MaxBodyBytes bounds the size of a campaign request body.
-	MaxBodyBytes int64 `json:"max_body_bytes"`
-	// ReadHeaderTimeoutMS is the HTTP server's read-header timeout in
-	// milliseconds (slow-loris protection).
-	ReadHeaderTimeoutMS int `json:"read_header_timeout_ms"`
+	Cache CacheConfig
 }
 
 // CacheConfig configures the result cache (internal/resultcache).
 type CacheConfig struct {
 	// Dir is the cache directory, created on demand.
-	Dir string `json:"dir"`
+	Dir string
 	// Disabled turns the cache off entirely; every campaign cell is
 	// recomputed. Individual requests can also opt out per campaign.
-	Disabled bool `json:"disabled"`
+	Disabled bool
 }
 
-// Default returns the configuration the daemon runs with when no file
-// and no flags are given.
+// Default returns the configuration the daemon runs with when no flags
+// are given.
 func Default() Config {
 	return Config{
-		Addr:                "127.0.0.1:8787",
-		Jobs:                0,
-		ScenarioDir:         "scenarios",
-		Cache:               CacheConfig{Dir: "avsecd.cache"},
-		MaxBodyBytes:        1 << 20, // 1 MiB: campaign specs are small
-		ReadHeaderTimeoutMS: 5000,
+		Addr:        "127.0.0.1:8787",
+		ScenarioDir: "scenarios",
+		Cache:       CacheConfig{Dir: "avsecd.cache"},
 	}
 }
 
-// Parse decodes a JSON configuration document over the defaults:
-// absent fields keep their default values, unknown fields are an
-// error, and the result is validated. An empty document (or one that
-// is only whitespace) yields the defaults.
-func Parse(data []byte) (Config, error) {
-	cfg := Default()
-	if len(bytes.TrimSpace(data)) == 0 {
-		return cfg, nil
-	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&cfg); err != nil {
-		return Config{}, fmt.Errorf("config: %w", err)
-	}
-	// A second document in the same file is a mistake, not extra input.
-	if dec.More() {
-		return Config{}, fmt.Errorf("config: trailing data after the configuration object")
-	}
-	if err := cfg.Validate(); err != nil {
-		return Config{}, err
-	}
-	return cfg, nil
-}
-
-// Load reads and parses the configuration file at path. A missing file
-// is an error: pointing the daemon at a file that does not exist is a
-// deployment mistake, not a request for defaults (start without
-// -config for defaults).
-func Load(path string) (Config, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return Config{}, fmt.Errorf("config: %w", err)
-	}
-	cfg, err := Parse(data)
-	if err != nil {
-		return Config{}, fmt.Errorf("%s: %w", path, err)
-	}
-	return cfg, nil
-}
-
-// Validate checks the configuration's invariants. It is called by
-// Parse and again by the daemon after flag overrides.
+// Validate checks the configuration's invariants and reports every
+// violation at once.
 func (c *Config) Validate() error {
 	var errs []string
 	if strings.TrimSpace(c.Addr) == "" {
@@ -115,13 +59,7 @@ func (c *Config) Validate() error {
 		errs = append(errs, fmt.Sprintf("jobs must be >= 0 (0 = GOMAXPROCS), got %d", c.Jobs))
 	}
 	if !c.Cache.Disabled && strings.TrimSpace(c.Cache.Dir) == "" {
-		errs = append(errs, "cache.dir must be non-empty unless cache.disabled is true")
-	}
-	if c.MaxBodyBytes <= 0 {
-		errs = append(errs, fmt.Sprintf("max_body_bytes must be > 0, got %d", c.MaxBodyBytes))
-	}
-	if c.ReadHeaderTimeoutMS <= 0 {
-		errs = append(errs, fmt.Sprintf("read_header_timeout_ms must be > 0, got %d", c.ReadHeaderTimeoutMS))
+		errs = append(errs, "cache dir must be non-empty unless the cache is disabled")
 	}
 	if len(errs) > 0 {
 		return fmt.Errorf("config: %s", strings.Join(errs, "; "))

@@ -1,123 +1,64 @@
 package config
 
 import (
-	"os"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
 )
 
-func TestParseEmptyYieldsDefaults(t *testing.T) {
+func TestDefaultIsValid(t *testing.T) {
 	t.Parallel()
-	for _, data := range []string{"", "   \n\t", "{}"} {
-		cfg, err := Parse([]byte(data))
-		if err != nil {
-			t.Fatalf("Parse(%q): %v", data, err)
-		}
-		if cfg != Default() {
-			t.Errorf("Parse(%q) = %+v, want defaults %+v", data, cfg, Default())
-		}
+	cfg := Default()
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("Default() does not validate: %v", err)
 	}
 }
 
-func TestParsePartialFillsDefaults(t *testing.T) {
-	t.Parallel()
-	cfg, err := Parse([]byte(`{"addr": ":9000", "cache": {"disabled": true}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Addr != ":9000" {
-		t.Errorf("Addr = %q, want :9000", cfg.Addr)
-	}
-	if !cfg.Cache.Disabled {
-		t.Error("Cache.Disabled = false, want true")
-	}
-	// Every field the document did not mention keeps its default.
-	def := Default()
-	if cfg.Jobs != def.Jobs || cfg.ScenarioDir != def.ScenarioDir ||
-		cfg.MaxBodyBytes != def.MaxBodyBytes || cfg.ReadHeaderTimeoutMS != def.ReadHeaderTimeoutMS {
-		t.Errorf("unset fields drifted from defaults: %+v", cfg)
-	}
-	// Nested partial: cache.disabled was set, cache.dir was not.
-	if cfg.Cache.Dir != def.Cache.Dir {
-		t.Errorf("Cache.Dir = %q, want default %q", cfg.Cache.Dir, def.Cache.Dir)
-	}
-}
-
-func TestParseRejectsInvalid(t *testing.T) {
+func TestValidateRejectsInvalid(t *testing.T) {
 	t.Parallel()
 	cases := []struct {
-		name, data, wantSub string
+		name    string
+		edit    func(*Config)
+		wantSub string
 	}{
-		{"malformed JSON", `{"addr": `, "config:"},
-		{"wrong type", `{"jobs": "four"}`, "config:"},
-		{"unknown field", `{"adddr": ":9000"}`, "adddr"},
-		{"unknown nested field", `{"cache": {"path": "x"}}`, "path"},
-		{"trailing document", `{} {}`, "trailing data"},
-		{"negative jobs", `{"jobs": -1}`, "jobs must be >= 0"},
-		{"empty addr", `{"addr": "  "}`, "addr must be non-empty"},
-		{"cache dir empty while enabled", `{"cache": {"dir": ""}}`, "cache.dir"},
-		{"zero body bound", `{"max_body_bytes": 0}`, "max_body_bytes"},
-		{"zero header timeout", `{"read_header_timeout_ms": -5}`, "read_header_timeout_ms"},
+		{"negative jobs", func(c *Config) { c.Jobs = -1 }, "jobs must be >= 0"},
+		{"empty addr", func(c *Config) { c.Addr = "  " }, "addr must be non-empty"},
+		{"cache dir empty while enabled", func(c *Config) { c.Cache.Dir = "" }, "cache dir"},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			_, err := Parse([]byte(tc.data))
+			cfg := Default()
+			tc.edit(&cfg)
+			err := cfg.Validate()
 			if err == nil {
-				t.Fatalf("Parse(%q) succeeded, want error containing %q", tc.data, tc.wantSub)
+				t.Fatalf("Validate(%+v) succeeded, want error containing %q", cfg, tc.wantSub)
 			}
 			if !strings.Contains(err.Error(), tc.wantSub) {
 				t.Errorf("error %q does not mention %q", err, tc.wantSub)
 			}
 		})
 	}
+	// A disabled cache needs no directory.
+	cfg := Default()
+	cfg.Cache = CacheConfig{Disabled: true}
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("disabled cache without a dir: %v", err)
+	}
 }
 
 func TestValidateCollectsEveryProblem(t *testing.T) {
 	t.Parallel()
-	cfg := Config{Addr: "", Jobs: -2, MaxBodyBytes: 0, ReadHeaderTimeoutMS: 0}
+	cfg := Config{Addr: "", Jobs: -2}
 	err := cfg.Validate()
 	if err == nil {
 		t.Fatal("Validate on a broken config succeeded")
 	}
-	for _, want := range []string{"addr", "jobs", "cache.dir", "max_body_bytes", "read_header_timeout_ms"} {
+	for _, want := range []string{"addr", "jobs", "cache dir"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q does not mention %q", err, want)
 		}
-	}
-}
-
-func TestLoad(t *testing.T) {
-	t.Parallel()
-	dir := t.TempDir()
-	path := filepath.Join(dir, "avsecd.json")
-	if err := os.WriteFile(path, []byte(`{"jobs": 3, "scenario_dir": "corpus"}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cfg, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Jobs != 3 || cfg.ScenarioDir != "corpus" {
-		t.Errorf("Load = %+v, want jobs=3 scenario_dir=corpus", cfg)
-	}
-
-	if _, err := Load(filepath.Join(dir, "missing.json")); err == nil {
-		t.Error("Load on a missing file succeeded, want error")
-	}
-
-	// A parse error names the file so the operator knows which input
-	// was bad.
-	bad := filepath.Join(dir, "bad.json")
-	if err := os.WriteFile(bad, []byte(`{"nope": 1}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err = Load(bad)
-	if err == nil || !strings.Contains(err.Error(), "bad.json") {
-		t.Errorf("Load(bad.json) error %v does not name the file", err)
 	}
 }
 

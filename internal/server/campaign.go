@@ -3,9 +3,10 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
-	"runtime"
 	"sync"
 	"time"
 
@@ -13,6 +14,16 @@ import (
 	"autosec/internal/core"
 	"autosec/internal/resultcache"
 	"autosec/internal/sim"
+)
+
+// Fixed bounds on what one campaign request may ask for (docs/DAEMON.md
+// "Limits"). Every one is checked before any work or allocation that
+// it bounds: a worker pool fills all its slots up front, and a grid
+// allocates every cell up front.
+const (
+	maxBodyBytes = 1 << 20 // campaign specs are small
+	maxJobs      = 1024    // per-campaign worker-pool slots
+	maxCells     = 1 << 16 // ids × seeds; the largest benchmark grid is 1792
 )
 
 // CampaignRequest is the JSON body of POST /api/v1/campaign. Every
@@ -34,9 +45,9 @@ type CampaignRequest struct {
 	// schedule: SeedCount seeds starting at SeedBase. Defaults 42 / 8.
 	SeedBase  *int64 `json:"seed_base"`
 	SeedCount *int   `json:"seed_count"`
-	// Jobs bounds this campaign's worker pool: 0 means the server
-	// default (config jobs, itself 0 = GOMAXPROCS). Result bytes never
-	// depend on it.
+	// Jobs bounds this campaign's worker pool, at most maxJobs: 0 means
+	// the server default (the daemon's -jobs, itself 0 = GOMAXPROCS).
+	// Result bytes never depend on it.
 	Jobs int `json:"jobs"`
 	// Recheck is the determinism self-check fraction in [0, 1];
 	// nil means the CLI default 0.25.
@@ -61,6 +72,21 @@ type CampaignRequest struct {
 	// one event per line; "text" returns exactly the bytes `avsec
 	// campaign` prints to stdout for the same spec.
 	Format string `json:"format"`
+}
+
+// decodeCampaignRequest decodes one request object strictly: unknown
+// fields, and anything but whitespace after the object, are errors.
+func decodeCampaignRequest(r io.Reader) (CampaignRequest, error) {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	var req CampaignRequest
+	if err := dec.Decode(&req); err != nil {
+		return req, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return req, errors.New("trailing data after the request object")
+	}
+	return req, nil
 }
 
 // campaignPlan is a validated, fully-defaulted request.
@@ -93,16 +119,15 @@ func (s *Server) planCampaign(req CampaignRequest) (*campaignPlan, error) {
 	}
 	p.ids = ids
 
-	// Seed schedule: explicit list, or the consecutive-seed form.
-	switch {
-	case len(req.Seeds) > 0:
+	// Seed schedule: explicit list, or the consecutive-seed form. The
+	// grid is bounded before the schedule is allocated.
+	base, count := int64(42), len(req.Seeds)
+	if count > 0 {
 		if req.SeedBase != nil || req.SeedCount != nil {
 			return nil, fmt.Errorf("seeds and seed_base/seed_count are mutually exclusive")
 		}
-		p.seeds = req.Seeds
-	default:
-		base := int64(42)
-		count := 8
+	} else {
+		count = 8
 		if req.SeedBase != nil {
 			base = *req.SeedBase
 		}
@@ -112,18 +137,21 @@ func (s *Server) planCampaign(req CampaignRequest) (*campaignPlan, error) {
 		if count < 1 {
 			return nil, fmt.Errorf("seed_count must be >= 1, got %d", count)
 		}
+	}
+	if count > maxCells/len(ids) {
+		return nil, fmt.Errorf("grid of %d ids × %d seeds exceeds %d cells", len(ids), count, maxCells)
+	}
+	p.seeds = req.Seeds
+	if len(p.seeds) == 0 {
 		p.seeds = campaign.Seeds(base, count)
 	}
 
-	if req.Jobs < 0 {
-		return nil, fmt.Errorf("jobs must be >= 0, got %d", req.Jobs)
+	if req.Jobs < 0 || req.Jobs > maxJobs {
+		return nil, fmt.Errorf("jobs must be in [0, %d], got %d", maxJobs, req.Jobs)
 	}
 	p.jobs = req.Jobs
 	if p.jobs == 0 {
-		p.jobs = s.cfg.Jobs
-	}
-	if p.jobs == 0 {
-		p.jobs = runtime.GOMAXPROCS(0)
+		p.jobs = s.jobs
 	}
 
 	p.recheck = 0.25
@@ -241,16 +269,9 @@ type evError struct {
 // The text format skips the events and returns the summary bytes
 // alone.
 func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	var req CampaignRequest
-	if err := dec.Decode(&req); err != nil {
+	req, err := decodeCampaignRequest(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "campaign request: %v", err)
-		return
-	}
-	if dec.More() {
-		writeError(w, http.StatusBadRequest, "campaign request: trailing data after the request object")
 		return
 	}
 	plan, err := s.planCampaign(req)
@@ -277,7 +298,6 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 	spec := campaign.Spec{
 		IDs:      plan.ids,
 		Seeds:    plan.seeds,
-		Jobs:     plan.jobs,
 		Context:  ctx,
 		Pool:     pool,
 		Recheck:  plan.recheck,

@@ -35,24 +35,31 @@ import (
 // registry plus the scenario corpus, loaded once at startup) and the
 // result cache.
 type Server struct {
-	cfg   config.Config
+	jobs  int // default campaign pool size, resolved (never 0)
 	ns    *scenario.Namespace
 	cache *resultcache.Cache // nil when disabled
 	cells cellLocks          // one computation per cache key at a time
 }
 
-// New builds a server from cfg: it loads and compiles the scenario
-// corpus under cfg.ScenarioDir (a missing directory loads zero
-// scenarios, like the CLI) and opens the result cache unless disabled.
+// New builds a server from cfg: it resolves the default pool size
+// (jobs 0 = GOMAXPROCS), loads and compiles the scenario corpus under
+// cfg.ScenarioDir (a missing directory loads zero scenarios, like the
+// CLI) and opens the result cache unless disabled.
 func New(cfg config.Config) (*Server, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	if cfg.Jobs > maxJobs {
+		return nil, fmt.Errorf("config: jobs must be <= %d, got %d", maxJobs, cfg.Jobs)
 	}
 	ns, err := scenario.LoadNamespace(cfg.ScenarioDir)
 	if err != nil {
 		return nil, fmt.Errorf("server: scenario corpus %s: %w", cfg.ScenarioDir, err)
 	}
-	s := &Server{cfg: cfg, ns: ns}
+	s := &Server{jobs: cfg.Jobs, ns: ns}
+	if s.jobs == 0 {
+		s.jobs = min(runtime.GOMAXPROCS(0), maxJobs)
+	}
 	if !cfg.Cache.Disabled {
 		c, err := resultcache.New(cfg.Cache.Dir)
 		if err != nil {
@@ -121,11 +128,8 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		Experiments: len(s.ns.Registry()),
 		Scenarios:   len(s.ns.Specs()),
 		Cache:       "disabled",
-		Jobs:        s.cfg.Jobs,
+		Jobs:        s.jobs,
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-	}
-	if doc.Jobs == 0 {
-		doc.Jobs = doc.GOMAXPROCS
 	}
 	if s.cache != nil {
 		doc.Cache = s.cache.Dir()

@@ -145,6 +145,7 @@ func TestCampaignRequestValidation(t *testing.T) {
 		{"bad format", `{"format": "xml"}`, "format"},
 		{"negative deadline", `{"deadline_ms": -5}`, "deadline_ms"},
 		{"trailing junk", `{} {}`, "trailing"},
+		{"trailing bracket", `{}]`, "trailing"},
 	}
 	for _, tc := range cases {
 		tc := tc

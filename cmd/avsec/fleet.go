@@ -28,7 +28,6 @@ func runFleet(args []string) {
 	inflight := fs.Int("inflight", 0, "concurrent chunk requests per worker (0 = derive from each worker's advertised capacity)")
 	jobs := fs.Int("jobs", 0, "per-chunk worker pool size forwarded to each daemon (0 = each worker's default)")
 	deadline := fs.Int("deadline-ms", 0, "per-chunk deadline in milliseconds, enforced client-side and forwarded as deadline_ms (0 = none)")
-	attempts := fs.Int("max-attempts", 3, "dispatch attempts per chunk before its cells fail")
 	noCache := fs.Bool("no-cache", false, "ask workers to bypass their result caches")
 	jsonFile := fs.String("json", "", "write the aggregate results as JSON to this file")
 	timings := fs.Bool("timings", false, "include per-cell coordinator-observed timings in the -json document (non-deterministic)")
@@ -69,7 +68,6 @@ func runFleet(args []string) {
 		Jobs:         *jobs,
 		Recheck:      *recheck,
 		ChunkTimeout: time.Duration(*deadline) * time.Millisecond,
-		MaxAttempts:  *attempts,
 		CostHint:     ns.Cost,
 	}
 	if *noCache {

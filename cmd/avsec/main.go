@@ -37,6 +37,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 
 	"autosec/internal/campaign"
 	"autosec/internal/core"
@@ -160,7 +161,13 @@ func runOne(args []string) {
 		opt.Tracer = tracer
 	}
 
-	ns, err := scenario.LoadNamespace(*scnDir)
+	// Only a scenario id needs the corpus; a registry id neither
+	// compiles it nor fails on a malformed spec in it.
+	dir := *scnDir
+	if !strings.HasPrefix(id, scenario.IDPrefix) {
+		dir = ""
+	}
+	ns, err := scenario.LoadNamespace(dir)
 	if err != nil {
 		fail(err)
 	}
@@ -463,7 +470,7 @@ func usage() {
                                                  determinism self-check, and slowest-cell
                                                  timing diagnostics on stderr
   avsec fleet -workers URL[,URL...] [-seeds N] [-seed B] [-chunk N] [-inflight K]
-              [-recheck F] [-deadline-ms N] [-max-attempts N] [-no-cache] [-json F] [ids...]
+              [-recheck F] [-deadline-ms N] [-no-cache] [-json F] [ids...]
                                                  shard one campaign across avsecd workers;
                                                  stdout is byte-identical to avsec campaign
                                                  for the same grid (docs/FLEET.md)

@@ -1,8 +1,11 @@
 package main
 
 import (
+	"flag"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"autosec/internal/campaign"
@@ -57,5 +60,37 @@ func TestCampaignScenarioCellsJobsInvariant(t *testing.T) {
 	}
 	if a, b := render(1), render(4); a != b {
 		t.Error("campaign summary over scenario cells differs between -jobs 1 and -jobs 4")
+	}
+}
+
+// TestRunLoadsCorpusOnlyForScenarioIDs pins that `avsec run` compiles
+// the -scenarios corpus only for scn- ids: a registry id runs beside a
+// malformed spec, and a scenario id still reports its parse error.
+// Each command runs in a child copy of this test binary, which takes
+// the avsec command line after "--".
+func TestRunLoadsCorpusOnlyForScenarioIDs(t *testing.T) {
+	if args := flag.Args(); len(args) > 0 && args[0] == "run" {
+		runOne(args[1:])
+		os.Exit(0)
+	}
+	dir := t.TempDir()
+	folder := filepath.Join(dir, "broken")
+	if err := os.MkdirAll(folder, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(folder, scenario.SpecFile), []byte("[attacker\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	run := func(id string) (string, error) {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestRunLoadsCorpusOnlyForScenarioIDs$", "--", "run", "-scenarios", dir, id)
+		out, err := cmd.CombinedOutput()
+		return string(out), err
+	}
+	if out, err := run("fig2"); err != nil || !strings.Contains(out, "Fig. 2") {
+		t.Errorf("avsec run fig2 beside a malformed corpus: %v\n%s", err, out)
+	}
+	const parseErr = `unterminated section header "[attacker"`
+	if out, err := run("scn-broken"); err == nil || !strings.Contains(out, parseErr) {
+		t.Errorf("avsec run scn-broken: err %v, output %q; want exit 1 with %s", err, out, parseErr)
 	}
 }

@@ -177,19 +177,8 @@ func lookup(id string) (Experiment, error) {
 		ids[i] = e.ID
 	}
 	msg := fmt.Sprintf("core: unknown experiment %q", id)
-	if sug := SuggestIDs(id, ids, 3); len(sug) > 0 {
+	if sug := ext.SuggestNames(id, ids, 3); len(sug) > 0 {
 		msg += fmt.Sprintf(" (did you mean %s?)", strings.Join(sug, ", "))
 	}
 	return Experiment{}, fmt.Errorf("%s — run 'avsec list' for all ids", msg)
-}
-
-// SuggestIDs returns up to max candidates from ids closest to the
-// misspelled id, nearest first, ties in slice order. It delegates to
-// the extension kernel's did-you-mean (ext.SuggestNames), so id
-// suggestions and registry-name suggestions rank identically.
-// scenario.Namespace uses this over the union of registry experiments
-// and loaded scenario names, so a typoed scenario id is
-// self-diagnosing too.
-func SuggestIDs(id string, ids []string, max int) []string {
-	return ext.SuggestNames(id, ids, max)
 }

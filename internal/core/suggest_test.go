@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"autosec/internal/ext"
 	"autosec/internal/sim"
 )
 
@@ -71,21 +72,22 @@ func TestUnknownExperimentError(t *testing.T) {
 }
 
 func TestSuggestIDsMergedNamespace(t *testing.T) {
-	// scenario.Namespace feeds SuggestIDs the union of registry and
-	// scenario ids; nearest-first ordering and the noise cutoff must hold
-	// over any candidate slice, not just the registry.
+	// lookup and scenario.Namespace feed ext.SuggestNames experiment
+	// ids, the latter the union of registry and scenario ids;
+	// nearest-first ordering and the noise cutoff must hold over any
+	// candidate slice, not just the registry.
 	ids := []string{"fig8", "scn-replay-probe", "scn-forge-edge"}
-	if got := SuggestIDs("scn-replay-prob", ids, 3); len(got) == 0 || got[0] != "scn-replay-probe" {
-		t.Errorf("SuggestIDs scenario typo = %v, want scn-replay-probe first", got)
+	if got := ext.SuggestNames("scn-replay-prob", ids, 3); len(got) == 0 || got[0] != "scn-replay-probe" {
+		t.Errorf("SuggestNames scenario typo = %v, want scn-replay-probe first", got)
 	}
-	if got := SuggestIDs("fig9", ids, 3); len(got) == 0 || got[0] != "fig8" {
-		t.Errorf("SuggestIDs(fig9) = %v, want fig8 first", got)
+	if got := ext.SuggestNames("fig9", ids, 3); len(got) == 0 || got[0] != "fig8" {
+		t.Errorf("SuggestNames(fig9) = %v, want fig8 first", got)
 	}
 	// Prefix matches surface even past the distance cutoff.
-	if got := SuggestIDs("scn-", ids, 3); len(got) != 2 {
-		t.Errorf("SuggestIDs(prefix scn-) = %v, want both scenario ids", got)
+	if got := ext.SuggestNames("scn-", ids, 3); len(got) != 2 {
+		t.Errorf("SuggestNames(prefix scn-) = %v, want both scenario ids", got)
 	}
-	if got := SuggestIDs("zzzzzzzzzzzz", ids, 3); len(got) != 0 {
-		t.Errorf("SuggestIDs(garbage) = %v, want none", got)
+	if got := ext.SuggestNames("zzzzzzzzzzzz", ids, 3); len(got) != 0 {
+		t.Errorf("SuggestNames(garbage) = %v, want none", got)
 	}
 }

@@ -10,8 +10,9 @@ import (
 // order. Candidates further than half their length away are omitted:
 // past that point the suggestion is noise, not help. This is the one
 // did-you-mean kernel of the repo — registry lookups of every kind,
-// the experiment/scenario id resolvers (via core.SuggestIDs), and the
-// daemon's request validation all route through it.
+// the experiment id resolvers (core.lookup and
+// scenario.Namespace.Lookup), and the daemon's request validation all
+// route through it.
 func SuggestNames(name string, candidates []string, max int) []string {
 	type cand struct {
 		id   string

@@ -89,10 +89,6 @@ type Config struct {
 	// hangs forever can only be rescued by the straggler re-issue of
 	// its chunks to other workers.
 	ChunkTimeout time.Duration
-	// MaxAttempts bounds how often a chunk is dispatched (first try
-	// included) before its undelivered cells fail permanently. <= 0
-	// means the default of 3.
-	MaxAttempts int
 	// CostHint, like campaign.Spec.CostHint, orders primary chunks
 	// highest-cost-first so long experiments start early. Purely a
 	// scheduling hint.
@@ -166,9 +162,6 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	}
 	if cfg.ChunkSize <= 0 {
 		cfg.ChunkSize = 4
-	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 3
 	}
 	if cfg.Client == nil {
 		cfg.Client = &http.Client{}

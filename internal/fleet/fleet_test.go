@@ -32,7 +32,7 @@ var testIDs = []string{"fig3", "exp-ids", "scn-alpha"}
 
 // workerConfig builds a daemon config with the scn-alpha corpus and
 // the given cache directory ("" = a private temp dir).
-func workerConfig(t *testing.T, cacheDir string) config.Config {
+func workerConfig(t testing.TB, cacheDir string) config.Config {
 	t.Helper()
 	dir := t.TempDir()
 	scnDir := filepath.Join(dir, "scenarios")

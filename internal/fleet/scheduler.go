@@ -26,6 +26,10 @@ const workerFailLimit = 3
 // primary dispatch plus at most one straggler re-issue at a time.
 const maxChunkCopies = 2
 
+// maxAttempts bounds how often a chunk is dispatched (first try
+// included) before its undelivered cells fail permanently.
+const maxAttempts = 3
+
 // cellRef names one execution slot of the grid: cell gi of the merged
 // grid, addressed on the wire as (id, seed).
 type cellRef struct {
@@ -191,15 +195,6 @@ func (s *sched) next(w *workerState) *chunk {
 			if !s.undeliveredLocked(ch) {
 				continue
 			}
-			if ch.attempts >= s.cfg.MaxAttempts {
-				// Defensive: requeue and execute-end already gate on
-				// MaxAttempts, so an exhausted chunk should not be
-				// queued; fail it rather than loop.
-				if ch.active == 0 {
-					s.failChunkLocked(ch)
-				}
-				continue
-			}
 			ch.attempts++
 			ch.active++
 			if ch.attempts > 1 {
@@ -229,7 +224,7 @@ func (s *sched) stealLocked() *chunk {
 	var best *chunk
 	bestN := 0
 	for _, ch := range s.all {
-		if ch.queued || ch.active == 0 || ch.active >= maxChunkCopies || ch.attempts >= s.cfg.MaxAttempts {
+		if ch.queued || ch.active == 0 || ch.active >= maxChunkCopies || ch.attempts >= maxAttempts {
 			continue
 		}
 		n := 0
@@ -344,7 +339,7 @@ func (s *sched) deliverLocked(ref cellRef, ev cellEvent, w *workerState, elapsed
 
 // execute runs one dispatch of ch on w and settles the bookkeeping:
 // consecutive transport failures retire the worker, undelivered cells
-// re-queue (bounded by MaxAttempts), and an all-dead fleet aborts.
+// re-queue (bounded by maxAttempts), and an all-dead fleet aborts.
 func (s *sched) execute(ctx context.Context, w *workerState, ch *chunk) {
 	s.mu.Lock()
 	// Snapshot what this dispatch still owes; a duplicated or requeued
@@ -414,7 +409,7 @@ func (s *sched) execute(ctx context.Context, w *workerState, ch *chunk) {
 			ch.lastErr = errors.New("worker stream ended before delivering every chunk cell")
 		}
 		switch {
-		case ch.attempts >= s.cfg.MaxAttempts:
+		case ch.attempts >= maxAttempts:
 			if ch.active == 0 {
 				s.failChunkLocked(ch)
 			}

@@ -101,30 +101,13 @@ func probeS1(marker []byte) (CompromiseResult, error) {
 
 func probeS2P2P(marker []byte) (CompromiseResult, error) {
 	res := CompromiseResult{Scenario: "S2-p2p", KeysAtZC: 2}
-	sciEP := macsec.SCIFromMAC(epMAC, 1)
-	sciZC := macsec.SCIFromMAC(zcUpMAC, 1)
-
-	ep, err := macsec.NewSecY(macsec.Confidential, sciEP, hopSAKzc, 0)
-	if err != nil {
-		return res, err
-	}
 	// The compromised ZC: it owns both hop channels by design.
-	zcDown, err := macsec.NewSecY(macsec.Confidential, sciZC, hopSAKzc, 0)
+	ep, zcDown, err := secYPair(epMAC, zcUpMAC, hopSAKzc)
 	if err != nil {
 		return res, err
 	}
-	if err := zcDown.AddPeer(sciEP, hopSAKzc, 0); err != nil {
-		return res, err
-	}
-	zcUp, err := macsec.NewSecY(macsec.Confidential, sciZC, hopSAKcc, 0)
+	zcUp, cc, err := secYPair(zcUpMAC, ccMAC, hopSAKcc)
 	if err != nil {
-		return res, err
-	}
-	cc, err := macsec.NewSecY(macsec.Confidential, macsec.SCIFromMAC(ccMAC, 1), hopSAKcc, 0)
-	if err != nil {
-		return res, err
-	}
-	if err := cc.AddPeer(sciZC, hopSAKcc, 0); err != nil {
 		return res, err
 	}
 
@@ -149,16 +132,8 @@ func probeS2P2P(marker []byte) (CompromiseResult, error) {
 
 func probeE2E(name string, marker []byte) (CompromiseResult, error) {
 	res := CompromiseResult{Scenario: name, KeysAtZC: 0}
-	sciEP := macsec.SCIFromMAC(epMAC, 1)
-	ep, err := macsec.NewSecY(macsec.Confidential, sciEP, e2eSAK, 0)
+	ep, cc, err := secYPair(epMAC, ccMAC, e2eSAK)
 	if err != nil {
-		return res, err
-	}
-	cc, err := macsec.NewSecY(macsec.Confidential, macsec.SCIFromMAC(ccMAC, 1), e2eSAK, 0)
-	if err != nil {
-		return res, err
-	}
-	if err := cc.AddPeer(sciEP, e2eSAK, 0); err != nil {
 		return res, err
 	}
 	sec, err := ep.Protect(&ethernet.Frame{Dst: ccMAC, Src: epMAC, EtherType: ethernet.EtherTypeApp, Payload: marker})

@@ -23,6 +23,7 @@ package ivn
 import (
 	"encoding/binary"
 	"fmt"
+	"strings"
 
 	"autosec/internal/canbus"
 	"autosec/internal/ethernet"
@@ -135,18 +136,43 @@ func newFlowTracker() *flowTracker {
 
 func (t *flowTracker) sent(seq uint32, at sim.Time) { t.sendTime[seq] = at }
 
-func (t *flowTracker) delivered(seq uint32, at sim.Time, payloadLen int) {
-	if t.received[seq] {
-		return
+// verdict is the central computer's reading of a payload its security
+// stack let through.
+type verdict int
+
+const (
+	other    verdict = iota // recorded as a delivery if it was sent
+	forged                  // an attacker-originated sequence number
+	replayed                // a legitimate message received before
+)
+
+// receive classifies payload, arriving at at, and records a first
+// delivery of a sent message.
+func (t *flowTracker) receive(at sim.Time, payload []byte) verdict {
+	seq, ok := seqOf(payload)
+	switch {
+	case !ok:
+		return other
+	case seq >= attackSeqBase:
+		return forged
+	case t.received[seq]:
+		return replayed
 	}
 	if sent, ok := t.sendTime[seq]; ok {
 		t.received[seq] = true
 		t.lat = append(t.lat, float64(at-sent)/float64(sim.Microsecond))
-		t.appBytes += int64(payloadLen)
+		t.appBytes += int64(len(payload))
 	}
+	return other
 }
 
 func (t *flowTracker) count() int { return len(t.lat) }
+
+// stats reports the tracker as flow name; every sent message has its
+// own sequence number.
+func (t *flowTracker) stats(name string) FlowStats {
+	return FlowStats{Name: name, Sent: len(t.sendTime), Delivered: t.count(), P50Us: t.summary().P50}
+}
 
 func (t *flowTracker) summary() sim.Summary {
 	m := sim.NewMetrics()
@@ -177,18 +203,14 @@ func wireBytes(k *sim.Kernel) int64 {
 	var total int64
 	m := k.Metrics()
 	for _, name := range m.CounterNames() {
-		if hasSuffix(name, ".bytes") {
+		if strings.HasSuffix(name, ".bytes") {
 			total += m.Counter(name)
 		}
-		if hasSuffix(name, ".bits") {
+		if strings.HasSuffix(name, ".bits") {
 			total += m.Counter(name) / 8
 		}
 	}
 	return total
-}
-
-func hasSuffix(s, suffix string) bool {
-	return len(s) >= len(suffix) && s[len(s)-len(suffix):] == suffix
 }
 
 func finalize(r *Result, k *sim.Kernel, t *flowTracker) {

@@ -34,30 +34,19 @@ type VehicleResult struct {
 	WireBytes                             int64
 }
 
-// flowState tracks one flow's bookkeeping.
-type flowState struct {
-	name    string
-	tracker *flowTracker
-	sent    int
-}
-
-func newFlow(name string) *flowState {
-	return &flowState{name: name, tracker: newFlowTracker()}
-}
-
-func (f *flowState) stats() FlowStats {
-	return FlowStats{Name: f.name, Sent: f.sent, Delivered: f.tracker.count(), P50Us: f.tracker.summary().P50}
-}
-
 // RunFullVehicle executes the combined topology for cfg.Messages
 // messages per flow.
 func RunFullVehicle(cfg Config) (*VehicleResult, error) {
 	k := cfg.newKernel()
 	res := &VehicleResult{}
 
-	flowCAN := newFlow("ecu1→cc (SECOC+MACsec)")
-	flowT1S := newFlow("ep1→cc (MACsec e2e)")
-	flowCross := newFlow("ecu2→ep2 (SECOC e2e via CC)")
+	flowCAN, flowT1S, flowCross := newFlowTracker(), newFlowTracker(), newFlowTracker()
+	// accept files a payload the receiver's stack let through on flow t.
+	accept := func(t *flowTracker, at sim.Time, payload []byte) {
+		if t.receive(at, payload) == forged {
+			res.ForgeriesAccepted++
+		}
+	}
 
 	// --- keys ---
 	secocCC, err := secoc.NewSender(secoc.DefaultConfig(0x0100), secocKey)
@@ -82,29 +71,12 @@ func RunFullVehicle(cfg Config) (*VehicleResult, error) {
 		return nil, err
 	}
 
-	sciZCL := macsec.SCIFromMAC(zcUpMAC, 1)
-	sciCC := macsec.SCIFromMAC(ccMAC, 1)
-	sciEP := macsec.SCIFromMAC(epMAC, 1)
-	zclSecY, err := macsec.NewSecY(macsec.Confidential, sciZCL, hopSAKcc, 0)
+	zclSecY, ccHopSecY, err := secYPair(zcUpMAC, ccMAC, hopSAKcc)
 	if err != nil {
 		return nil, err
 	}
-	ccHopSecY, err := macsec.NewSecY(macsec.Confidential, sciCC, hopSAKcc, 0)
+	epSecY, ccE2ESecY, err := secYPair(epMAC, ccMAC, e2eSAK)
 	if err != nil {
-		return nil, err
-	}
-	if err := ccHopSecY.AddPeer(sciZCL, hopSAKcc, 0); err != nil {
-		return nil, err
-	}
-	epSecY, err := macsec.NewSecY(macsec.Confidential, sciEP, e2eSAK, 0)
-	if err != nil {
-		return nil, err
-	}
-	ccE2ESecY, err := macsec.NewSecY(macsec.Confidential, sciCC, e2eSAK, 0)
-	if err != nil {
-		return nil, err
-	}
-	if err := ccE2ESecY.AddPeer(sciEP, e2eSAK, 0); err != nil {
 		return nil, err
 	}
 	attSecY, err := macsec.NewSecY(macsec.Confidential, macsec.SCIFromMAC(attMAC, 1), wrongSAK, 0)
@@ -123,42 +95,28 @@ func RunFullVehicle(cfg Config) (*VehicleResult, error) {
 	var zcRDownID int
 
 	cc := &ethernet.PortFunc{MAC: ccMAC, Fn: func(k *sim.Kernel, f *ethernet.Frame) {
-		switch f.EtherType {
-		case ethernet.EtherTypeMACsec:
-			// Try the zone-L hop channel first, then the e2e channel.
-			if inner, err := ccHopSecY.Verify(f); err == nil {
-				cf, err := canbus.Unmarshal(inner.Payload)
-				if err != nil {
-					return
-				}
-				switch cf.ID {
-				case 0x100: // ecu1 → CC
-					payload, err := recvCC.Verify(cf.Payload)
-					if err != nil {
-						return
-					}
-					if seq, ok := seqOf(payload); ok {
-						if seq >= attackSeqBase {
-							res.ForgeriesAccepted++
-							return
-						}
-						flowCAN.tracker.delivered(seq, k.Now(), len(payload))
-					}
-				case 0x200: // ecu2 → ep2, routed onward into zone R
-					fwd := &ethernet.Frame{Dst: epMAC, Src: ccMAC, EtherType: ethernet.EtherTypeApp, Payload: cf.Payload}
-					_ = linkR.Send(ccMAC, fwd)
-				}
+		if f.EtherType != ethernet.EtherTypeMACsec {
+			return
+		}
+		// Try the zone-L hop channel first, then the e2e channel.
+		if inner, err := ccHopSecY.Verify(f); err == nil {
+			cf, err := canbus.Unmarshal(inner.Payload)
+			if err != nil {
 				return
 			}
-			if inner, err := ccE2ESecY.Verify(f); err == nil {
-				if seq, ok := seqOf(inner.Payload); ok {
-					if seq >= attackSeqBase {
-						res.ForgeriesAccepted++
-						return
-					}
-					flowT1S.tracker.delivered(seq, k.Now(), len(inner.Payload))
+			switch cf.ID {
+			case 0x100: // ecu1 → CC
+				if payload, err := recvCC.Verify(cf.Payload); err == nil {
+					accept(flowCAN, k.Now(), payload)
 				}
+			case 0x200: // ecu2 → ep2, routed onward into zone R
+				fwd := &ethernet.Frame{Dst: epMAC, Src: ccMAC, EtherType: ethernet.EtherTypeApp, Payload: cf.Payload}
+				_ = linkR.Send(ccMAC, fwd)
 			}
+			return
+		}
+		if inner, err := ccE2ESecY.Verify(f); err == nil {
+			accept(flowT1S, k.Now(), inner.Payload)
 		}
 	}}
 
@@ -197,16 +155,8 @@ func RunFullVehicle(cfg Config) (*VehicleResult, error) {
 		if f.EtherType != ethernet.EtherTypeApp || f.Dst != epMAC {
 			return
 		}
-		payload, err := crossRecv.Verify(f.Payload)
-		if err != nil {
-			return
-		}
-		if seq, ok := seqOf(payload); ok {
-			if seq >= attackSeqBase {
-				res.ForgeriesAccepted++
-				return
-			}
-			flowCross.tracker.delivered(seq, k.Now(), len(payload))
+		if payload, err := crossRecv.Verify(f.Payload); err == nil {
+			accept(flowCross, k.Now(), payload)
 		}
 	}}
 	epID := segR.Attach(ep2)
@@ -218,63 +168,52 @@ func RunFullVehicle(cfg Config) (*VehicleResult, error) {
 		seq := uint32(i + 1)
 		// Flow 1: ecu1 → CC over CAN (SECOC).
 		k.Schedule(period*sim.Time(i+1), "ecu1-send", func(k *sim.Kernel) {
-			pdu, err := secocCC.Protect(payloadWithSeq(seq, cfg.PayloadBytes))
-			if err != nil {
-				return
+			if f := canFrame(0x100, secocCC.Protect, seq, cfg.PayloadBytes); f != nil {
+				flowCAN.sent(seq, k.Now())
+				_ = busL.Send("ecu-1", f)
 			}
-			flowCAN.sent++
-			flowCAN.tracker.sent(seq, k.Now())
-			_ = busL.Send("ecu-1", &canbus.Frame{ID: 0x100, Format: canbus.Classic, Payload: pdu})
 		})
 		// Flow 2: ep1 → CC over T1S (MACsec e2e). ep1 shares the epMAC
 		// port for simplicity; a separate flow tracker keeps it honest.
 		k.Schedule(period*sim.Time(i+1)+50*sim.Microsecond, "ep1-send", func(k *sim.Kernel) {
-			f := &ethernet.Frame{Dst: ccMAC, Src: epMAC, EtherType: ethernet.EtherTypeApp, Payload: payloadWithSeq(seq, cfg.PayloadBytes)}
-			sec, err := epSecY.Protect(f)
-			if err != nil {
-				return
+			if sec := seal(epSecY, epMAC, seq, cfg.PayloadBytes); sec != nil {
+				flowT1S.sent(seq, k.Now())
+				_ = segR.Send(epID, sec)
 			}
-			flowT1S.sent++
-			flowT1S.tracker.sent(seq, k.Now())
-			_ = segR.Send(epID, sec)
 		})
 		// Flow 3: ecu2 → ep2 cross-zone (SECOC e2e, routed by CC).
 		k.Schedule(period*sim.Time(i+1)+100*sim.Microsecond, "ecu2-send", func(k *sim.Kernel) {
-			pdu, err := crossSend.Protect(payloadWithSeq(seq, cfg.PayloadBytes))
-			if err != nil {
-				return
+			if f := canFrame(0x200, crossSend.Protect, seq, cfg.PayloadBytes); f != nil {
+				flowCross.sent(seq, k.Now())
+				_ = busL.Send("ecu-2", f)
 			}
-			flowCross.sent++
-			flowCross.tracker.sent(seq, k.Now())
-			_ = busL.Send("ecu-2", &canbus.Frame{ID: 0x200, Format: canbus.Classic, Payload: pdu})
 		})
 	}
 	// Attacks on both zones concurrently.
 	for i := 0; i < cfg.Forgeries; i++ {
 		seq := attackSeqBase + uint32(i)
 		k.Schedule(period*sim.Time(i+1)+30*sim.Microsecond, "forge-can", func(k *sim.Kernel) {
-			pdu, err := forger.Protect(payloadWithSeq(seq, cfg.PayloadBytes))
-			if err != nil {
-				return
+			if f := canFrame(0x100, forger.Protect, seq, cfg.PayloadBytes); f != nil {
+				res.ForgeriesAttempted++
+				_ = busL.Send("attacker-l", f)
 			}
-			res.ForgeriesAttempted++
-			_ = busL.Send("attacker-l", &canbus.Frame{ID: 0x100, Format: canbus.Classic, Payload: pdu})
 		})
 		k.Schedule(period*sim.Time(i+1)+60*sim.Microsecond, "forge-t1s", func(k *sim.Kernel) {
-			f := &ethernet.Frame{Dst: ccMAC, Src: attMAC, EtherType: ethernet.EtherTypeApp, Payload: payloadWithSeq(seq, cfg.PayloadBytes)}
-			sec, err := attSecY.Protect(f)
-			if err != nil {
-				return
+			if sec := seal(attSecY, attMAC, seq, cfg.PayloadBytes); sec != nil {
+				res.ForgeriesAttempted++
+				_ = segR.Send(attRID, sec)
 			}
-			res.ForgeriesAttempted++
-			_ = segR.Send(attRID, sec)
 		})
 	}
 
 	if err := k.Run(0); err != nil {
 		return nil, err
 	}
-	res.Flows = []FlowStats{flowCAN.stats(), flowT1S.stats(), flowCross.stats()}
+	res.Flows = []FlowStats{
+		flowCAN.stats("ecu1→cc (SECOC+MACsec)"),
+		flowT1S.stats("ep1→cc (MACsec e2e)"),
+		flowCross.stats("ecu2→ep2 (SECOC e2e via CC)"),
+	}
 	res.WireBytes = wireBytes(k)
 	return res, nil
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"autosec/internal/core"
+	"autosec/internal/ext"
 	"autosec/internal/sim"
 )
 
@@ -84,7 +85,7 @@ func (ns *Namespace) Lookup(id string) (core.Experiment, error) {
 		ids[i] = en.exp.ID
 	}
 	msg := fmt.Sprintf("unknown experiment %q", id)
-	if sug := core.SuggestIDs(id, ids, 3); len(sug) > 0 {
+	if sug := ext.SuggestNames(id, ids, 3); len(sug) > 0 {
 		msg += fmt.Sprintf(" (did you mean %s?)", strings.Join(sug, ", "))
 	}
 	return core.Experiment{}, fmt.Errorf("%s — run 'avsec list' or 'avsec scenarios' for all ids", msg)

@@ -185,23 +185,17 @@ func Run(cloud *telemetry.Cloud) *Report {
 	}
 	att.token = tok
 	recs, err := cloud.Fetch(att.token)
-	if err != nil || len(recs) == 0 {
+	if err != nil || recs.Len() == 0 {
 		add(DataExtraction, false, "fetch failed")
 		return rep
 	}
-	add(DataExtraction, true, fmt.Sprintf("%d records exfiltrated", len(recs)))
+	add(DataExtraction, true, fmt.Sprintf("%d records exfiltrated", recs.Len()))
 
 	rep.Breached = true
-	rep.RecordsExfiltrated = len(recs)
-	vins := map[string]bool{}
-	for _, r := range recs {
-		vins[r.VIN] = true
-		if r.OwnerName != "" || r.Email != "" {
-			rep.PersonalData = true
-		}
-	}
-	rep.VehiclesAffected = len(vins)
-	rep.PrecisionM = telemetry.LocationPrecisionM(recs)
+	rep.RecordsExfiltrated = recs.Len()
+	rep.VehiclesAffected = recs.Vehicles()
+	rep.PersonalData = recs.PersonalData()
+	rep.PrecisionM = recs.PrecisionM()
 	return rep
 }
 

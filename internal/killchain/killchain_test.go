@@ -34,6 +34,22 @@ func TestFullChainSucceedsAgainstWorstCase(t *testing.T) {
 	}
 }
 
+// TestEmptyHistoryFetchFails pins the chain against a fleet with no
+// stored points: the fleet token works, but the fetch yields nothing,
+// so data extraction fails and no vehicle counts as affected.
+func TestEmptyHistoryFetchFails(t *testing.T) {
+	rep := Run(telemetry.NewCloud(telemetry.WorstCase(), 40, 0, sim.NewRNG(7)))
+	if rep.Breached || rep.FailedAt() != int(DataExtraction) {
+		t.Fatalf("empty fleet breached or failed elsewhere:\n%s", rep)
+	}
+	if last := rep.Stages[len(rep.Stages)-1]; last.Detail != "fetch failed" {
+		t.Errorf("data extraction detail %q, want \"fetch failed\"", last.Detail)
+	}
+	if rep.RecordsExfiltrated != 0 || rep.VehiclesAffected != 0 || rep.PersonalData || rep.PrecisionM != 0 {
+		t.Errorf("empty fleet report %+v", rep)
+	}
+}
+
 func TestEachDefenceBreaksItsLink(t *testing.T) {
 	cases := []struct {
 		def        Defence

@@ -13,19 +13,11 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 
 	"autosec/internal/sim"
 )
-
-// Record is one telemetry data point.
-type Record struct {
-	VIN       string
-	OwnerName string
-	Email     string
-	Lat, Lon  float64
-	Timestamp int64
-}
 
 // Config holds the deployment's security posture. Every field models a
 // real class of defect (true = vulnerable) or defence.
@@ -60,9 +52,10 @@ func Hardened() Config {
 
 // Cloud is the telemetry backend.
 type Cloud struct {
-	cfg     Config
-	records map[string][]Record // by VIN
-	vins    []string
+	cfg Config
+	// fleet holds one vehicle per car, in VIN order; byVIN indexes it.
+	fleet []vehicle
+	byVIN map[string]int
 	// masterKey is the application's IAM credential.
 	masterKey string
 	// issued tracks minted tokens: token → VIN scope ("" = all).
@@ -75,13 +68,22 @@ type Cloud struct {
 	step    int
 }
 
+// vehicle is one car's stored telemetry: its identity, formatted once,
+// and its geolocation history as a window of the cloud's lat and lon
+// columns. Point p was reported at p·3600 s.
+type vehicle struct {
+	vin, owner, email string
+	lat, lon          []float64
+}
+
 // NewCloud builds a backend with a synthetic fleet of the given size.
 // Each vehicle gets a months-long geolocation history (scaled to
 // pointsPerVehicle).
 func NewCloud(cfg Config, vehicles, pointsPerVehicle int, rng *sim.RNG) *Cloud {
 	c := &Cloud{
 		cfg:       cfg,
-		records:   make(map[string][]Record, vehicles),
+		fleet:     make([]vehicle, vehicles),
+		byVIN:     make(map[string]int, vehicles),
 		masterKey: "AKIA-MASTER-0xFLEET",
 		issued:    make(map[string]string),
 		paths: []string{
@@ -89,27 +91,29 @@ func NewCloud(cfg Config, vehicles, pointsPerVehicle int, rng *sim.RNG) *Cloud {
 			"/actuator", "/actuator/env", "/actuator/heapdump",
 		},
 	}
-	for i := 0; i < vehicles; i++ {
-		vin := fmt.Sprintf("WVWZZZ%07d", i)
-		c.vins = append(c.vins, vin)
+	// One backing array holds both columns of every vehicle, then the
+	// normals of one vehicle's points, drawn la, lo per point.
+	n := pointsPerVehicle
+	cols := make([]float64, (2*vehicles+2)*n)
+	col := func(k int) []float64 { return cols[k*n : (k+1)*n : (k+1)*n] }
+	norm := cols[2*vehicles*n:]
+	for i := range c.fleet {
+		owner := "owner-" + strconv.Itoa(i)
+		v := &c.fleet[i]
+		v.vin, v.owner, v.email = fmt.Sprintf("WVWZZZ%07d", i), owner, owner+"@example.com"
+		v.lat, v.lon = col(2*i), col(2*i+1)
+		c.byVIN[v.vin] = i
 		lat := 48.0 + rng.Float64()*4 // somewhere in central Europe
 		lon := 8.0 + rng.Float64()*6
-		recs := make([]Record, 0, pointsPerVehicle)
-		for p := 0; p < pointsPerVehicle; p++ {
-			la, lo := lat+rng.NormFloat64()*0.05, lon+rng.NormFloat64()*0.05
+		rng.NormFill(norm)
+		for p := 0; p < n; p++ {
+			la, lo := lat+norm[2*p]*0.05, lon+norm[2*p+1]*0.05
 			if cfg.CoarseLocation {
 				la = math.Round(la*100) / 100 // ~1 km grid
 				lo = math.Round(lo*100) / 100
 			}
-			recs = append(recs, Record{
-				VIN:       vin,
-				OwnerName: fmt.Sprintf("owner-%d", i),
-				Email:     fmt.Sprintf("owner-%d@example.com", i),
-				Lat:       la, Lon: lo,
-				Timestamp: int64(p) * 3600,
-			})
+			v.lat[p], v.lon[p] = la, lo
 		}
-		c.records[vin] = recs
 	}
 	return c
 }
@@ -118,21 +122,21 @@ func NewCloud(cfg Config, vehicles, pointsPerVehicle int, rng *sim.RNG) *Cloud {
 func (c *Cloud) Config() Config { return c.cfg }
 
 // Fleet returns the number of vehicles.
-func (c *Cloud) Fleet() int { return len(c.vins) }
+func (c *Cloud) Fleet() int { return len(c.fleet) }
 
 // VINs returns the fleet's vehicle identifiers. In the breach scenario
 // the attacker obtains this list from the same heap dump that leaked
 // the credentials (session objects reference active VINs).
-func (c *Cloud) VINs() []string { return append([]string(nil), c.vins...) }
+func (c *Cloud) VINs() []string {
+	out := make([]string, len(c.fleet))
+	for i := range c.fleet {
+		out[i] = c.fleet[i].vin
+	}
+	return out
+}
 
 // TotalRecords returns the total stored data points.
-func (c *Cloud) TotalRecords() int {
-	n := 0
-	for _, r := range c.records {
-		n += len(r)
-	}
-	return n
-}
+func (c *Cloud) TotalRecords() int { return Records{c.fleet}.Len() }
 
 // --- the web surface the attacker probes ---
 
@@ -207,7 +211,7 @@ func (c *Cloud) MintToken(iamKey, scopeVIN string) (string, error) {
 		return "", fmt.Errorf("telemetry: key not authorized for fleet-wide scope")
 	}
 	if scopeVIN != "" {
-		if _, ok := c.records[scopeVIN]; !ok {
+		if _, ok := c.byVIN[scopeVIN]; !ok {
 			return "", fmt.Errorf("telemetry: unknown VIN %s", scopeVIN)
 		}
 	}
@@ -217,42 +221,75 @@ func (c *Cloud) MintToken(iamKey, scopeVIN string) (string, error) {
 	return tok, nil
 }
 
-// Fetch returns records accessible under a token. Fleet-scope tokens
-// stream everything.
-func (c *Cloud) Fetch(token string) ([]Record, error) {
+// Fetch returns the records readable under a token: one vehicle's, or
+// the whole fleet's for a fleet-scope token. The view shares the
+// cloud's store; nothing is copied.
+func (c *Cloud) Fetch(token string) (Records, error) {
 	scope, ok := c.issued[token]
 	if !ok {
-		return nil, fmt.Errorf("telemetry: invalid token")
+		return Records{}, fmt.Errorf("telemetry: invalid token")
 	}
+	recs := Records{c.fleet}
 	if scope != "" {
-		out := append([]Record(nil), c.records[scope]...)
-		c.recordEvent(AccessEvent{Kind: "fetch", Records: len(out)})
-		return out, nil
+		i := c.byVIN[scope]
+		recs = Records{c.fleet[i : i+1]}
 	}
-	var out []Record
-	for _, vin := range c.vins {
-		out = append(out, c.records[vin]...)
-	}
-	c.recordEvent(AccessEvent{Kind: "fetch", FleetScope: true, Records: len(out)})
-	return out, nil
+	c.recordEvent(AccessEvent{Kind: "fetch", FleetScope: scope == "", Records: recs.Len()})
+	return recs, nil
 }
 
-// LocationPrecisionM estimates the positional precision of a record set
-// in metres: coarse storage yields ~1 km, precise storage ~10 m. It
-// inspects the decimal structure of stored coordinates.
-func LocationPrecisionM(recs []Record) float64 {
-	if len(recs) == 0 {
-		return 0
+// Records is a read-only view of stored telemetry: every data point of
+// a run of vehicles.
+type Records struct {
+	vehicles []vehicle
+}
+
+// Len returns the number of data points.
+func (r Records) Len() int {
+	n := 0
+	for i := range r.vehicles {
+		n += len(r.vehicles[i].lat)
 	}
-	coarse := true
-	for _, r := range recs {
-		if math.Abs(r.Lat*100-math.Round(r.Lat*100)) > 1e-9 {
-			coarse = false
-			break
+	return n
+}
+
+// Vehicles returns the number of distinct vehicles with at least one
+// data point.
+func (r Records) Vehicles() int {
+	n := 0
+	for i := range r.vehicles {
+		if len(r.vehicles[i].lat) > 0 {
+			n++
 		}
 	}
-	if coarse {
-		return 1000
+	return n
+}
+
+// PersonalData reports whether any data point carries the owner's name
+// or email.
+func (r Records) PersonalData() bool {
+	for i := range r.vehicles {
+		v := &r.vehicles[i]
+		if len(v.lat) > 0 && (v.owner != "" || v.email != "") {
+			return true
+		}
 	}
-	return 10
+	return false
+}
+
+// PrecisionM estimates the positional precision of the records in
+// metres: coarse storage yields ~1 km, precise storage ~10 m, and no
+// records 0. It inspects the decimal structure of stored latitudes.
+func (r Records) PrecisionM() float64 {
+	if r.Len() == 0 {
+		return 0
+	}
+	for i := range r.vehicles {
+		for _, la := range r.vehicles[i].lat {
+			if math.Abs(la*100-math.Round(la*100)) > 1e-9 {
+				return 10
+			}
+		}
+	}
+	return 1000
 }

@@ -94,8 +94,8 @@ func TestMintTokenScopes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != c.TotalRecords() {
-		t.Errorf("fleet token fetched %d of %d", len(recs), c.TotalRecords())
+	if recs.Len() != c.TotalRecords() {
+		t.Errorf("fleet token fetched %d of %d", recs.Len(), c.TotalRecords())
 	}
 }
 
@@ -116,8 +116,8 @@ func TestLeastPrivilegeBlocksFleetScope(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 20 {
-		t.Errorf("single-VIN fetch got %d", len(recs))
+	if recs.Len() != 20 {
+		t.Errorf("single-VIN fetch got %d", recs.Len())
 	}
 }
 
@@ -142,7 +142,7 @@ func TestLocationPrecision(t *testing.T) {
 	precise := newCloud(WorstCase())
 	tok, _ := precise.MintToken("AKIA-MASTER-0xFLEET", "")
 	recs, _ := precise.Fetch(tok)
-	if p := LocationPrecisionM(recs); p != 10 {
+	if p := recs.PrecisionM(); p != 10 {
 		t.Errorf("precise precision %v", p)
 	}
 	cfg := WorstCase()
@@ -150,10 +150,10 @@ func TestLocationPrecision(t *testing.T) {
 	coarse := newCloud(cfg)
 	tok2, _ := coarse.MintToken("AKIA-MASTER-0xFLEET", "")
 	recs2, _ := coarse.Fetch(tok2)
-	if p := LocationPrecisionM(recs2); p != 1000 {
+	if p := recs2.PrecisionM(); p != 1000 {
 		t.Errorf("coarse precision %v", p)
 	}
-	if LocationPrecisionM(nil) != 0 {
+	if (Records{}).PrecisionM() != 0 {
 		t.Error("empty precision")
 	}
 }

@@ -47,9 +47,14 @@ import (
 	_ "autosec/internal/ext/demo"
 )
 
-// readHeaderTimeout bounds how long a client may take to send its
-// request headers (slow-loris protection).
-const readHeaderTimeout = 5 * time.Second
+const (
+	// readHeaderTimeout bounds how long a client may take to send its
+	// request headers (slow-loris protection).
+	readHeaderTimeout = 5 * time.Second
+	// idleTimeout bounds how long a keep-alive connection may wait for
+	// its next request before the server closes it.
+	idleTimeout = 120 * time.Second
+)
 
 func main() {
 	cfg := config.Default()
@@ -80,10 +85,7 @@ func main() {
 	}
 	fmt.Printf("avsecd: listening on http://%s\n", ln.Addr())
 
-	hs := &http.Server{
-		Handler:           srv.Handler(),
-		ReadHeaderTimeout: readHeaderTimeout,
-	}
+	hs := newHTTPServer(srv.Handler())
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	serveErr := make(chan error, 1)
@@ -104,6 +106,17 @@ func main() {
 			// their connections rather than hang forever.
 			hs.Close()
 		}
+	}
+}
+
+// newHTTPServer wraps the daemon's handler in an http.Server with its
+// connection timeouts. Campaign replies stream for as long as their
+// cells run, so no read or write timeout bounds a whole request.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 }
 

@@ -1,6 +1,7 @@
 package fleet_test
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -13,6 +14,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -575,6 +577,59 @@ func TestFleetFaultInjection(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestFleetStreamLineTooLong pins the stream scanner's 16 MiB line
+// ceiling: a worker that answers its first chunk with one longer line
+// fails that dispatch with bufio.ErrTooLong, the chunk is re-dispatched,
+// and the merged report still holds the full grid in grid order.
+func TestFleetStreamLineTooLong(t *testing.T) {
+	t.Parallel()
+	seeds := campaign.Seeds(42, 2)
+	want := serialBaseline(t, []string{"fig3"}, seeds, 0)
+	var used atomic.Bool
+	worker := newWorker(t, workerConfig(t, ""), func(next http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if isCampaign(r) && used.CompareAndSwap(false, true) {
+				w.Header().Set("Content-Type", "application/x-ndjson")
+				w.Write(append(bytes.Repeat([]byte("x"), 16<<20+1), '\n'))
+				return
+			}
+			next.ServeHTTP(w, r)
+		})
+	})
+	var mu sync.Mutex
+	var logs []string
+	rep, err := fleet.Run(context.Background(), fleet.Config{
+		Workers: []string{worker.URL}, IDs: []string{"fig3"}, Seeds: seeds, InFlight: 1,
+		Logf: func(format string, args ...any) {
+			mu.Lock()
+			logs = append(logs, fmt.Sprintf(format, args...))
+			mu.Unlock()
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := rep.Result.RenderSummary(), want.RenderSummary(); got != want {
+		t.Errorf("merged output diverged from serial after an overlong line\nfirst difference: %s", firstDiff(want, got))
+	}
+	if got, want := cellOrder(rep.Result.Cells), cellOrder(want.Cells); !equalStrings(got, want) {
+		t.Errorf("report grid %v, want %v", got, want)
+	}
+	if w := rep.Workers[0]; w.Fails != 1 || w.Dead {
+		t.Errorf("worker status %+v, want one failure and alive", w)
+	}
+	if rep.Stats.Redispatches < 1 {
+		t.Errorf("overlong chunk not re-dispatched: %+v", rep.Stats)
+	}
+	tooLong := false
+	for _, l := range logs {
+		tooLong = tooLong || strings.Contains(l, bufio.ErrTooLong.Error())
+	}
+	if !tooLong {
+		t.Errorf("no dispatch failed with %q; logs:\n%s", bufio.ErrTooLong, strings.Join(logs, "\n"))
 	}
 }
 

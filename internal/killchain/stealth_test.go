@@ -88,6 +88,22 @@ func TestLeastPrivilegeStopsBulkButNotLowAndSlow(t *testing.T) {
 	}
 }
 
+// TestStealthEmptyHistoryAffectsNoVehicle counts vehicles the way the
+// kill chain does: a vehicle with no stored point yields no data, so
+// neither strategy affects it.
+func TestStealthEmptyHistoryAffectsNoVehicle(t *testing.T) {
+	for _, strategy := range []ExfilStrategy{BulkExfil, LowAndSlow} {
+		cloud := telemetry.NewCloud(telemetry.WorstCase(), 10, 0, sim.NewRNG(6))
+		rep, err := RunStealthExfil(cloud, strategy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.RecordsExfiltrated != 0 || rep.VehiclesAffected != 0 {
+			t.Errorf("%s against an empty history: %d records / %d vehicles", strategy, rep.RecordsExfiltrated, rep.VehiclesAffected)
+		}
+	}
+}
+
 func TestUnmonitoredCloudReportsNothing(t *testing.T) {
 	cloud := telemetry.NewCloud(telemetry.WorstCase(), 10, 5, sim.NewRNG(5))
 	rep, err := RunStealthExfil(cloud, BulkExfil)

@@ -1,7 +1,6 @@
 package ids
 
 import (
-	"fmt"
 	"math"
 
 	"autosec/internal/canbus"
@@ -68,10 +67,7 @@ func (d *EntropyDetector) Observe(now sim.Time, f *canbus.Frame) *Alert {
 		return nil // interval detector owns the unknown-ID case
 	}
 	if e-base > d.Threshold {
-		return &Alert{
-			At: now, Detector: "entropy", FrameID: f.ID,
-			Reason: fmt.Sprintf("payload entropy %.2f b/B vs baseline %.2f", e, base),
-		}
+		return &Alert{At: now, Detector: "entropy", FrameID: f.ID}
 	}
 	return nil
 }
@@ -136,10 +132,7 @@ func (d *LoadDetector) Observe(now sim.Time, f *canbus.Frame) *Alert {
 			d.learnedRate += (rate - d.learnedRate) / float64(d.windows+1)
 			d.windows++
 		} else if d.learnedRate > 0 && rate > d.Multiplier*d.learnedRate {
-			alert = &Alert{
-				At: now, Detector: "busload", FrameID: f.ID,
-				Reason: fmt.Sprintf("%d frames/window vs learned %.1f", d.count, d.learnedRate),
-			}
+			alert = &Alert{At: now, Detector: "busload", FrameID: f.ID}
 		}
 		d.windowStart += d.WindowNs
 		d.count = 0

@@ -11,7 +11,6 @@ package ids
 
 import (
 	"crypto/sha256"
-	"fmt"
 	"math"
 
 	"autosec/internal/canbus"
@@ -23,7 +22,6 @@ type Alert struct {
 	At       sim.Time
 	Detector string
 	FrameID  uint32
-	Reason   string
 	// Source is the physical-fingerprint attribution ("" if the
 	// detector cannot attribute).
 	Source string
@@ -76,7 +74,7 @@ func (d *IntervalDetector) Observe(now sim.Time, f *canbus.Frame) *Alert {
 			d.learned[f.ID] = &arrivalModel{last: now}
 			return nil
 		}
-		return &Alert{At: now, Detector: "interval", FrameID: f.ID, Reason: "unknown identifier"}
+		return &Alert{At: now, Detector: "interval", FrameID: f.ID}
 	}
 	gap := float64(now - m.last)
 	m.last = now
@@ -87,10 +85,7 @@ func (d *IntervalDetector) Observe(now sim.Time, f *canbus.Frame) *Alert {
 		return nil
 	}
 	if gap < d.Tolerance*m.mean {
-		return &Alert{
-			At: now, Detector: "interval", FrameID: f.ID,
-			Reason: fmt.Sprintf("inter-arrival %.0fns below %.0f%% of learned period %.0fns", gap, d.Tolerance*100, m.mean),
-		}
+		return &Alert{At: now, Detector: "interval", FrameID: f.ID}
 	}
 	// Slowly adapt to drift.
 	m.mean += (gap - m.mean) / 32
@@ -114,16 +109,6 @@ func NodeFingerprint(nodeID string) Fingerprint {
 	return f
 }
 
-// MeasureFingerprint simulates the receiver's per-frame measurement of
-// the transmitter's signature with Gaussian noise.
-func MeasureFingerprint(f *canbus.Frame, noiseStd float64, rng *sim.RNG) Fingerprint {
-	fp := NodeFingerprint(f.SourceID)
-	for i := range fp {
-		fp[i] += noiseStd * rng.NormFloat64()
-	}
-	return fp
-}
-
 func (a Fingerprint) dist(b Fingerprint) float64 {
 	sum := 0.0
 	for i := range a {
@@ -143,9 +128,15 @@ type SenderIdentifier struct {
 	NoiseStd float64
 
 	enrolled map[uint32]Fingerprint
-	names    map[uint32]string
-	nodes    map[string]Fingerprint // every known physical node
+	nodes    []knownNode    // every known physical node, in KnowNode order
+	index    map[string]int // node name → position in nodes
 	rng      *sim.RNG
+}
+
+// knownNode is one profiled physical node and its stable signature.
+type knownNode struct {
+	name string
+	fp   Fingerprint
 }
 
 // NewSenderIdentifier creates the detector.
@@ -154,8 +145,7 @@ func NewSenderIdentifier(rng *sim.RNG) *SenderIdentifier {
 		MatchRadius: 0.25,
 		NoiseStd:    0.03,
 		enrolled:    make(map[uint32]Fingerprint),
-		names:       make(map[uint32]string),
-		nodes:       make(map[string]Fingerprint),
+		index:       make(map[string]int),
 		rng:         rng,
 	}
 }
@@ -164,7 +154,6 @@ func NewSenderIdentifier(rng *sim.RNG) *SenderIdentifier {
 // a trusted provisioning phase).
 func (s *SenderIdentifier) Enroll(frameID uint32, nodeID string) {
 	s.enrolled[frameID] = NodeFingerprint(nodeID)
-	s.names[frameID] = nodeID
 	s.KnowNode(nodeID)
 }
 
@@ -175,34 +164,47 @@ func (s *SenderIdentifier) EndTraining() {}
 
 // KnowNode registers a physical node's signature for attribution (all
 // in-vehicle ECUs get profiled at provisioning, including ones that
-// never legitimately send protected identifiers).
+// never legitimately send protected identifiers). Knowing a node twice
+// keeps its first position.
 func (s *SenderIdentifier) KnowNode(nodeID string) {
-	s.nodes[nodeID] = NodeFingerprint(nodeID)
+	if _, ok := s.index[nodeID]; ok {
+		return
+	}
+	s.index[nodeID] = len(s.nodes)
+	s.nodes = append(s.nodes, knownNode{name: nodeID, fp: NodeFingerprint(nodeID)})
 }
 
-// Observe measures a frame's analog signature and flags mismatches.
+// Observe measures a frame's analog signature — the transmitter's
+// stable fingerprint plus Gaussian front-end noise — and flags
+// mismatches. A known transmitter's fingerprint comes from its profile;
+// only an unknown one is derived from its name.
 func (s *SenderIdentifier) Observe(now sim.Time, f *canbus.Frame) *Alert {
 	want, ok := s.enrolled[f.ID]
 	if !ok {
 		return nil // not a protected identifier
 	}
-	got := MeasureFingerprint(f, s.NoiseStd, s.rng)
-	if d := got.dist(want); d > s.MatchRadius {
-		return &Alert{
-			At: now, Detector: "sender-id", FrameID: f.ID,
-			Reason: fmt.Sprintf("fingerprint distance %.3f exceeds %.3f: not %s", d, s.MatchRadius, s.names[f.ID]),
-			Source: s.attribute(got),
-		}
+	var got Fingerprint
+	if i, known := s.index[f.SourceID]; known {
+		got = s.nodes[i].fp
+	} else {
+		got = NodeFingerprint(f.SourceID)
+	}
+	for i := range got {
+		got[i] += s.NoiseStd * s.rng.NormFloat64()
+	}
+	if got.dist(want) > s.MatchRadius {
+		return &Alert{At: now, Detector: "sender-id", FrameID: f.ID, Source: s.attribute(got)}
 	}
 	return nil
 }
 
-// attribute finds the nearest known node signature (best effort).
+// attribute finds the nearest known node signature (best effort); a
+// tie goes to the node known first.
 func (s *SenderIdentifier) attribute(fp Fingerprint) string {
 	best, bestD := "", math.Inf(1)
-	for name, sig := range s.nodes {
-		if d := sig.dist(fp); d < bestD {
-			best, bestD = name, d
+	for _, n := range s.nodes {
+		if d := n.fp.dist(fp); d < bestD {
+			best, bestD = n.name, d
 		}
 	}
 	if bestD > 0.5 {

@@ -9,7 +9,8 @@ import (
 // Detector is the uniform interface registered detector constructors
 // return: observe bus arrivals, freeze any learned baseline when the
 // training window closes. Detectors without a training phase implement
-// EndTraining as a no-op.
+// EndTraining as a no-op. Observe must not keep f after it returns:
+// callers reuse one frame for every arrival.
 type Detector interface {
 	Observe(now sim.Time, f *canbus.Frame) *Alert
 	EndTraining()

@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"autosec/internal/canbus"
 	"autosec/internal/core"
 	"autosec/internal/ext"
 	"autosec/internal/sim"
@@ -98,7 +97,7 @@ type TrafficStep struct {
 	suite        interface{ Verify([]byte) ([]byte, error) }
 	history      [][]byte
 	delayed      map[int][][]byte
-	observe      func(step int, at sim.Time, f *canbus.Frame)
+	observe      func(step int, at sim.Time, id uint32, node string)
 	victimID     uint32
 	attackerNode string
 }
@@ -148,7 +147,7 @@ func (st *TrafficStep) CountInjected() { st.res.injected++ }
 // ObserveAttacker shows the IDS taps one attacker transmission under
 // the victim's identifier at time at.
 func (st *TrafficStep) ObserveAttacker(at sim.Time) {
-	st.observe(st.Step, at, &canbus.Frame{ID: st.victimID, Format: canbus.FD, SourceID: st.attackerNode})
+	st.observe(st.Step, at, st.victimID, st.attackerNode)
 }
 
 // History returns the victim's protected wire captured at an earlier

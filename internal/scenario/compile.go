@@ -180,8 +180,16 @@ func simulateTraffic(sp *Spec, r *sim.RNG) (trial, error) {
 		return res, err
 	}
 
+	// Endpoint names, formatted once: endpoint e of zone z is
+	// nodes[z*EndpointsPerZone+e], and the victim is z0-e0.
+	nodes := make([]string, 0, sp.World.Zones*sp.World.EndpointsPerZone)
+	for z := 0; z < sp.World.Zones; z++ {
+		for e := 0; e < sp.World.EndpointsPerZone; e++ {
+			nodes = append(nodes, fmt.Sprintf("z%d-e%d", z, e))
+		}
+	}
 	const victimID uint32 = 0x100
-	victimNode := "z0-e0"
+	victimNode := nodes[0]
 	attackerNode := fmt.Sprintf("z%d-attacker", sp.Attacker.Zone)
 	period := sim.Time(sp.World.PeriodUS) * sim.Microsecond
 
@@ -210,10 +218,8 @@ func simulateTraffic(sp *Spec, r *sim.RNG) (trial, error) {
 			d := ctor(p)
 			if en, isEnroller := d.(ids.Enroller); isEnroller {
 				en.Enroll(victimID, victimNode)
-				for z := 0; z < sp.World.Zones; z++ {
-					for e := 0; e < sp.World.EndpointsPerZone; e++ {
-						en.KnowNode(fmt.Sprintf("z%d-e%d", z, e))
-					}
+				for _, node := range nodes {
+					en.KnowNode(node)
 				}
 				en.KnowNode(attackerNode)
 			}
@@ -234,13 +240,17 @@ func simulateTraffic(sp *Spec, r *sim.RNG) (trial, error) {
 	if attackStart < warmupSteps {
 		attackStart = warmupSteps
 	}
-	observe := func(step int, at sim.Time, f *canbus.Frame) {
+	// Every arrival is shown to the detectors in one reused frame; a
+	// detector must not keep it past Observe.
+	frame := &canbus.Frame{Format: canbus.FD}
+	observe := func(step int, at sim.Time, id uint32, node string) {
 		if len(detectors) == 0 {
 			return
 		}
+		frame.ID, frame.SourceID = id, node
 		alerts := 0
 		for _, d := range detectors {
-			if a := d.Observe(at, f); a != nil {
+			if a := d.Observe(at, frame); a != nil {
 				alerts++
 			}
 		}
@@ -256,12 +266,10 @@ func simulateTraffic(sp *Spec, r *sim.RNG) (trial, error) {
 			res.falseAlerts += alerts
 		}
 	}
-	frameFrom := func(id uint32, node string) *canbus.Frame {
-		return &canbus.Frame{ID: id, Format: canbus.FD, SourceID: node}
-	}
 
 	delayed := make(map[int][][]byte) // release step → withheld wires
 	payload := make([]byte, sp.World.FrameBytes)
+	var backing []byte // victim wire history storage
 	st := &TrafficStep{
 		Spec:         sp,
 		RNG:          r,
@@ -290,8 +298,7 @@ func simulateTraffic(sp *Spec, r *sim.RNG) (trial, error) {
 				if z == 0 && e == 0 {
 					continue // the victim stream is handled below
 				}
-				id := uint32(0x200 + z*16 + e)
-				observe(step, now, frameFrom(id, fmt.Sprintf("z%d-e%d", z, e)))
+				observe(step, now, uint32(0x200+z*16+e), nodes[z*sp.World.EndpointsPerZone+e])
 			}
 		}
 
@@ -304,7 +311,16 @@ func simulateTraffic(sp *Spec, r *sim.RNG) (trial, error) {
 		if err != nil {
 			return res, fmt.Errorf("%s Protect: %w", sp.Protocol.Suite, err)
 		}
-		wireCopy := append([]byte(nil), wire...)
+		// The history keeps every period's wire, so it is cut from one
+		// backing array, sized for the remaining frames on the first
+		// frame (and again only if a longer wire exhausts it). Each
+		// entry is capped so appending to it cannot overwrite the next.
+		if len(backing) < len(wire) {
+			backing = make([]byte, (sp.World.Frames-step)*len(wire))
+		}
+		wireCopy := backing[:len(wire):len(wire)]
+		copy(wireCopy, wire)
+		backing = backing[len(wire):]
 		st.history = append(st.history, wireCopy)
 		res.sent++
 		st.Step, st.Now, st.Wire = step, now, wireCopy
@@ -317,7 +333,7 @@ func simulateTraffic(sp *Spec, r *sim.RNG) (trial, error) {
 			} else {
 				res.verifyFailed++
 			}
-			observe(step, now, frameFrom(victimID, victimNode))
+			observe(step, now, victimID, victimNode)
 		}
 
 		// Withheld frames due this period arrive after the live frame,
@@ -330,7 +346,7 @@ func simulateTraffic(sp *Spec, r *sim.RNG) (trial, error) {
 			} else {
 				res.lateRejected++
 			}
-			observe(step, now+sim.Time(j+1), frameFrom(victimID, attackerNode))
+			observe(step, now+sim.Time(j+1), victimID, attackerNode)
 		}
 		delete(delayed, step)
 

@@ -132,8 +132,8 @@ func checkCloudMatchesRef(t *testing.T, cfg Config, vehicles, points int, seed i
 	if got := c.VINs(); fmt.Sprint(got) != fmt.Sprint(vins) {
 		t.Fatalf("%s: VINs %v, reference %v", name, got, vins)
 	}
-	if c.TotalRecords() != len(all) {
-		t.Errorf("%s: TotalRecords %d, reference %d", name, c.TotalRecords(), len(all))
+	if n := (Records{c.fleet}).Len(); n != len(all) {
+		t.Errorf("%s: stored records %d, reference %d", name, n, len(all))
 	}
 
 	check := func(scope string, want viewRef) {

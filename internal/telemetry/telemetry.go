@@ -135,9 +135,6 @@ func (c *Cloud) VINs() []string {
 	return out
 }
 
-// TotalRecords returns the total stored data points.
-func (c *Cloud) TotalRecords() int { return Records{c.fleet}.Len() }
-
 // --- the web surface the attacker probes ---
 
 // Probe answers an unauthenticated HTTP-style request for a path. It

@@ -17,8 +17,8 @@ func TestFleetConstruction(t *testing.T) {
 	if c.Fleet() != 50 {
 		t.Errorf("fleet %d", c.Fleet())
 	}
-	if c.TotalRecords() != 1000 {
-		t.Errorf("records %d", c.TotalRecords())
+	if n := (Records{c.fleet}).Len(); n != 1000 {
+		t.Errorf("records %d", n)
 	}
 }
 
@@ -94,8 +94,8 @@ func TestMintTokenScopes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if recs.Len() != c.TotalRecords() {
-		t.Errorf("fleet token fetched %d of %d", recs.Len(), c.TotalRecords())
+	if total := (Records{c.fleet}).Len(); recs.Len() != total {
+		t.Errorf("fleet token fetched %d of %d", recs.Len(), total)
 	}
 }
 

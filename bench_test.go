@@ -22,6 +22,7 @@ import (
 	"autosec/internal/core"
 	"autosec/internal/fleet"
 	"autosec/internal/ivn"
+	"autosec/internal/scenario"
 	"autosec/internal/secchan"
 	"autosec/internal/secchan/suites"
 	"autosec/internal/sensor"
@@ -123,6 +124,39 @@ func BenchmarkCampaignAll(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkCorpusCampaign runs the scenario corpus (scenarios/) at 2
+// seeds through the campaign pool with a single worker, as
+// `avsec campaign -corpus -seeds 2 -jobs 1` does. Its cells are mostly
+// the scenario traffic interpreter, the secure channels and the IDS tap
+// chain, so allocs/op tracks the interpreter's per-frame allocations.
+func BenchmarkCorpusCampaign(b *testing.B) {
+	ns, err := scenario.LoadNamespace("scenarios")
+	if err != nil {
+		b.Fatal(err)
+	}
+	ids, err := ns.Select(nil, true)
+	if err != nil {
+		b.Fatal(err)
+	}
+	seeds := campaign.Seeds(42, 2)
+	b.Run("jobs=1", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			pool := sim.NewWorkerPool(1)
+			res, err := campaign.Run(campaign.Spec{
+				IDs: ids, Seeds: seeds, Pool: pool,
+				RunTyped: ns.Typed(pool), CostHint: ns.Cost,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if out := res.RenderSummary(); len(out) == 0 {
+				b.Fatal("empty campaign summary")
+			}
+		}
+	})
 }
 
 // --- fleet coordinator (internal/fleet, docs/FLEET.md) ---

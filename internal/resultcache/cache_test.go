@@ -1,6 +1,7 @@
 package resultcache
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"math"
 	"os"
@@ -38,32 +39,68 @@ func TestKeyIsPositionalAndCollisionFree(t *testing.T) {
 
 func TestPutGetRoundTripIsExact(t *testing.T) {
 	t.Parallel()
-	c, err := New(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name string
+		e    *Entry
+	}{
+		{"typical", testEntry(3)},
+		{"nil metrics", &Entry{Report: "r"}},
+		{"empty metrics", &Entry{Report: "r", Metrics: []sim.Metric{}}},
+		{"empty report and names", &Entry{Metrics: []sim.Metric{{Name: "", Value: 1}}}},
+		{"negative zero", &Entry{Report: "r", Metrics: []sim.Metric{{Name: "z", Value: math.Copysign(0, -1)}}}},
+		{"subnormal", &Entry{Report: "r", Metrics: []sim.Metric{
+			{Name: "min", Value: math.SmallestNonzeroFloat64},
+			{Name: "neg", Value: -math.Float64frombits(0x000f_ffff_ffff_ffff)},
+			{Name: "max", Value: math.MaxFloat64},
+		}}},
+		{"report over 64 KiB", &Entry{Report: strings.Repeat("│ row ═\n", 70<<10/10), Metrics: testEntry(1).Metrics}},
+		{"invalid UTF-8", &Entry{Report: "bad \xff\xfe bytes \xc3", Metrics: []sim.Metric{{Name: "\x80name", Value: 2}}}},
 	}
-	key := Key("exp", "42", "v1")
-	want := testEntry(3)
-	if _, ok := c.Get(key); ok {
-		t.Fatal("Get on an empty cache hit")
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			c, err := New(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			key := Key("exp", "42", "v1")
+			if _, ok := c.Get(key); ok {
+				t.Fatal("Get on an empty cache hit")
+			}
+			if err := c.Put(key, tc.e); err != nil {
+				t.Fatal(err)
+			}
+			got, ok := c.Get(key)
+			if !ok {
+				t.Fatal("Get after Put missed")
+			}
+			if got.Report != tc.e.Report {
+				t.Errorf("report changed through the cache:\n got %q\nwant %q", got.Report, tc.e.Report)
+			}
+			if !metricsBitEqual(got.Metrics, tc.e.Metrics) {
+				t.Errorf("metrics changed through the cache:\n got %#v\nwant %#v", got.Metrics, tc.e.Metrics)
+			}
+			s := c.Stats()
+			if s.Hits != 1 || s.Misses != 1 || s.Stores != 1 || s.Corrupt != 0 {
+				t.Errorf("stats = %+v, want 1 hit, 1 miss, 1 store, 0 corrupt", s)
+			}
+		})
 	}
-	if err := c.Put(key, want); err != nil {
-		t.Fatal(err)
+}
+
+// metricsBitEqual is sim.MetricsEqual made strict: nil and empty
+// differ, and values compare by their bits, so −0 is not +0.
+func metricsBitEqual(a, b []sim.Metric) bool {
+	if (a == nil) != (b == nil) || len(a) != len(b) {
+		return false
 	}
-	got, ok := c.Get(key)
-	if !ok {
-		t.Fatal("Get after Put missed")
+	for i := range a {
+		if a[i].Name != b[i].Name || math.Float64bits(a[i].Value) != math.Float64bits(b[i].Value) {
+			return false
+		}
 	}
-	if got.Report != want.Report {
-		t.Errorf("report changed through the cache:\n got %q\nwant %q", got.Report, want.Report)
-	}
-	if !sim.MetricsEqual(got.Metrics, want.Metrics) {
-		t.Errorf("metrics changed through the cache:\n got %+v\nwant %+v", got.Metrics, want.Metrics)
-	}
-	s := c.Stats()
-	if s.Hits != 1 || s.Misses != 1 || s.Stores != 1 || s.Corrupt != 0 {
-		t.Errorf("stats = %+v, want 1 hit, 1 miss, 1 store, 0 corrupt", s)
-	}
+	return true
 }
 
 func TestPutRejectsUnmarshalableMetrics(t *testing.T) {
@@ -82,10 +119,10 @@ func TestPutRejectsUnmarshalableMetrics(t *testing.T) {
 }
 
 // entryFile locates the single cache file under the root, failing if
-// the layout assumption (dir/<shard>/<key>.json) breaks.
+// the layout assumption (dir/<shard>/<key>.entry) breaks.
 func entryFile(t *testing.T, c *Cache, key string) string {
 	t.Helper()
-	path := filepath.Join(c.Dir(), key[:2], key+".json")
+	path := filepath.Join(c.Dir(), key[:2], key+".entry")
 	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("expected entry file: %v", err)
 	}
@@ -103,13 +140,39 @@ func TestCorruptionIsDetectedDeletedAndCounted(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Flip a byte inside the payload's report text (well past
-			// the envelope prefix) without breaking JSON syntax.
+			// Flip a byte inside the body's report text, past the
+			// magic, the key and the checksum, so only the checksum
+			// can catch it.
 			i := strings.Index(string(data), "report")
-			if i < 0 {
-				t.Fatal("payload text not found")
+			if i < len(entryMagic)+64+sha256.Size {
+				t.Fatalf("report text not found in the body (index %d)", i)
 			}
 			data[i] ^= 0x01
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"flipped magic byte", func(t *testing.T, path string) {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data[0] ^= 0x01
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"resealed body with a trailing byte", func(t *testing.T, path string) {
+			// The checksum matches the new body, so only the body
+			// decoder can refuse the extra byte.
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bodyAt := len(entryMagic) + 64 + sha256.Size
+			data = append(data, 0)
+			sum := sha256.Sum256(data[bodyAt:])
+			copy(data[bodyAt-sha256.Size:], sum[:])
 			if err := os.WriteFile(path, data, 0o644); err != nil {
 				t.Fatal(err)
 			}
@@ -128,7 +191,7 @@ func TestCorruptionIsDetectedDeletedAndCounted(t *testing.T) {
 			// Keep the file internally consistent but serve it under a
 			// different address: the embedded-key check must refuse.
 			other := Key("some", "other", "cell")
-			dst := filepath.Join(filepath.Dir(filepath.Dir(path)), other[:2], other+".json")
+			dst := filepath.Join(filepath.Dir(filepath.Dir(path)), other[:2], other+".entry")
 			if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
 				t.Fatal(err)
 			}

@@ -49,6 +49,8 @@ func FuzzFleetStream(f *testing.F) {
 		c1 + cell(id, 2, strings.Repeat("x", 100<<10)) + c3, // oversized: past the scanner's initial buffer
 		c1 + `{"type":"cell","id":"fig3","seed":2,"error":"skipped: campaign canceled"}` + "\n" + c3,
 		c1 + `{"type":"error","error":"worker shut down"}` + "\n",
+		head + `{"type":"done","seed":"x","metrics":{}}` + "\n" + c1, // a non-cell line that does not fit a cell event
+		c1 + `{"type":"cell","id":"fig3","seed":"2"}` + "\n",         // a cell line that does not
 		"not json\n",
 		"",
 	} {

@@ -203,6 +203,17 @@ func TestGCMOpenRejectsWrongPNOrAAD(t *testing.T) {
 	if _, err := GCMOpen(key, 1, 42, []byte("AAD"), sealed); err == nil {
 		t.Error("wrong AAD accepted")
 	}
+	// Every failed open returns the one sentinel, which keeps the text
+	// of the wrapped cipher error it replaced.
+	for _, sealed := range [][]byte{sealed, sealed[:4]} {
+		if _, err := GCMOpenInto(nil, key, 1, 43, []byte("aad"), sealed); err != errGCMAuth {
+			t.Errorf("failed open of %d bytes returned %v, want the sentinel", len(sealed), err)
+		}
+	}
+	const want = "vcrypto: gcm authentication failed: cipher: message authentication failed"
+	if errGCMAuth.Error() != want {
+		t.Errorf("sentinel text %q, want %q", errGCMAuth.Error(), want)
+	}
 }
 
 func TestGCMTagVerify(t *testing.T) {

@@ -19,6 +19,36 @@ import (
 	"autosec/internal/sim"
 )
 
+// propagateRef is the original, always-allocating channel model, kept
+// verbatim as the reference implementation the property tests pin the
+// optimised path against bit-for-bit.
+func (c *Channel) propagateRef(tx Signal, obsLen int, rng *sim.RNG) Signal {
+	rx := make(Signal, obsLen)
+	gain := c.LoSGain
+	if gain == 0 {
+		gain = 1.0
+	}
+	base := c.DelaySamples()
+	place := func(delay int, g float64) {
+		for i, v := range tx {
+			idx := delay + i
+			if idx >= 0 && idx < obsLen {
+				rx[idx] += g * v
+			}
+		}
+	}
+	place(base, gain)
+	for _, tap := range c.Taps {
+		place(base+tap.DelaySamples, tap.Gain)
+	}
+	if c.NoiseStd > 0 {
+		for i := range rx {
+			rx[i] += c.NoiseStd * rng.NormFloat64()
+		}
+	}
+	return rx
+}
+
 // randomSignal fills a signal with a mix of pulses and noise so the
 // correlator sees both sparse and dense energy.
 func randomSignal(rng *sim.RNG, n int) Signal {

@@ -253,7 +253,8 @@ func (c *Channel) Propagate(tx Signal, obsLen int, rng *sim.RNG) Signal {
 }
 
 // propagate applies the channel to tx over the zeroed window rx,
-// bit-identically to propagateRef: the taps land in the same order and
+// bit-identically to the original dense model (propagateRef, kept in
+// equiv_test.go as the reference): the taps land in the same order and
 // the noise stream is drawn in the same per-sample order. When chips is
 // non-nil, tx must be chips' waveform, and each tap with a finite gain
 // adds only the chip samples: the others are +0, and adding g·(+0) = ±0
@@ -288,8 +289,8 @@ func (c *Channel) propagate(rx, tx Signal, chips *STS, rng *sim.RNG) {
 	}
 	if c.NoiseStd > 0 {
 		// Bulk noise: NormFill draws the identical stream a per-sample
-		// NormFloat64 loop would (the equivalence test pins this against
-		// propagateRef), in stack-sized chunks so the whole AWGN pass
+		// NormFloat64 loop would (the equivalence tests pin this against
+		// the reference), in stack-sized chunks so the whole AWGN pass
 		// stays allocation-free. The add runs four samples per step.
 		std := c.NoiseStd
 		var chunk [256]float64
@@ -310,36 +311,6 @@ func (c *Channel) propagate(rx, tx Signal, chips *STS, rng *sim.RNG) {
 			}
 		}
 	}
-}
-
-// propagateRef is the original, always-allocating channel model, kept
-// verbatim as the reference implementation the property tests pin the
-// optimised path against bit-for-bit.
-func (c *Channel) propagateRef(tx Signal, obsLen int, rng *sim.RNG) Signal {
-	rx := make(Signal, obsLen)
-	gain := c.LoSGain
-	if gain == 0 {
-		gain = 1.0
-	}
-	base := c.DelaySamples()
-	place := func(delay int, g float64) {
-		for i, v := range tx {
-			idx := delay + i
-			if idx >= 0 && idx < obsLen {
-				rx[idx] += g * v
-			}
-		}
-	}
-	place(base, gain)
-	for _, tap := range c.Taps {
-		place(base+tap.DelaySamples, tap.Gain)
-	}
-	if c.NoiseStd > 0 {
-		for i := range rx {
-			rx[i] += c.NoiseStd * rng.NormFloat64()
-		}
-	}
-	return rx
 }
 
 // sliceFor returns a zeroed slice of length n, reusing buf's backing

@@ -336,13 +336,25 @@ func writeAllJSON(w io.Writer, res *campaign.Result, ns *scenario.Namespace) err
 // runCampaign executes the multi-seed (experiment × seed) grid and
 // prints the aggregate min/mean/max tables.
 func runCampaign(args []string) {
+	spec, jsonFile, timings := parseCampaign(args)
+	res, err := campaign.Run(spec)
+	printCampaign(res, err, jsonFile, timings)
+	fmt.Fprintf(os.Stderr, "avsec: %d cells (%d rechecked, 0 divergences) in %v\n",
+		len(res.Cells), res.Rechecked(), res.Elapsed.Round(1e6))
+	fmt.Fprint(os.Stderr, "avsec: "+res.RenderTimings(3))
+}
+
+// parseCampaign turns the `avsec campaign` command line into the
+// campaign it runs and the -json and -timings output options, exiting
+// on a usage error.
+func parseCampaign(args []string) (spec campaign.Spec, jsonFile string, timings bool) {
 	fs := flag.NewFlagSet("campaign", flag.ExitOnError)
 	seeds := fs.Int("seeds", 8, "number of consecutive seeds, starting at -seed")
 	base := fs.Int64("seed", 42, "base simulation seed")
 	jobs := fs.Int("jobs", 0, "worker pool size (0 = GOMAXPROCS)")
 	recheck := fs.Float64("recheck", 0.25, "fraction of cells double-executed as a determinism self-check")
-	jsonFile := fs.String("json", "", "write the aggregate results as JSON to this file")
-	timings := fs.Bool("timings", false, "include per-cell wall-clock timings in the -json document (non-deterministic)")
+	fs.StringVar(&jsonFile, "json", "", "write the aggregate results as JSON to this file")
+	fs.BoolVar(&timings, "timings", false, "include per-cell wall-clock timings in the -json document (non-deterministic)")
 	scnDir := fs.String("scenarios", "scenarios", "scenario corpus directory (scn-* ids; missing dir = none)")
 	corpus := fs.Bool("corpus", false, "run every scenario in the -scenarios corpus instead of the registry")
 	if err := fs.Parse(args); err != nil {
@@ -362,18 +374,14 @@ func runCampaign(args []string) {
 		os.Exit(2)
 	}
 	pool := sim.NewWorkerPool(resolveJobs(*jobs))
-	res, err := campaign.Run(campaign.Spec{
+	return campaign.Spec{
 		IDs:      ids,
 		Seeds:    campaign.Seeds(*base, *seeds),
 		Pool:     pool,
 		Recheck:  *recheck,
 		RunTyped: ns.Typed(pool),
 		CostHint: ns.Cost,
-	})
-	printCampaign(res, err, *jsonFile, *timings)
-	fmt.Fprintf(os.Stderr, "avsec: %d cells (%d rechecked, 0 divergences) in %v\n",
-		len(res.Cells), res.Rechecked(), res.Elapsed.Round(1e6))
-	fmt.Fprint(os.Stderr, "avsec: "+res.RenderTimings(3))
+	}, jsonFile, timings
 }
 
 // printCampaign is the stdout tail `avsec campaign` and `avsec fleet`

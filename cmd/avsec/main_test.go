@@ -2,6 +2,7 @@ package main
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -93,4 +94,45 @@ func TestRunLoadsCorpusOnlyForScenarioIDs(t *testing.T) {
 	if out, err := run("scn-broken"); err == nil || !strings.Contains(out, parseErr) {
 		t.Errorf("avsec run scn-broken: err %v, output %q; want exit 1 with %s", err, out, parseErr)
 	}
+}
+
+// TestCorpusGoldens renders `avsec campaign -corpus -seeds 2 -seed 42`
+// in-process for each committed scenario corpus, at -jobs 1 and 2, and
+// compares the summary, which is what the command prints, with the
+// corpus's golden file byte for byte.
+func TestCorpusGoldens(t *testing.T) {
+	for _, dir := range []string{"../../scenarios", "../../internal/ext/demo/scenario"} {
+		want, err := os.ReadFile(filepath.Join(dir, "GOLDEN.campaign.txt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, jobs := range []string{"1", "2"} {
+			spec, _, _ := parseCampaign([]string{"-corpus", "-scenarios", dir, "-seeds", "2", "-seed", "42", "-jobs", jobs})
+			res, err := campaign.Run(spec)
+			if err != nil {
+				t.Fatalf("%s at -jobs %s: %v", dir, jobs, err)
+			}
+			if got := res.RenderSummary(); got != string(want) {
+				t.Errorf("%s at -jobs %s differs from its golden: %s", dir, jobs, firstDiffLine(string(want), got))
+			}
+		}
+	}
+}
+
+// firstDiffLine names the first line where got departs from want.
+func firstDiffLine(want, got string) string {
+	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
+	for i := 0; i < len(w) || i < len(g); i++ {
+		var wl, gl string
+		if i < len(w) {
+			wl = w[i]
+		}
+		if i < len(g) {
+			gl = g[i]
+		}
+		if wl != gl || i >= len(w) || i >= len(g) {
+			return fmt.Sprintf("line %d: want %q, got %q", i+1, wl, gl)
+		}
+	}
+	return "no differing line"
 }

@@ -74,15 +74,21 @@ func main() {
 		}
 		fmt.Print(m.DOT())
 	case "all":
-		runAll(os.Args[2:])
+		if err := runAll(os.Stdout, os.Args[2:]); err != nil {
+			fail(err)
+		}
 	case "expmd":
-		runExpmd()
+		if err := runExpmd(os.Stdout); err != nil {
+			fail(err)
+		}
 	case "campaign":
 		runCampaign(os.Args[2:])
 	case "fleet":
 		runFleet(os.Args[2:])
 	case "gen":
-		runGen(os.Args[2:])
+		if err := runGen(os.Args[2:]); err != nil {
+			fail(err)
+		}
 	case "scenarios":
 		runScenarios(os.Args[2:])
 	case "ext":
@@ -238,17 +244,17 @@ func resolveJobs(jobs int) int {
 	return jobs
 }
 
-// runExpmd regenerates EXPERIMENTS.md on stdout: every experiment runs
-// once at the documented seed (42), and the typed metric stream feeds
-// the template in internal/docs. CI regenerates and diffs this, so the
-// checked-in document cannot drift from the registry.
-func runExpmd() {
+// runExpmd regenerates EXPERIMENTS.md on w: every experiment runs once
+// at the documented seed (42), and the typed metric stream feeds the
+// template in internal/docs. CI and TestCommandGoldens regenerate and
+// diff this, so the checked-in document cannot drift from the registry.
+func runExpmd(w io.Writer) error {
 	const seed = 42
 	metrics := make(docs.Metrics)
 	for _, e := range core.Experiments() {
 		r, err := core.RunExperimentResult(e.ID, seed, core.RunOptions{Pool: sim.DefaultPool()})
 		if err != nil {
-			fail(err)
+			return err
 		}
 		m := make(map[string]float64, len(r.Metrics))
 		for _, mt := range r.Metrics {
@@ -258,15 +264,16 @@ func runExpmd() {
 	}
 	out, err := docs.ExperimentsMarkdown(metrics)
 	if err != nil {
-		fail(err)
+		return err
 	}
-	fmt.Print(out)
+	_, err = io.WriteString(w, out)
+	return err
 }
 
 // runAll executes every experiment at one seed through the campaign
-// pool, streaming reports in paper order as each experiment (and all
-// its predecessors) completes.
-func runAll(args []string) {
+// pool, streaming reports to w in paper order as each experiment (and
+// all its predecessors) completes.
+func runAll(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("all", flag.ExitOnError)
 	seed := fs.Int64("seed", 42, "deterministic simulation seed")
 	jobs := fs.Int("jobs", 0, "worker pool size (0 = GOMAXPROCS)")
@@ -287,26 +294,26 @@ func runAll(args []string) {
 		CostHint: ns.Cost,
 		OnCell: func(c campaign.CellResult) {
 			e, _ := ns.Lookup(c.ID)
-			fmt.Printf("═══ %s (%s) — %s ═══\n", e.ID, e.Source, e.Title)
+			fmt.Fprintf(w, "═══ %s (%s) — %s ═══\n", e.ID, e.Source, e.Title)
 			if c.Err != nil {
 				fmt.Fprintln(os.Stderr, "avsec:", c.Err)
 				return
 			}
-			fmt.Println(c.Report)
+			fmt.Fprintln(w, c.Report)
 		},
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "avsec:", err)
-		os.Exit(1)
+		return err
 	}
 	if *jsonFile != "" {
 		if err := writeFileWith(*jsonFile, func(w io.Writer) error { return writeAllJSON(w, res, ns) }); err != nil {
-			fail(err)
+			return err
 		}
 	}
 	fmt.Fprintf(os.Stderr, "avsec: %d experiments (%d rechecked) in %v\n",
 		len(res.Cells), res.Rechecked(), res.Elapsed.Round(1e6))
 	fmt.Fprint(os.Stderr, "avsec: "+res.RenderTimings(3))
+	return nil
 }
 
 // writeAllJSON renders an `avsec all` result as a JSON array of runs,
@@ -413,7 +420,7 @@ func printCampaign(res *campaign.Result, err error, jsonFile string, timings boo
 // one folder per scenario), or with -check regenerates the committed
 // corpus from its manifest and fails on any byte difference — the CI
 // freshness gate for scenarios/.
-func runGen(args []string) {
+func runGen(args []string) error {
 	fs := flag.NewFlagSet("gen", flag.ExitOnError)
 	out := fs.String("out", "scenarios", "corpus directory")
 	seed := fs.Int64("seed", 7, "generator seed (recorded in the manifest)")
@@ -425,20 +432,21 @@ func runGen(args []string) {
 	}
 	if *check {
 		if err := scenario.CheckCorpus(*out); err != nil {
-			fail(err)
+			return err
 		}
 		fmt.Fprintf(os.Stderr, "avsec gen: corpus %s matches its manifest byte for byte\n", *out)
-		return
+		return nil
 	}
 	c, err := scenario.Generate(scenario.GenConfig{Seed: *seed, Target: *target, MaxIters: *maxIters})
 	if err != nil {
-		fail(err)
+		return err
 	}
 	if err := c.WriteCorpus(*out); err != nil {
-		fail(err)
+		return err
 	}
 	fmt.Fprintf(os.Stderr, "avsec gen: wrote %d scenarios (%d coverage keys, %d search iterations) to %s\n",
 		len(c.Specs), len(c.Keys), c.Iters, *out)
+	return nil
 }
 
 // runScenarios lists the loaded scenario corpus in `avsec list` format.

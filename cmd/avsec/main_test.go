@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -107,16 +108,76 @@ func TestCorpusGoldens(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, jobs := range []string{"1", "2"} {
-			spec, _, _ := parseCampaign([]string{"-corpus", "-scenarios", dir, "-seeds", "2", "-seed", "42", "-jobs", jobs})
-			res, err := campaign.Run(spec)
+			got, err := campaignSummary("-corpus", "-scenarios", dir, "-seeds", "2", "-seed", "42", "-jobs", jobs)
 			if err != nil {
 				t.Fatalf("%s at -jobs %s: %v", dir, jobs, err)
 			}
-			if got := res.RenderSummary(); got != string(want) {
+			if got != string(want) {
 				t.Errorf("%s at -jobs %s differs from its golden: %s", dir, jobs, firstDiffLine(string(want), got))
 			}
 		}
 	}
+}
+
+// TestCommandGoldens runs the other byte-pinned commands in-process
+// through their CLI entry points and compares each output with its
+// committed file byte for byte: the registry golden (`campaign -seeds 4
+// -recheck 0.25` at -jobs 1 and 2), experiments_output.txt (`all -seed
+// 42`), EXPERIMENTS.md (`expmd`), and the scenario corpus (`gen
+// -check`).
+func TestCommandGoldens(t *testing.T) {
+	registry := func(jobs string) func(io.Writer) error {
+		return func(w io.Writer) error {
+			out, err := campaignSummary("-scenarios", "../../scenarios", "-seeds", "4", "-recheck", "0.25", "-jobs", jobs)
+			if err != nil {
+				return err
+			}
+			_, err = io.WriteString(w, out)
+			return err
+		}
+	}
+	cases := []struct {
+		name, golden string
+		render       func(io.Writer) error
+	}{
+		{"campaign/jobs=1", "../../internal/core/testdata/GOLDEN.campaign.txt", registry("1")},
+		{"campaign/jobs=2", "../../internal/core/testdata/GOLDEN.campaign.txt", registry("2")},
+		{"all", "../../experiments_output.txt", func(w io.Writer) error {
+			return runAll(w, []string{"-seed", "42", "-jobs", "2"})
+		}},
+		{"expmd", "../../EXPERIMENTS.md", runExpmd},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			want, err := os.ReadFile(c.golden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got strings.Builder
+			if err := c.render(&got); err != nil {
+				t.Fatal(err)
+			}
+			if got.String() != string(want) {
+				t.Errorf("output differs from %s: %s", c.golden, firstDiffLine(string(want), got.String()))
+			}
+		})
+	}
+	t.Run("gen-check", func(t *testing.T) {
+		if err := runGen([]string{"-check", "-out", "../../scenarios"}); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// campaignSummary runs `avsec campaign args` in-process and returns
+// what the command prints on success.
+func campaignSummary(args ...string) (string, error) {
+	spec, _, _ := parseCampaign(args)
+	res, err := campaign.Run(spec)
+	if err != nil {
+		return "", err
+	}
+	return res.RenderSummary(), nil
 }
 
 // firstDiffLine names the first line where got departs from want.

@@ -25,7 +25,7 @@ func RunAblateMAC(rc *RunContext) (string, error) {
 	key := make([]byte, 16)
 	rng.Bytes(key)
 
-	entry, err := suites.Registry().Find("SECOC")
+	entry, err := suites.Lookup("SECOC")
 	if err != nil {
 		return "", err
 	}

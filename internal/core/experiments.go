@@ -295,8 +295,8 @@ func RunTable1(rc *RunContext) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		auth, conf, replay := s.Properties().YesNo()
-		tb.AddRow(s.Layer(), s.Name(), s.Media(), len(wire)-len(payload), auth, conf, replay)
+		auth, conf, replay := e.Props.YesNo()
+		tb.AddRow(e.Layer, e.Name, e.Media, len(wire)-len(payload), auth, conf, replay)
 	}
 
 	var b strings.Builder

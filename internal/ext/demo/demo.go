@@ -56,38 +56,25 @@ const tagLen = 4
 // noopMAC is the demo suite: payload ‖ FNV-1a(payload). Anyone can
 // forge a valid tag and any old frame re-verifies, which is the point:
 // its scenarios light up the accept/replay boundaries immediately.
-type noopMAC struct {
-	stats secchan.Stats
-}
+type noopMAC struct{}
 
-func newNoopMAC(secchan.Params) (secchan.Suite, error) { return &noopMAC{}, nil }
+func newNoopMAC(secchan.Params) (secchan.Suite, error) { return noopMAC{}, nil }
 
-func (n *noopMAC) Name() string                   { return "noop-mac" }
-func (n *noopMAC) Layer() string                  { return "7 application" }
-func (n *noopMAC) Media() string                  { return "any" }
-func (n *noopMAC) OverheadBytes() int             { return tagLen }
-func (n *noopMAC) Properties() secchan.Properties { return secchan.Properties{Auth: true} }
-func (n *noopMAC) Stats() *secchan.Stats          { return &n.stats }
-
-func (n *noopMAC) Protect(payload []byte) ([]byte, error) {
+func (noopMAC) Protect(payload []byte) ([]byte, error) {
 	wire := make([]byte, len(payload)+tagLen)
 	copy(wire, payload)
 	binary.BigEndian.PutUint32(wire[len(payload):], fnv32(payload))
-	n.stats.RecordProtect(len(payload), len(wire))
 	return wire, nil
 }
 
-func (n *noopMAC) Verify(wire []byte) ([]byte, error) {
+func (noopMAC) Verify(wire []byte) ([]byte, error) {
 	if len(wire) < tagLen {
-		n.stats.RecordVerify(false)
 		return nil, fmt.Errorf("noop-mac: wire shorter than its %d-byte tag", tagLen)
 	}
 	payload := wire[:len(wire)-tagLen]
 	if binary.BigEndian.Uint32(wire[len(payload):]) != fnv32(payload) {
-		n.stats.RecordVerify(false)
 		return nil, fmt.Errorf("noop-mac: checksum mismatch")
 	}
-	n.stats.RecordVerify(true)
 	return payload, nil
 }
 

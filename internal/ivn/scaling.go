@@ -37,12 +37,10 @@ func Scaling(n, payloadBytes int) ([]ScalingRow, error) {
 		return nil, fmt.Errorf("ivn: endpoints must be positive, got %d", n)
 	}
 	payload := make([]byte, payloadBytes)
-	reg := suites.Registry()
-
 	// Measured overheads: each suite protects a payload-sized message
 	// and the wire expansion is observed, not assumed.
 	measure := func(name string, key []byte) (int, []byte, error) {
-		e, err := reg.Find(name)
+		e, err := suites.Lookup(name)
 		if err != nil {
 			return 0, nil, err
 		}

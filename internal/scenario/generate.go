@@ -115,7 +115,7 @@ func pickFloat(r *sim.RNG, vs []float64) float64 { return vs[r.Intn(len(vs))] }
 // 63/64/65, MAC truncations, detector tolerances either side of the
 // period-halving signature).
 func mutations() []func(*Spec, *sim.RNG) {
-	suiteNames := suites.Registry().Names()
+	suiteNames := suites.Suites.NamesWith(suites.CapTable1)
 	defNames := killchain.DefenceNames()
 	return []func(*Spec, *sim.RNG){
 		func(s *Spec, r *sim.RNG) { s.Protocol.Suite = suiteNames[r.Intn(len(suiteNames))] },

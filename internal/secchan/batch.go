@@ -1,20 +1,19 @@
 package secchan
 
-// Batched secure-channel entry points. ProtectBatch and VerifyBatch
-// take a suite's native batch path when it implements BatchSuite and a
+// Batched secure-channel entry points. VerifyBatch takes a suite's
+// native batch path when it implements BatchSuite and a
 // frame-at-a-time loop otherwise. Among the built-in suites only SECOC
 // has a native path: the MAC ablation verifies its forgery floods in
 // bursts, and SECOC's batch verify pipelines their MACs through the
 // AES-NI batched CMAC kernel in vcrypto (8 MAC chains per call). The
 // AES-GCM suites have no cross-frame crypto to merge and take the loop.
+// ProtectBatch is a Protect loop for every suite.
 //
-// The contract is strict serial equivalence, byte for byte: a suite's
-// ProtectBatch must produce exactly the wires, stats, and first-error
-// behaviour of calling Protect in a loop, and VerifyBatch exactly the
-// verdicts and receiver-state transitions of calling Verify in wire
-// order. Batching is therefore invisible in every golden output; the
-// differential fuzzers in secchan/suites and the stats-identity tests
-// enforce it.
+// The contract is strict serial equivalence: a suite's VerifyBatch
+// must produce exactly the verdicts and receiver-state transitions of
+// calling Verify in wire order. Batching is therefore invisible in
+// every golden output; the differential fuzzer in secchan/suites
+// enforces it.
 
 // Verdict is one frame's VerifyBatch outcome: the authenticated payload
 // or the error the single-frame Verify would have returned. A batch
@@ -27,18 +26,11 @@ type Verdict struct {
 }
 
 // BatchSuite is optionally implemented by suites with a native batched
-// fast path. Third-party suites that only implement Suite keep working:
-// the package-level ProtectBatch/VerifyBatch helpers fall back to a
-// frame-at-a-time loop with identical semantics.
+// verify path. Third-party suites that only implement Suite keep
+// working: the package-level VerifyBatch falls back to a frame-at-a-time
+// loop with identical semantics.
 type BatchSuite interface {
 	Suite
-	// ProtectBatch protects payloads in order. dst is optional reusable
-	// backing: when len(dst) >= len(payloads), wire i is built in
-	// dst[i][:0], so a warmed dst makes the protect path
-	// allocation-free. It returns the protected wires (resliced dst
-	// elements or fresh buffers) and stops at the first error exactly
-	// as a Protect loop would, returning the wires protected so far.
-	ProtectBatch(payloads, dst [][]byte) ([][]byte, error)
 	// VerifyBatch verifies wires in order, writing one Verdict per
 	// frame into verdicts (grown as needed) and returning the used
 	// prefix. Frame errors are per-verdict, never batch-fatal, and
@@ -46,21 +38,17 @@ type BatchSuite interface {
 	VerifyBatch(wires [][]byte, verdicts []Verdict) []Verdict
 }
 
-// ProtectBatch protects payloads through s, taking the suite's native
-// batch path when it implements BatchSuite and an equivalent
-// frame-at-a-time loop otherwise. See BatchSuite.ProtectBatch for the
-// dst and error contract.
+// ProtectBatch protects payloads through s in order, appending the
+// wires to dst[:0]. It stops at the first error, returning the wires
+// protected so far.
 func ProtectBatch(s Suite, payloads, dst [][]byte) ([][]byte, error) {
-	if bs, ok := s.(BatchSuite); ok {
-		return bs.ProtectBatch(payloads, dst)
-	}
-	out := SizeWires(dst, len(payloads))
-	for i, p := range payloads {
+	out := dst[:0]
+	for _, p := range payloads {
 		wire, err := s.Protect(p)
 		if err != nil {
-			return out[:i], err
+			return out, err
 		}
-		out[i] = wire
+		out = append(out, wire)
 	}
 	return out, nil
 }
@@ -77,18 +65,6 @@ func VerifyBatch(s Suite, wires [][]byte, verdicts []Verdict) []Verdict {
 		verdicts[i].Payload, verdicts[i].Err = s.Verify(w)
 	}
 	return verdicts
-}
-
-// SizeWires reslices dst to n elements, reallocating only when the
-// backing array is too small — the reuse that keeps warmed batch
-// protect paths allocation-free.
-func SizeWires(dst [][]byte, n int) [][]byte {
-	if cap(dst) < n {
-		grown := make([][]byte, n)
-		copy(grown, dst[:cap(dst)])
-		return grown
-	}
-	return dst[:n]
 }
 
 // SizeVerdicts reslices verdicts to n elements, reallocating only when

@@ -15,10 +15,10 @@
 //     window — the SECOC receiver's candidate search, generalised.
 //
 // VerifyTrunc is the constant-time truncated-MAC comparison every
-// stack shares, and Suite/Registry give the experiment harness one
-// generic view of a protected channel (Protect/Verify plus overhead
-// and verify-failure accounting), so protocol comparisons iterate a
-// registry instead of naming protocols inline.
+// stack shares, and Suite/Entry give the experiment harness one
+// generic view of a protected channel (Protect/Verify, with the
+// Table I metadata on the registry entry), so protocol comparisons
+// iterate a registry instead of naming protocols inline.
 //
 // Everything here operates on uint64 sequence numbers with explicit
 // wrap semantics: protocols with narrower counters (MACsec's 32-bit

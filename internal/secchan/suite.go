@@ -1,10 +1,6 @@
 package secchan
 
-import (
-	"fmt"
-
-	"autosec/internal/sim"
-)
+import "autosec/internal/sim"
 
 // Properties are the comparison axes of the paper's Table I: what a
 // protocol guarantees per protected message.
@@ -26,73 +22,22 @@ func yn(b bool) string {
 	return "no"
 }
 
-// Stats is the per-endpoint-pair accounting every suite keeps: how
-// many messages each side processed, how many verifies failed (forgery,
-// replay, or malformed input), and the payload-vs-wire byte totals
-// behind the overhead ratios the IVN experiments report.
-type Stats struct {
-	Protected    uint64
-	Verified     uint64 // successful verifies
-	VerifyFailed uint64
-
-	PayloadBytes int64 // application bytes submitted to Protect
-	WireBytes    int64 // protected bytes Protect produced
-}
-
-// RecordProtect accounts one successful Protect call.
-func (s *Stats) RecordProtect(payloadLen, wireLen int) {
-	s.Protected++
-	s.PayloadBytes += int64(payloadLen)
-	s.WireBytes += int64(wireLen)
-}
-
-// RecordVerify accounts one Verify call by outcome.
-func (s *Stats) RecordVerify(ok bool) {
-	if ok {
-		s.Verified++
-	} else {
-		s.VerifyFailed++
-	}
-}
-
-// OverheadRatio is wire bytes per payload byte over everything this
-// endpoint protected (0 until something was).
-func (s *Stats) OverheadRatio() float64 {
-	if s.PayloadBytes == 0 {
-		return 0
-	}
-	return float64(s.WireBytes) / float64(s.PayloadBytes)
-}
-
 // Suite is one protected channel between a sending and a receiving
 // endpoint, viewed generically: bytes in, protected bytes out, and
 // back. Each Table I protocol provides an adapter (package
 // secchan/suites); the experiment harness compares them without
-// knowing any wire format.
+// knowing any wire format. A suite's Table I metadata lives on its
+// registry Entry, and its byte overhead is measured from the wire.
 //
 // Suites are not safe for concurrent use — like the protocol endpoints
 // they wrap, each belongs to one simulated task.
 type Suite interface {
-	// Name is the Table I protocol name, e.g. "SECOC" or "IPsec ESP".
-	Name() string
-	// Layer is the ISO-OSI layer label as Table I prints it, e.g.
-	// "2 data link".
-	Layer() string
-	// Media names the transmission media the protocol protects.
-	Media() string
 	// Protect wraps an application payload into its protected wire
 	// form, consuming one freshness value / sequence number.
 	Protect(payload []byte) ([]byte, error)
 	// Verify checks a protected wire message and returns the
 	// authenticated payload; replayed, stale, or forged input errors.
 	Verify(wire []byte) ([]byte, error)
-	// OverheadBytes is the bytes the suite adds to each payload on its
-	// lowest protected layer (the measured Table I column).
-	OverheadBytes() int
-	// Properties reports the Table I guarantee axes.
-	Properties() Properties
-	// Stats exposes the live per-endpoint accounting.
-	Stats() *Stats
 }
 
 // Params parameterises suite construction. Key is required; the
@@ -113,37 +58,19 @@ type Params struct {
 // Entry describes one registered suite: the Table I metadata plus a
 // constructor. Entries carry the paper mapping so docs and experiment
 // tables render from the registry rather than hand-kept lists.
+// Adding a protocol to the comparison means registering one Entry
+// (see secchan/suites).
 type Entry struct {
-	Name  string
+	// Name is the Table I protocol name, e.g. "SECOC" or "IPsec ESP".
+	Name string
+	// Layer is the ISO-OSI layer label as Table I prints it, e.g.
+	// "2 data link".
 	Layer string
+	// Media names the transmission media the protocol protects.
 	Media string
 	// Paper cites the paper artefact the suite reproduces (Table I
 	// row, section reference).
 	Paper string
 	Props Properties
 	New   func(Params) (Suite, error)
-}
-
-// Registry is an ordered list of suite entries — paper order, so
-// iterating it reproduces Table I's rows. Adding a protocol to the
-// comparison means appending one Entry (see secchan/suites).
-type Registry []Entry
-
-// Find returns the entry with the given protocol name.
-func (r Registry) Find(name string) (Entry, error) {
-	for _, e := range r {
-		if e.Name == name {
-			return e, nil
-		}
-	}
-	return Entry{}, fmt.Errorf("secchan: no suite %q in registry", name)
-}
-
-// Names lists the registered protocol names in registry order.
-func (r Registry) Names() []string {
-	out := make([]string, len(r))
-	for i, e := range r {
-		out[i] = e.Name
-	}
-	return out
 }

@@ -125,7 +125,7 @@ func fuzzSeeds(f *testing.F) {
 func FuzzSECOCSuiteVsReference(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		e, err := Registry().Find("SECOC")
+		e, err := Lookup("SECOC")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,7 +140,7 @@ func FuzzSECOCSuiteVsReference(f *testing.F) {
 func FuzzTLSSuiteVsReference(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		e, err := Registry().Find("(D)TLS")
+		e, err := Lookup("(D)TLS")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +152,7 @@ func FuzzTLSSuiteVsReference(f *testing.F) {
 func FuzzIPsecSuiteVsReference(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		e, err := Registry().Find("IPsec ESP")
+		e, err := Lookup("IPsec ESP")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,7 +164,7 @@ func FuzzIPsecSuiteVsReference(f *testing.F) {
 func FuzzMACsecSuiteVsReference(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		e, err := Registry().Find("MACsec")
+		e, err := Lookup("MACsec")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,7 +184,7 @@ func FuzzMACsecSuiteVsReference(f *testing.F) {
 func FuzzCANsecSuiteVsReference(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		e, err := Registry().Find("CANsec")
+		e, err := Lookup("CANsec")
 		if err != nil {
 			t.Fatal(err)
 		}

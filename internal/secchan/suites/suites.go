@@ -57,7 +57,7 @@ func init() {
 	integ.Paper = "Table I row 4 variant; 802.1AE integrity-only mode (E=0)"
 	integ.Props.Conf = false
 	reg(6, integ, "802.1AE MACsec integrity-only variant (authenticated, plaintext payload)",
-		NewMACsecIntegrityOnly, ext.CapCore)
+		newMACsecIntegrityOnly, ext.CapCore)
 }
 
 // Registry returns the Table I suites in paper row order: SECOC,
@@ -66,9 +66,9 @@ func init() {
 // what drop-in suites a binary links in. Constructors that randomise a
 // handshake consume Params.RNG in this order, so iterating the
 // registry preserves the deterministic draw stream of the experiments.
-func Registry() secchan.Registry {
+func Registry() []secchan.Entry {
 	names := Suites.NamesWith(CapTable1)
-	out := make(secchan.Registry, 0, len(names))
+	out := make([]secchan.Entry, 0, len(names))
 	for _, n := range names {
 		e, _, _ := Suites.Get(n)
 		out = append(out, e)
@@ -82,26 +82,6 @@ func Lookup(name string) (secchan.Entry, error) {
 	return Suites.Lookup(name)
 }
 
-// base carries the Table I metadata and accounting shared by every
-// adapter; each suite embeds it and adds Protect/Verify.
-type base struct {
-	name, layer, media string
-	props              secchan.Properties
-	overhead           int
-	stats              secchan.Stats
-}
-
-func (b *base) Name() string                   { return b.name }
-func (b *base) Layer() string                  { return b.layer }
-func (b *base) Media() string                  { return b.media }
-func (b *base) OverheadBytes() int             { return b.overhead }
-func (b *base) Properties() secchan.Properties { return b.props }
-func (b *base) Stats() *secchan.Stats          { return &b.stats }
-
-func baseFrom(e secchan.Entry, overhead int) base {
-	return base{name: e.Name, layer: e.Layer, media: e.Media, props: e.Props, overhead: overhead}
-}
-
 // --- SECOC (application layer, Table I row 1) ---
 
 var secocMeta = secchan.Entry{
@@ -112,11 +92,15 @@ var secocMeta = secchan.Entry{
 	Props: secchan.Properties{Auth: true, Conf: false, Replay: true},
 }
 
+// secocSuite is the one suite with a native secchan.BatchSuite path:
+// the embedded receiver's VerifyBatch pipelines the MACs of a burst
+// through the batched CMAC kernel.
 type secocSuite struct {
-	base
-	send *secoc.Sender
-	recv *secoc.Receiver
+	*secoc.Sender
+	*secoc.Receiver
 }
+
+var _ secchan.BatchSuite = secocSuite{}
 
 func newSECOC(p secchan.Params) (secchan.Suite, error) {
 	cfg := secoc.DefaultConfig(1)
@@ -131,44 +115,7 @@ func newSECOC(p secchan.Params) (secchan.Suite, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &secocSuite{base: baseFrom(secocMeta, cfg.Overhead()), send: send, recv: recv}, nil
-}
-
-func (s *secocSuite) Protect(payload []byte) ([]byte, error) {
-	wire, err := s.send.Protect(payload)
-	if err != nil {
-		return nil, err
-	}
-	s.stats.RecordProtect(len(payload), len(wire))
-	return wire, nil
-}
-
-func (s *secocSuite) Verify(wire []byte) ([]byte, error) {
-	pt, err := s.recv.Verify(wire)
-	s.stats.RecordVerify(err == nil)
-	return pt, err
-}
-
-// SECOC is the one suite with a native secchan.BatchSuite path: its
-// batch verify pipelines the MACs of a burst through the batched CMAC
-// kernel. The adapters replay the per-frame stats updates Protect and
-// Verify perform, so Stats stay identical to a frame-at-a-time run.
-var _ secchan.BatchSuite = (*secocSuite)(nil)
-
-func (s *secocSuite) ProtectBatch(payloads, dst [][]byte) ([][]byte, error) {
-	wires, err := s.send.ProtectBatch(payloads, dst)
-	for i, w := range wires {
-		s.stats.RecordProtect(len(payloads[i]), len(w))
-	}
-	return wires, err
-}
-
-func (s *secocSuite) VerifyBatch(wires [][]byte, verdicts []secchan.Verdict) []secchan.Verdict {
-	verdicts = s.recv.VerifyBatch(wires, verdicts)
-	for i := range verdicts {
-		s.stats.RecordVerify(verdicts[i].Err == nil)
-	}
-	return verdicts
+	return secocSuite{send, recv}, nil
 }
 
 // --- (D)TLS (transport layer, Table I row 2) ---
@@ -182,7 +129,6 @@ var tlsMeta = secchan.Entry{
 }
 
 type tlsSuite struct {
-	base
 	client *tlslite.Session
 	server *tlslite.Session
 }
@@ -195,23 +141,11 @@ func newTLS(p secchan.Params) (secchan.Suite, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &tlsSuite{base: baseFrom(tlsMeta, tlslite.RecordOverhead), client: client, server: server}, nil
+	return &tlsSuite{client: client, server: server}, nil
 }
 
-func (s *tlsSuite) Protect(payload []byte) ([]byte, error) {
-	wire, err := s.client.Seal(payload)
-	if err != nil {
-		return nil, err
-	}
-	s.stats.RecordProtect(len(payload), len(wire))
-	return wire, nil
-}
-
-func (s *tlsSuite) Verify(wire []byte) ([]byte, error) {
-	pt, err := s.server.Open(wire)
-	s.stats.RecordVerify(err == nil)
-	return pt, err
-}
+func (s *tlsSuite) Protect(payload []byte) ([]byte, error) { return s.client.Seal(payload) }
+func (s *tlsSuite) Verify(wire []byte) ([]byte, error)     { return s.server.Open(wire) }
 
 // --- IPsec ESP (network layer, Table I row 3) ---
 
@@ -224,7 +158,6 @@ var ipsecMeta = secchan.Entry{
 }
 
 type ipsecSuite struct {
-	base
 	send *ipsec.SA
 	recv *ipsec.SA
 }
@@ -238,23 +171,11 @@ func newIPsec(p secchan.Params) (secchan.Suite, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ipsecSuite{base: baseFrom(ipsecMeta, ipsec.Overhead), send: send, recv: recv}, nil
+	return &ipsecSuite{send: send, recv: recv}, nil
 }
 
-func (s *ipsecSuite) Protect(payload []byte) ([]byte, error) {
-	wire, err := s.send.Encapsulate(payload)
-	if err != nil {
-		return nil, err
-	}
-	s.stats.RecordProtect(len(payload), len(wire))
-	return wire, nil
-}
-
-func (s *ipsecSuite) Verify(wire []byte) ([]byte, error) {
-	pt, err := s.recv.Decapsulate(wire)
-	s.stats.RecordVerify(err == nil)
-	return pt, err
-}
+func (s *ipsecSuite) Protect(payload []byte) ([]byte, error) { return s.send.Encapsulate(payload) }
+func (s *ipsecSuite) Verify(wire []byte) ([]byte, error)     { return s.recv.Decapsulate(wire) }
 
 // --- MACsec (data link on Ethernet, Table I row 4) ---
 
@@ -274,27 +195,23 @@ var (
 )
 
 type macsecSuite struct {
-	base
 	tx *macsec.SecY
 	rx *macsec.SecY
 }
 
 func newMACsec(p secchan.Params) (secchan.Suite, error) {
-	return newMACsecMode(macsec.Confidential, macsecMeta, p)
+	return newMACsecMode(macsec.Confidential, p)
 }
 
-// NewMACsecIntegrityOnly builds the 802.1AE integrity-only variant
+// newMACsecIntegrityOnly builds the 802.1AE integrity-only variant
 // (E=0: authenticated, plaintext payload). It is not a Table I row —
 // the table's MACsec entry is the confidential mode — but the
 // benchmark suite measures both.
-func NewMACsecIntegrityOnly(p secchan.Params) (secchan.Suite, error) {
-	e := macsecMeta
-	e.Name = "MACsec-integ"
-	e.Props.Conf = false
-	return newMACsecMode(macsec.IntegrityOnly, e, p)
+func newMACsecIntegrityOnly(p secchan.Params) (secchan.Suite, error) {
+	return newMACsecMode(macsec.IntegrityOnly, p)
 }
 
-func newMACsecMode(mode macsec.Mode, e secchan.Entry, p secchan.Params) (secchan.Suite, error) {
+func newMACsecMode(mode macsec.Mode, p secchan.Params) (secchan.Suite, error) {
 	sciTx := macsec.SCIFromMAC(macsecSrcMAC, 1)
 	tx, err := macsec.NewSecY(mode, sciTx, p.Key, 0)
 	if err != nil {
@@ -307,9 +224,7 @@ func newMACsecMode(mode macsec.Mode, e secchan.Entry, p secchan.Params) (secchan
 	if err := rx.AddPeer(sciTx, p.Key, 0); err != nil {
 		return nil, err
 	}
-	// SecTAG plus ICV plus the 2-byte inner EtherType the encapsulation
-	// moves into the protected body.
-	return &macsecSuite{base: baseFrom(e, macsec.Overhead+2), tx: tx, rx: rx}, nil
+	return &macsecSuite{tx: tx, rx: rx}, nil
 }
 
 func (s *macsecSuite) Protect(payload []byte) ([]byte, error) {
@@ -318,14 +233,12 @@ func (s *macsecSuite) Protect(payload []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.stats.RecordProtect(len(payload), len(sec.Payload))
 	return sec.Payload, nil
 }
 
 func (s *macsecSuite) Verify(wire []byte) ([]byte, error) {
 	f := &ethernet.Frame{Dst: macsecDstMAC, Src: macsecSrcMAC, EtherType: ethernet.EtherTypeMACsec, Payload: wire}
 	inner, err := s.rx.Verify(f)
-	s.stats.RecordVerify(err == nil)
 	if err != nil {
 		return nil, err
 	}
@@ -343,7 +256,6 @@ var cansecMeta = secchan.Entry{
 }
 
 type cansecSuite struct {
-	base
 	send *cansec.Endpoint
 	recv *cansec.Endpoint
 }
@@ -353,11 +265,7 @@ func newCANsec(p secchan.Params) (secchan.Suite, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &cansecSuite{
-		base: baseFrom(cansecMeta, cansec.Overhead),
-		send: cansec.NewEndpoint(zone, 1),
-		recv: cansec.NewEndpoint(zone, 2),
-	}, nil
+	return &cansecSuite{send: cansec.NewEndpoint(zone, 1), recv: cansec.NewEndpoint(zone, 2)}, nil
 }
 
 func (s *cansecSuite) Protect(payload []byte) ([]byte, error) {
@@ -365,13 +273,10 @@ func (s *cansecSuite) Protect(payload []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.stats.RecordProtect(len(payload), len(f.Payload))
 	return f.Payload, nil
 }
 
 func (s *cansecSuite) Verify(wire []byte) ([]byte, error) {
 	f := &canbus.Frame{ID: 0x100, Format: canbus.XL, SDUType: canbus.SDUCANsec, Payload: wire}
-	pt, err := s.recv.Verify(f)
-	s.stats.RecordVerify(err == nil)
-	return pt, err
+	return s.recv.Verify(f)
 }

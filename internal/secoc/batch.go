@@ -7,18 +7,18 @@ import (
 	"autosec/internal/vcrypto"
 )
 
-// Batched SECOC endpoints. SECOC is the one Table I suite whose
+// Batched SECOC verify. SECOC is the one Table I suite whose
 // per-frame crypto is a CMAC, and CBC-MAC chains are serial *within* a
 // message but independent *across* messages — so a batch of PDUs can
 // pipeline through the AES-NI kernel in vcrypto (8 MAC chains per
 // call) where the single-frame path runs one chain at a time. The
-// batch endpoints are contractually byte-identical to a loop over
-// Protect/Verify: same wires, same counter movements, same errors.
+// batch verify is contractually identical to a Verify loop: same
+// verdicts, same counter movements, same errors.
 
-// batchScratch holds the reusable arenas of one endpoint's batch path:
+// batchScratch holds the reusable arenas of a receiver's batch path:
 // the MAC messages (data-ID ‖ payload ‖ full freshness) are laid out
-// back to back in one buffer, so a warmed endpoint protects or
-// verifies a whole batch without allocating.
+// back to back in one buffer, so a warmed receiver verifies a whole
+// batch without allocating.
 type batchScratch struct {
 	arena []byte
 	msgs  [][]byte
@@ -29,10 +29,11 @@ type batchScratch struct {
 	idxA, idxB   []int
 }
 
-// layout resizes the scratch to hold nMsgs MAC messages of totalLen
-// total bytes and per-frame prediction slots for n frames, reusing
-// backing arrays across batches.
-func (b *batchScratch) layout(n, nMsgs, totalLen int) {
+// layout resizes the scratch to hold two predicted MAC messages per
+// frame for n frames, totalLen bytes in all, and their per-frame
+// prediction slots, reusing backing arrays across batches.
+func (b *batchScratch) layout(n, totalLen int) {
+	nMsgs := 2 * n
 	if cap(b.arena) < totalLen {
 		b.arena = make([]byte, totalLen)
 	}
@@ -53,56 +54,6 @@ func (b *batchScratch) layout(n, nMsgs, totalLen int) {
 	b.candB = b.candB[:n]
 	b.idxA = b.idxA[:n]
 	b.idxB = b.idxB[:n]
-}
-
-// ProtectBatch builds the secured PDUs for payloads in order, consuming
-// one freshness value per payload — byte-identical to calling Protect
-// in a loop, but with all MACs computed through vcrypto.CMACBatch. dst
-// follows the secchan batch contract: when long enough, wire i is built
-// in dst[i][:0], so a warmed dst keeps the path allocation-free.
-func (s *Sender) ProtectBatch(payloads, dst [][]byte) ([][]byte, error) {
-	out := secchan.SizeWires(dst, len(payloads))
-	n := len(payloads)
-	if n == 0 {
-		return out, nil
-	}
-
-	total := 0
-	for _, p := range payloads {
-		total += 2 + len(p) + 8
-	}
-	sc := &s.batch
-	sc.layout(n, n, total)
-
-	off := 0
-	for i, p := range payloads {
-		msg := sc.arena[off : off+2+len(p)+8]
-		off += len(msg)
-		binary.BigEndian.PutUint16(msg[0:2], s.cfg.DataID)
-		copy(msg[2:], p)
-		binary.BigEndian.PutUint64(msg[2+len(p):], s.fv+uint64(i)+1)
-		sc.msgs[i] = msg
-	}
-	if err := vcrypto.CMACBatch(s.key, sc.msgs, sc.tags); err != nil {
-		// A Protect loop would consume one freshness value before
-		// hitting the same key error on its first MAC.
-		s.fv++
-		return out[:0], err
-	}
-
-	fvBytes := s.cfg.FreshnessBits / 8
-	macBytes := s.cfg.MACBits / 8
-	for i, p := range payloads {
-		s.fv++
-		w := out[i][:0]
-		w = append(w, p...)
-		var fvBuf [8]byte
-		binary.BigEndian.PutUint64(fvBuf[:], s.fv)
-		w = append(w, fvBuf[8-fvBytes:]...)
-		w = append(w, sc.tags[i][:macBytes]...)
-		out[i] = w
-	}
-	return out, nil
 }
 
 // VerifyBatch checks a batch of secured PDUs, writing one verdict per
@@ -140,7 +91,7 @@ func (r *Receiver) VerifyBatch(wires [][]byte, verdicts []secchan.Verdict) []sec
 		}
 	}
 	sc := &r.batch
-	sc.layout(n, 2*n, total)
+	sc.layout(n, total)
 
 	startLast := r.fresh.Last()
 	chainLast := startLast

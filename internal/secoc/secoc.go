@@ -56,11 +56,10 @@ func (c Config) Overhead() int { return c.FreshnessBits/8 + c.MACBits/8 }
 // Sender protects outgoing PDUs. Not safe for concurrent use (each
 // stream belongs to one simulated ECU task).
 type Sender struct {
-	cfg   Config
-	key   []byte
-	fv    uint64 // full monotonic freshness counter
-	mac   macScratch
-	batch batchScratch
+	cfg Config
+	key []byte
+	fv  uint64 // full monotonic freshness counter
+	mac macScratch
 }
 
 // NewSender creates a protecting endpoint.
@@ -91,9 +90,6 @@ func (s *Sender) Protect(payload []byte) ([]byte, error) {
 	out = append(out, mac...)
 	return out, nil
 }
-
-// FV exposes the current counter (tests, persistence).
-func (s *Sender) FV() uint64 { return s.fv }
 
 // Receiver verifies secured PDUs.
 type Receiver struct {

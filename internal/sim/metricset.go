@@ -80,18 +80,6 @@ func (ms *MetricSet) Metrics() []Metric {
 	return append([]Metric(nil), ms.metrics...)
 }
 
-// WriteJSON writes the metrics as a JSON array, one stable-ordered
-// object per metric, indented for readability. Output is deterministic.
-func (ms *MetricSet) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	m := ms.Metrics()
-	if m == nil {
-		m = []Metric{}
-	}
-	return enc.Encode(m)
-}
-
 // WriteMetricsCSV writes metrics as "name,value" CSV rows with a
 // header. Names containing commas or quotes are quoted per RFC 4180.
 func WriteMetricsCSV(w io.Writer, metrics []Metric) error {

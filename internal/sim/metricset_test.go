@@ -2,7 +2,6 @@ package sim
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -40,17 +39,6 @@ func TestMetricSetJSONAndCSV(t *testing.T) {
 	ms := NewMetricSet()
 	ms.Add("plain", 1.5)
 	ms.Add("with,comma", 2)
-	var js bytes.Buffer
-	if err := ms.WriteJSON(&js); err != nil {
-		t.Fatal(err)
-	}
-	var decoded []Metric
-	if err := json.Unmarshal(js.Bytes(), &decoded); err != nil {
-		t.Fatalf("WriteJSON output invalid: %v\n%s", err, js.String())
-	}
-	if len(decoded) != 2 || decoded[0].Name != "plain" || decoded[0].Value != 1.5 {
-		t.Fatalf("decoded %v", decoded)
-	}
 	var cs bytes.Buffer
 	if err := WriteMetricsCSV(&cs, ms.Metrics()); err != nil {
 		t.Fatal(err)

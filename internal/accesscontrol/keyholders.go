@@ -110,10 +110,11 @@ func (o *Owner) Publish(payload []byte, holders []*Keyholder, t int, allowed []s
 	o.seq++
 	msgID := fmt.Sprintf("%s/%d", o.Name, o.seq)
 
-	ct, err := vcrypto.GCMSeal(key, 0, uint32(o.seq), []byte(msgID), payload)
+	gcm, err := vcrypto.NewGCM(key)
 	if err != nil {
 		return nil, err
 	}
+	ct := gcm.Seal(nil, 0, uint32(o.seq), []byte(msgID), payload)
 	shares, err := Split(key, len(holders), t, o.rng)
 	if err != nil {
 		return nil, err
@@ -159,7 +160,11 @@ func Retrieve(msg *SealedMessage, consumer string, holders []*Keyholder, now int
 	}
 	var seq uint32
 	fmt.Sscanf(msg.ID[len(msg.Owner)+1:], "%d", &seq)
-	payload, err := vcrypto.GCMOpen(key, 0, seq, []byte(msg.ID), msg.Ciphertext)
+	gcm, err := vcrypto.NewGCM(key)
+	if err != nil {
+		return nil, fmt.Errorf("accesscontrol: reconstructed key failed to decrypt: %w", err)
+	}
+	payload, err := gcm.Open(nil, 0, seq, []byte(msg.ID), msg.Ciphertext)
 	if err != nil {
 		return nil, fmt.Errorf("accesscontrol: reconstructed key failed to decrypt: %w", err)
 	}

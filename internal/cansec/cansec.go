@@ -49,21 +49,22 @@ func NewZone(id uint16, mode Mode, key []byte) (*Zone, error) {
 	return &Zone{ID: id, Mode: mode, key: append([]byte(nil), key...)}, nil
 }
 
-// Endpoint is one node's CANsec state within a zone.
+// Endpoint is one node's CANsec state within a zone. Not safe for
+// concurrent use.
 type Endpoint struct {
 	zone   *Zone
 	nodeID uint16
+	gcm    *vcrypto.GCM // keyed with the zone key, owned by this node
 	sendFV uint32
 	peerFV map[uint16]*secchan.Counter // freshness state per sender
 	Window uint32                      // acceptance window above peer counter
-
-	macMsg []byte // scratch for the header‖payload MAC message
 }
 
 // NewEndpoint creates a node endpoint in the zone. nodeID must be unique
 // within the zone (it scopes the freshness space).
 func NewEndpoint(zone *Zone, nodeID uint16) *Endpoint {
-	return &Endpoint{zone: zone, nodeID: nodeID, peerFV: make(map[uint16]*secchan.Counter), Window: 1024}
+	gcm, _ := vcrypto.NewGCM(zone.key) // cannot fail: NewZone checked the key
+	return &Endpoint{zone: zone, nodeID: nodeID, gcm: gcm, peerFV: make(map[uint16]*secchan.Counter), Window: 1024}
 }
 
 // peer returns the freshness counter for a sending node, created on
@@ -79,32 +80,28 @@ func (e *Endpoint) peer(src uint16) *secchan.Counter {
 }
 
 // Protect wraps payload into a CANsec-protected CAN XL frame with the
-// given priority identifier.
+// given priority identifier. The SDU is assembled in one buffer: header
+// ‖ sealed payload, or header ‖ payload ‖ tag in AuthOnly mode, where
+// the tag covers header ‖ payload.
 func (e *Endpoint) Protect(priorityID uint32, payload []byte) (*canbus.Frame, error) {
 	e.sendFV++
-	hdr := make([]byte, headerLen)
-	binary.BigEndian.PutUint16(hdr[0:2], e.zone.ID)
-	binary.BigEndian.PutUint16(hdr[2:4], e.nodeID)
-	binary.BigEndian.PutUint32(hdr[4:8], e.sendFV)
+	sdu := make([]byte, headerLen, Overhead+len(payload))
+	binary.BigEndian.PutUint16(sdu[0:2], e.zone.ID)
+	binary.BigEndian.PutUint16(sdu[2:4], e.nodeID)
+	binary.BigEndian.PutUint32(sdu[4:8], e.sendFV)
 
 	sci := uint64(e.zone.ID)<<16 | uint64(e.nodeID)
-	var body []byte
-	var err error
 	if e.zone.Mode == AuthEncrypt {
-		body, err = vcrypto.GCMSeal(e.zone.key, sci, e.sendFV, hdr, payload)
+		sdu = e.gcm.Seal(sdu, sci, e.sendFV, sdu[:headerLen], payload)
 	} else {
-		var tag []byte
-		tag, err = vcrypto.GCMTag(e.zone.key, sci, e.sendFV, append(append([]byte(nil), hdr...), payload...))
-		body = append(append([]byte(nil), payload...), tag...)
-	}
-	if err != nil {
-		return nil, err
+		sdu = append(sdu, payload...)
+		sdu = e.gcm.Seal(sdu, sci, e.sendFV, sdu, nil)
 	}
 	f := &canbus.Frame{
 		ID:      priorityID,
 		Format:  canbus.XL,
 		SDUType: canbus.SDUCANsec,
-		Payload: append(hdr, body...),
+		Payload: sdu,
 	}
 	return f, f.Validate()
 }
@@ -114,12 +111,7 @@ func (e *Endpoint) Verify(f *canbus.Frame) ([]byte, error) {
 	if f.SDUType != canbus.SDUCANsec {
 		return nil, fmt.Errorf("cansec: SDU type %#x is not CANsec", f.SDUType)
 	}
-	return e.verifySDU(nil, f.Payload)
-}
-
-// verifySDU is Verify's core: it checks one CANsec SDU (frame payload)
-// and appends the authenticated payload to dst.
-func (e *Endpoint) verifySDU(dst, sdu []byte) ([]byte, error) {
+	sdu := f.Payload
 	if len(sdu) < Overhead {
 		return nil, fmt.Errorf("cansec: frame too short")
 	}
@@ -137,26 +129,19 @@ func (e *Endpoint) verifySDU(dst, sdu []byte) ([]byte, error) {
 	}
 
 	sci := uint64(zoneID)<<16 | uint64(src)
-	body := sdu[headerLen:]
 	var payload []byte
-	var err error
 	if e.zone.Mode == AuthEncrypt {
-		payload, err = vcrypto.GCMOpenInto(dst, e.zone.key, sci, fv, hdr, body)
+		var err error
+		payload, err = e.gcm.Open(nil, sci, fv, hdr, sdu[headerLen:])
 		if err != nil {
 			return nil, err
 		}
 	} else {
-		if len(body) < tagLen {
-			return nil, fmt.Errorf("cansec: short auth body")
-		}
-		pt := body[:len(body)-tagLen]
-		tag := body[len(body)-tagLen:]
-		msg := append(append(e.macMsg[:0], hdr...), pt...)
-		e.macMsg = msg[:0]
-		if !vcrypto.GCMVerifyTag(e.zone.key, sci, fv, msg, tag) {
+		covered := sdu[:len(sdu)-tagLen] // header ‖ payload
+		if _, err := e.gcm.Open(nil, sci, fv, covered, sdu[len(covered):]); err != nil {
 			return nil, fmt.Errorf("cansec: tag verification failed")
 		}
-		payload = append(dst, pt...)
+		payload = append([]byte(nil), covered[headerLen:]...)
 	}
 	ctr.Commit(uint64(fv))
 	return payload, nil

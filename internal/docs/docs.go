@@ -11,8 +11,8 @@
 //     registry; multi-id sections carry their own heading in the body.
 //   - Generation fails unless the template's sections cover the
 //     registry exactly — adding an experiment without documenting it
-//     (or documenting a removed one) breaks `avsec expmd` and the CI
-//     doc-freshness job.
+//     (or documenting a removed one) breaks `avsec expmd` and
+//     cmd/avsec's TestCommandGoldens.
 //   - `{{m:NAME}}` / `{{m:ID:NAME}}` placeholders are substituted with
 //     the named typed metric's value; an unknown name is an error.
 //     `{{m:NAME|of N}}` renders a rate metric as the count "k/N" the

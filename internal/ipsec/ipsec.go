@@ -20,10 +20,11 @@ import (
 // Overhead is the bytes ESP adds: SPI(4) + Seq(4) + ICV/tag(16).
 const Overhead = 8 + 16
 
-// SA is one direction of a security association.
+// SA is one direction of a security association. Not safe for
+// concurrent use.
 type SA struct {
 	SPI     uint32
-	key     []byte
+	gcm     *vcrypto.GCM
 	sendSeq uint32
 
 	replay secchan.Window
@@ -37,23 +38,24 @@ func NewSA(spi uint32, key []byte) (*SA, error) {
 	if len(key) != 16 && len(key) != 32 {
 		return nil, fmt.Errorf("ipsec: key must be 16 or 32 bytes, got %d", len(key))
 	}
-	return &SA{SPI: spi, key: append([]byte(nil), key...), WindowSize: 64}, nil
+	gcm, err := vcrypto.NewGCM(key)
+	if err != nil {
+		return nil, err
+	}
+	return &SA{SPI: spi, gcm: gcm, WindowSize: 64}, nil
 }
 
-// Encapsulate protects an inner packet into an ESP packet.
+// Encapsulate protects an inner packet into an ESP packet, sealing it
+// into the buffer that holds the header.
 func (sa *SA) Encapsulate(inner []byte) ([]byte, error) {
 	if sa.sendSeq == ^uint32(0) {
 		return nil, fmt.Errorf("ipsec: sequence space exhausted; rekey the SA")
 	}
 	sa.sendSeq++
-	hdr := make([]byte, 8)
-	binary.BigEndian.PutUint32(hdr[0:4], sa.SPI)
-	binary.BigEndian.PutUint32(hdr[4:8], sa.sendSeq)
-	ct, err := vcrypto.GCMSeal(sa.key, uint64(sa.SPI), sa.sendSeq, hdr, inner)
-	if err != nil {
-		return nil, err
-	}
-	return append(hdr, ct...), nil
+	pkt := make([]byte, 8, Overhead+len(inner))
+	binary.BigEndian.PutUint32(pkt[0:4], sa.SPI)
+	binary.BigEndian.PutUint32(pkt[4:8], sa.sendSeq)
+	return sa.gcm.Seal(pkt, uint64(sa.SPI), sa.sendSeq, pkt[:8], inner), nil
 }
 
 // Decapsulate verifies an ESP packet and returns the inner packet.
@@ -72,7 +74,7 @@ func (sa *SA) Decapsulate(pkt []byte) ([]byte, error) {
 	if !sa.replay.Check(uint64(seq)) {
 		return nil, fmt.Errorf("ipsec: anti-replay rejected seq %d", seq)
 	}
-	inner, err := vcrypto.GCMOpen(sa.key, uint64(sa.SPI), seq, pkt[:8], pkt[8:])
+	inner, err := sa.gcm.Open(nil, uint64(sa.SPI), seq, pkt[:8], pkt[8:])
 	if err != nil {
 		return nil, err
 	}

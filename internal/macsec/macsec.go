@@ -45,27 +45,22 @@ type SecTAG struct {
 const secTAGLen = 14 // simplified fixed-length tag: flags+AN, PN, SCI
 const icvLen = 16
 
-// Overhead is the total bytes MACsec adds to a frame's payload (SecTAG
-// plus ICV). The EtherType change is not counted (same width).
-const Overhead = secTAGLen + icvLen
-
-func (t *SecTAG) marshal() []byte {
-	buf := make([]byte, secTAGLen)
+// put writes the SecTAG into b[:secTAGLen].
+func (t SecTAG) put(b []byte) {
 	flags := t.AN & 0x03
 	if t.Enc {
 		flags |= 0x08
 	}
-	buf[0] = flags
-	binary.BigEndian.PutUint32(buf[2:6], t.PN)
-	binary.BigEndian.PutUint64(buf[6:14], t.SCI)
-	return buf
+	b[0], b[1] = flags, 0
+	binary.BigEndian.PutUint32(b[2:6], t.PN)
+	binary.BigEndian.PutUint64(b[6:14], t.SCI)
 }
 
-func parseSecTAG(b []byte) (*SecTAG, error) {
+func parseSecTAG(b []byte) (SecTAG, error) {
 	if len(b) < secTAGLen {
-		return nil, fmt.Errorf("macsec: short SecTAG")
+		return SecTAG{}, fmt.Errorf("macsec: short SecTAG")
 	}
-	return &SecTAG{
+	return SecTAG{
 		AN:  b[0] & 0x03,
 		Enc: b[0]&0x08 != 0,
 		PN:  binary.BigEndian.Uint32(b[2:6]),
@@ -84,21 +79,25 @@ func SCIFromMAC(mac ethernet.MAC, port uint16) uint64 {
 
 // SecY is a MACsec entity on one port: it protects egress frames on its
 // transmit secure channel and verifies ingress frames from known peer
-// channels.
+// channels. Not safe for concurrent use.
 type SecY struct {
 	mode  Mode
 	sci   uint64
 	an    uint8
-	sak   []byte
+	gcm   *vcrypto.GCM // keyed with the transmit SAK
 	nexPN uint32
 	// rx state per peer SCI
 	peers map[uint64]*rxChannel
 	// ReplayWindow 0 means strict in-order; >0 tolerates reordering.
 	ReplayWindow uint32
+
+	// Per-frame scratch: the AAD, and on receive the opened inner
+	// frame (EtherType ‖ payload) before its payload is copied out.
+	aad, inner []byte
 }
 
 type rxChannel struct {
-	sak    []byte
+	gcm    *vcrypto.GCM // keyed with the peer's SAK
 	an     uint8
 	highPN uint32
 }
@@ -109,81 +108,64 @@ func NewSecY(mode Mode, sci uint64, sak []byte, an uint8) (*SecY, error) {
 	if len(sak) != 16 && len(sak) != 32 {
 		return nil, fmt.Errorf("macsec: SAK must be 16 or 32 bytes, got %d", len(sak))
 	}
+	gcm, err := vcrypto.NewGCM(sak)
+	if err != nil {
+		return nil, err
+	}
 	return &SecY{
 		mode: mode, sci: sci, an: an & 3,
-		sak:   append([]byte(nil), sak...),
+		gcm:   gcm,
 		nexPN: 1,
 		peers: make(map[uint64]*rxChannel),
 	}, nil
 }
 
-// AddPeer registers a receive channel keyed with the peer's SAK.
+// AddPeer registers a receive channel keyed with the peer's SAK. Adding
+// a known SCI again installs the new SAK and association number and
+// restarts its replay state, as a rekey does.
 func (s *SecY) AddPeer(sci uint64, sak []byte, an uint8) error {
 	if len(sak) != 16 && len(sak) != 32 {
 		return fmt.Errorf("macsec: peer SAK length %d", len(sak))
 	}
-	s.peers[sci] = &rxChannel{sak: append([]byte(nil), sak...), an: an & 3}
-	return nil
-}
-
-// RekeyTx installs a new transmit SAK under the next association number
-// and resets the packet number — the operation MKA performs as PN
-// exhaustion approaches.
-func (s *SecY) RekeyTx(sak []byte) error {
-	if len(sak) != 16 && len(sak) != 32 {
-		return fmt.Errorf("macsec: SAK length %d", len(sak))
+	gcm, err := vcrypto.NewGCM(sak)
+	if err != nil {
+		return err
 	}
-	s.sak = append([]byte(nil), sak...)
-	s.an = (s.an + 1) & 3
-	s.nexPN = 1
+	s.peers[sci] = &rxChannel{gcm: gcm, an: an & 3}
 	return nil
-}
-
-// NextPN exposes the transmit packet number (for rekey policy tests).
-func (s *SecY) NextPN() uint32 { return s.nexPN }
-
-// NeedRekey reports whether the transmit packet number has crossed the
-// given fraction of its space — the trigger MKA uses to distribute a
-// fresh SAK before PN exhaustion would halt transmission.
-func (s *SecY) NeedRekey(fraction float64) bool {
-	if fraction <= 0 {
-		fraction = 0.75
-	}
-	return float64(s.nexPN) >= fraction*float64(^uint32(0))
 }
 
 // Protect wraps an Ethernet frame in MACsec: the original EtherType and
 // payload become the secure data; the SecTAG is authenticated as
-// associated data together with the MAC addresses.
+// associated data together with the MAC addresses. The protected
+// payload is assembled in one buffer: SecTAG ‖ inner frame, sealed in
+// place (confidential) or followed by its ICV (integrity-only).
 func (s *SecY) Protect(f *ethernet.Frame) (*ethernet.Frame, error) {
 	if s.nexPN == 0 {
 		return nil, fmt.Errorf("macsec: transmit PN exhausted; rekey required")
 	}
-	tag := &SecTAG{AN: s.an, PN: s.nexPN, SCI: s.sci, Enc: s.mode == Confidential}
+	tag := SecTAG{AN: s.an, PN: s.nexPN, SCI: s.sci, Enc: s.mode == Confidential}
 	s.nexPN++
 
-	inner := make([]byte, 2+len(f.Payload))
+	n := secTAGLen + 2 + len(f.Payload)
+	wire := make([]byte, n, n+icvLen)
+	tag.put(wire)
+	inner := wire[secTAGLen:]
 	binary.BigEndian.PutUint16(inner[0:2], f.EtherType)
 	copy(inner[2:], f.Payload)
 
-	aad := buildAAD(f.Dst, f.Src, tag)
-	var body []byte
-	var err error
 	if s.mode == Confidential {
-		body, err = vcrypto.GCMSeal(s.sak, tag.SCI, tag.PN, aad, inner)
+		aad := s.buildAAD(f.Dst, f.Src, wire[:secTAGLen])
+		wire = wire[:secTAGLen+len(s.gcm.Seal(inner[:0], tag.SCI, tag.PN, aad, inner))]
 	} else {
-		var icv []byte
-		icv, err = vcrypto.GCMTag(s.sak, tag.SCI, tag.PN, append(aad, inner...))
-		body = append(append([]byte(nil), inner...), icv...)
-	}
-	if err != nil {
-		return nil, err
+		aad := s.buildAAD(f.Dst, f.Src, wire)
+		wire = s.gcm.Seal(wire, tag.SCI, tag.PN, aad, nil)
 	}
 
 	out := &ethernet.Frame{
 		Dst: f.Dst, Src: f.Src, VLAN: f.VLAN,
 		EtherType: ethernet.EtherTypeMACsec,
-		Payload:   append(tag.marshal(), body...),
+		Payload:   wire,
 	}
 	return out, out.Validate()
 }
@@ -211,20 +193,21 @@ func (s *SecY) Verify(f *ethernet.Frame) (*ethernet.Frame, error) {
 	}
 
 	body := f.Payload[secTAGLen:]
-	aad := buildAAD(f.Dst, f.Src, tag)
 	var inner []byte
 	if tag.Enc {
-		inner, err = vcrypto.GCMOpen(ch.sak, tag.SCI, tag.PN, aad, body)
+		aad := s.buildAAD(f.Dst, f.Src, f.Payload[:secTAGLen])
+		inner, err = ch.gcm.Open(s.inner[:0], tag.SCI, tag.PN, aad, body)
 		if err != nil {
 			return nil, err
 		}
+		s.inner = inner
 	} else {
 		if len(body) < icvLen {
 			return nil, fmt.Errorf("macsec: short integrity frame")
 		}
 		inner = body[:len(body)-icvLen]
-		icv := body[len(body)-icvLen:]
-		if !vcrypto.GCMVerifyTag(ch.sak, tag.SCI, tag.PN, append(aad, inner...), icv) {
+		aad := s.buildAAD(f.Dst, f.Src, f.Payload[:len(f.Payload)-icvLen])
+		if _, err := ch.gcm.Open(nil, tag.SCI, tag.PN, aad, body[len(inner):]); err != nil {
 			return nil, fmt.Errorf("macsec: ICV verification failed")
 		}
 	}
@@ -251,10 +234,10 @@ func (s *SecY) pnAcceptable(ch *rxChannel, pn uint32) bool {
 	return secchan.LenientAccept(uint64(ch.highPN), uint64(pn), uint64(s.ReplayWindow))
 }
 
-func buildAAD(dst, src ethernet.MAC, tag *SecTAG) []byte {
-	aad := make([]byte, 0, 12+secTAGLen)
-	aad = append(aad, dst[:]...)
-	aad = append(aad, src[:]...)
-	aad = append(aad, tag.marshal()...)
-	return aad
+// buildAAD writes dst ‖ src ‖ covered (the SecTAG, and in
+// integrity-only mode the inner frame after it) into the SecY's AAD
+// scratch and returns it; valid until the next buildAAD.
+func (s *SecY) buildAAD(dst, src ethernet.MAC, covered []byte) []byte {
+	s.aad = append(append(append(s.aad[:0], dst[:]...), src[:]...), covered...)
+	return s.aad
 }

@@ -165,22 +165,30 @@ func TestVerifyRejectsWrongKey(t *testing.T) {
 	}
 }
 
+// TestRekeyAdvancesANAndResetsPN rekeys a channel the way MKA does: the
+// sender restarts under a new SAK and the next association number with
+// its PN back at 1, and the receiver re-adds the peer with that key and
+// AN. Frames under the old AN then fail, and PN 1 verifies again.
 func TestRekeyAdvancesANAndResetsPN(t *testing.T) {
 	a, b := securedPair(t, Confidential)
-	f1, _ := a.Protect(appFrame("pre"))
-	if _, err := b.Verify(f1); err != nil {
-		t.Fatal(err)
+	for _, payload := range []string{"pre-1", "pre-2"} {
+		f, _ := a.Protect(appFrame(payload))
+		if _, err := b.Verify(f); err != nil {
+			t.Fatal(err)
+		}
 	}
+	stale, _ := a.Protect(appFrame("stale"))
 	newSAK := vcrypto.DeriveKey([]byte("test-cak-material"), "sak", "t2", 16)
-	if err := a.RekeyTx(newSAK); err != nil {
+	sciA := SCIFromMAC(macA(), 1)
+	a, err := NewSecY(Confidential, sciA, newSAK, 1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if a.NextPN() != 1 {
-		t.Errorf("PN after rekey = %d", a.NextPN())
-	}
-	// Receiver must install the new key+AN to keep verifying.
-	if err := b.AddPeer(SCIFromMAC(macA(), 1), newSAK, 1); err != nil {
+	if err := b.AddPeer(sciA, newSAK, 1); err != nil {
 		t.Fatal(err)
+	}
+	if _, err := b.Verify(stale); err == nil {
+		t.Error("frame under the old AN accepted after rekey")
 	}
 	f2, err := a.Protect(appFrame("post"))
 	if err != nil {
@@ -188,25 +196,10 @@ func TestRekeyAdvancesANAndResetsPN(t *testing.T) {
 	}
 	got, err := b.Verify(f2)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("PN 1 under the new SAK rejected: %v", err)
 	}
 	if string(got.Payload) != "post" {
 		t.Errorf("post-rekey payload %q", got.Payload)
-	}
-}
-
-func TestNeedRekeyPolicy(t *testing.T) {
-	a, _ := securedPair(t, Confidential)
-	if a.NeedRekey(0.75) {
-		t.Error("fresh channel demands rekey")
-	}
-	// Driving 3 billion Protect calls is impractical; check the
-	// boundary arithmetic with a tiny fraction instead.
-	if _, err := a.Protect(appFrame("x")); err != nil {
-		t.Fatal(err)
-	}
-	if !a.NeedRekey(1e-10) {
-		t.Error("threshold arithmetic wrong")
 	}
 }
 
@@ -219,8 +212,8 @@ func TestOverheadConstant(t *testing.T) {
 	}
 	// inner = ethertype(2)+payload; MACsec payload = SecTAG + sealed.
 	gotOverhead := len(sec.Payload) - len(f.Payload)
-	if gotOverhead != Overhead+2 {
-		t.Errorf("overhead = %d, want %d", gotOverhead, Overhead+2)
+	if want := secTAGLen + icvLen + 2; gotOverhead != want {
+		t.Errorf("overhead = %d, want %d", gotOverhead, want)
 	}
 }
 
@@ -250,9 +243,6 @@ func TestNewSecYValidation(t *testing.T) {
 	s, _ := NewSecY(Confidential, 1, sak, 0)
 	if err := s.AddPeer(2, []byte("short"), 0); err == nil {
 		t.Error("short peer SAK accepted")
-	}
-	if err := s.RekeyTx([]byte("short")); err == nil {
-		t.Error("short rekey SAK accepted")
 	}
 }
 

@@ -75,15 +75,17 @@ func (p *Participant) DistributeSAK(sakID uint32) (*MKPDU, error) {
 	sak := vcrypto.DeriveKey(p.cak, "mka-sak", fmt.Sprintf("%s/%d", p.ckn, sakID), 16)
 	var idBuf [4]byte
 	binary.BigEndian.PutUint32(idBuf[:], sakID)
-	wrapped, err := vcrypto.GCMSeal(p.kek, 0, sakID, []byte(p.ckn), sak)
+	kek, err := vcrypto.NewGCM(p.kek)
+	if err != nil {
+		return nil, err
+	}
+	wrapped := kek.Seal(nil, 0, sakID, []byte(p.ckn), sak)
+	ick, err := vcrypto.NewGCM(p.ick)
 	if err != nil {
 		return nil, err
 	}
 	icvMsg := append(append([]byte(p.ckn), idBuf[:]...), wrapped...)
-	icv, err := vcrypto.GCMTag(p.ick, 0, sakID, icvMsg)
-	if err != nil {
-		return nil, err
-	}
+	icv := ick.Seal(nil, 0, sakID, icvMsg, nil)
 	p.sak = sak
 	p.sakID = sakID
 	return &MKPDU{CKN: p.ckn, ServerName: p.Name, SAKID: sakID, WrappedSAK: wrapped, ICV: icv}, nil
@@ -98,10 +100,18 @@ func (p *Participant) AcceptSAK(pdu *MKPDU) error {
 	var idBuf [4]byte
 	binary.BigEndian.PutUint32(idBuf[:], pdu.SAKID)
 	icvMsg := append(append([]byte(pdu.CKN), idBuf[:]...), pdu.WrappedSAK...)
-	if !vcrypto.GCMVerifyTag(p.ick, 0, pdu.SAKID, icvMsg, pdu.ICV) {
+	ick, err := vcrypto.NewGCM(p.ick)
+	if err != nil {
+		return err
+	}
+	if _, err := ick.Open(nil, 0, pdu.SAKID, icvMsg, pdu.ICV); err != nil {
 		return fmt.Errorf("macsec: MKPDU ICV invalid (CAK mismatch or tamper)")
 	}
-	sak, err := vcrypto.GCMOpen(p.kek, 0, pdu.SAKID, []byte(pdu.CKN), pdu.WrappedSAK)
+	kek, err := vcrypto.NewGCM(p.kek)
+	if err != nil {
+		return err
+	}
+	sak, err := kek.Open(nil, 0, pdu.SAKID, []byte(pdu.CKN), pdu.WrappedSAK)
 	if err != nil {
 		return fmt.Errorf("macsec: SAK unwrap failed: %w", err)
 	}

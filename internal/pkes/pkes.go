@@ -24,6 +24,7 @@ import (
 	"fmt"
 
 	"autosec/internal/ranging"
+	"autosec/internal/secchan"
 	"autosec/internal/sim"
 	"autosec/internal/uwb"
 	"autosec/internal/vcrypto"
@@ -81,18 +82,20 @@ type Result struct {
 	Reason            string
 }
 
-// Vehicle is the PKES verifier.
+// Vehicle is the PKES verifier. Not safe for concurrent use.
 type Vehicle struct {
 	system       System
-	key          []byte
+	key          []byte        // also keys the UWB STS
+	cmac         *vcrypto.CMAC // checks the fob's responses
 	unlockRangeM float64
 	session      uint32
 	rng          *sim.RNG
 }
 
-// Fob is the PKES prover; it shares the vehicle's key.
+// Fob is the PKES prover; it shares the vehicle's key. Not safe for
+// concurrent use.
 type Fob struct {
-	key []byte
+	cmac *vcrypto.CMAC
 }
 
 // NewPair provisions a vehicle and its paired fob.
@@ -103,14 +106,25 @@ func NewPair(system System, key []byte, unlockRangeM float64, rng *sim.RNG) (*Ve
 	if unlockRangeM <= 0 {
 		return nil, nil, fmt.Errorf("pkes: unlock range %f", unlockRangeM)
 	}
-	k := append([]byte(nil), key...)
-	return &Vehicle{system: system, key: k, unlockRangeM: unlockRangeM, rng: rng},
-		&Fob{key: k}, nil
+	vcmac, err := vcrypto.NewCMAC(key)
+	if err != nil {
+		return nil, nil, err
+	}
+	fcmac, err := vcrypto.NewCMAC(key)
+	if err != nil {
+		return nil, nil, err
+	}
+	return &Vehicle{system: system, key: append([]byte(nil), key...), cmac: vcmac, unlockRangeM: unlockRangeM, rng: rng},
+		&Fob{cmac: fcmac}, nil
 }
 
+// responseLen is the response length: the CMAC truncated to 64 bits.
+const responseLen = 8
+
 // respond is the fob's data-layer challenge–response.
-func (f *Fob) respond(challenge []byte) ([]byte, error) {
-	return vcrypto.TruncatedCMAC(f.key, challenge, 64)
+func (f *Fob) respond(challenge []byte) []byte {
+	tag := f.cmac.Sum(challenge)
+	return tag[:responseLen]
 }
 
 // Attempt runs one unlock attempt against the fob under the scenario.
@@ -126,14 +140,9 @@ func (v *Vehicle) Attempt(f *Fob, sc Scenario) (Result, error) {
 	challenge := make([]byte, 16)
 	binary.BigEndian.PutUint32(challenge, v.session)
 	v.rng.Bytes(challenge[4:])
-	resp, err := f.respond(challenge)
-	if err != nil {
-		return res, err
-	}
-	ok, err := vcrypto.VerifyTruncatedCMAC(v.key, challenge, resp)
-	if err != nil {
-		return res, err
-	}
+	resp := f.respond(challenge)
+	want := v.cmac.Sum(challenge)
+	ok := secchan.VerifyTrunc(want[:responseLen], resp)
 	res.IdentityVerified = ok
 	if !ok {
 		res.Reason = "identity verification failed"

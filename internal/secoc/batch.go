@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 
 	"autosec/internal/secchan"
-	"autosec/internal/vcrypto"
 )
 
 // Batched SECOC verify. SECOC is the one Table I suite whose
@@ -59,7 +58,7 @@ func (b *batchScratch) layout(n, totalLen int) {
 // VerifyBatch checks a batch of secured PDUs, writing one verdict per
 // frame. It is the optimistic counterpart of Verify: phase one predicts
 // each frame's winning freshness candidate in O(1) and computes all
-// predicted MACs in one CMACBatch call; phase two is the authoritative
+// predicted MACs in one SumBatch call; phase two is the authoritative
 // serial candidate walk of Verify, which reuses a precomputed tag
 // whenever the iterator lands on a predicted candidate and falls back
 // to the scalar MAC otherwise. Predictions therefore only move crypto
@@ -123,8 +122,8 @@ func (r *Receiver) VerifyBatch(wires [][]byte, verdicts []secchan.Verdict) []sec
 			sc.idxB[i] = layMsg(payload, cand)
 		}
 	}
-	if vcrypto.CMACBatch(r.key, sc.msgs[:nMsg], sc.tags[:nMsg]) != nil {
-		// Unreachable with a validated 16-byte key; the serial walk
+	if r.mac.cmac.SumBatch(sc.msgs[:nMsg], sc.tags[:nMsg]) != nil {
+		// Unreachable: layout sized tags to msgs. The serial walk
 		// below still produces the exact Verify outcomes without
 		// predictions.
 		for i := range wires {
@@ -143,7 +142,6 @@ func (r *Receiver) VerifyBatch(wires [][]byte, verdicts []secchan.Verdict) []sec
 		mac := pdu[len(pdu)-macBytes:]
 
 		accepted := false
-		var frameErr error
 		it := r.fresh.Candidates(trunc)
 		for it.Next() {
 			var want []byte
@@ -152,14 +150,9 @@ func (r *Receiver) VerifyBatch(wires [][]byte, verdicts []secchan.Verdict) []sec
 			} else if sc.idxB[i] >= 0 && it.Value() == sc.candB[i] {
 				want = sc.tags[sc.idxB[i]][:macBytes]
 			} else {
-				w, err := r.mac.compute(r.key, r.cfg, payload, it.Value())
-				if err != nil {
-					frameErr = err
-					break
-				}
-				want = w
+				want = r.mac.compute(r.cfg, payload, it.Value())
 			}
-			if secchan.VerifyTrunc(want[:macBytes], mac) {
+			if secchan.VerifyTrunc(want, mac) {
 				it.Commit()
 				verdicts[i].Payload = append(verdicts[i].Payload[:0], payload...)
 				verdicts[i].Err = nil
@@ -168,10 +161,7 @@ func (r *Receiver) VerifyBatch(wires [][]byte, verdicts []secchan.Verdict) []sec
 			}
 		}
 		if !accepted {
-			if frameErr == nil {
-				frameErr = errVerifyFailed
-			}
-			verdicts[i].Payload, verdicts[i].Err = nil, frameErr
+			verdicts[i].Payload, verdicts[i].Err = nil, errVerifyFailed
 		}
 	}
 	return verdicts

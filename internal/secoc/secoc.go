@@ -57,7 +57,6 @@ func (c Config) Overhead() int { return c.FreshnessBits/8 + c.MACBits/8 }
 // stream belongs to one simulated ECU task).
 type Sender struct {
 	cfg Config
-	key []byte
 	fv  uint64 // full monotonic freshness counter
 	mac macScratch
 }
@@ -67,20 +66,18 @@ func NewSender(cfg Config, key []byte) (*Sender, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if len(key) != 16 {
-		return nil, fmt.Errorf("secoc: key must be 16 bytes")
+	mac, err := newMACScratch(key)
+	if err != nil {
+		return nil, err
 	}
-	return &Sender{cfg: cfg, key: append([]byte(nil), key...)}, nil
+	return &Sender{cfg: cfg, mac: mac}, nil
 }
 
 // Protect builds the secured PDU for payload, consuming one freshness
 // value.
 func (s *Sender) Protect(payload []byte) ([]byte, error) {
 	s.fv++
-	mac, err := s.mac.compute(s.key, s.cfg, payload, s.fv)
-	if err != nil {
-		return nil, err
-	}
+	mac := s.mac.compute(s.cfg, payload, s.fv)
 	fvBytes := s.cfg.FreshnessBits / 8
 	out := make([]byte, 0, len(payload)+s.cfg.Overhead())
 	out = append(out, payload...)
@@ -94,7 +91,6 @@ func (s *Sender) Protect(payload []byte) ([]byte, error) {
 // Receiver verifies secured PDUs.
 type Receiver struct {
 	cfg   Config
-	key   []byte
 	fresh secchan.Freshness
 	mac   macScratch
 	batch batchScratch
@@ -105,13 +101,14 @@ func NewReceiver(cfg Config, key []byte) (*Receiver, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if len(key) != 16 {
-		return nil, fmt.Errorf("secoc: key must be 16 bytes")
+	mac, err := newMACScratch(key)
+	if err != nil {
+		return nil, err
 	}
 	return &Receiver{
 		cfg:   cfg,
-		key:   append([]byte(nil), key...),
 		fresh: secchan.Freshness{Bits: cfg.FreshnessBits, Window: cfg.AcceptWindow},
+		mac:   mac,
 	}, nil
 }
 
@@ -141,11 +138,7 @@ func (r *Receiver) Verify(pdu []byte) ([]byte, error) {
 	// Reconstruct closure would escape to the heap on every PDU.
 	it := r.fresh.Candidates(truncVal)
 	for it.Next() {
-		want, err := r.mac.compute(r.key, r.cfg, payload, it.Value())
-		if err != nil {
-			return nil, err
-		}
-		if secchan.VerifyTrunc(want, mac) {
+		if secchan.VerifyTrunc(r.mac.compute(r.cfg, payload, it.Value()), mac) {
 			it.Commit()
 			return append([]byte(nil), payload...), nil
 		}
@@ -158,21 +151,28 @@ func (r *Receiver) Verify(pdu []byte) ([]byte, error) {
 // each dominated the package's allocations.
 var errVerifyFailed = errors.New("secoc: verification failed (replay, forgery, or window exceeded)")
 
-// LastFV exposes the receiver's counter.
-func (r *Receiver) LastFV() uint64 { return r.fresh.Last() }
-
-// macScratch holds the reusable message and tag buffers of one
-// endpoint, so the per-PDU MAC computation allocates nothing. Endpoints
-// are documented as single-task objects, so the buffers need no lock.
+// macScratch is one endpoint's keyed CMAC plus the reusable message
+// and tag buffer, so the per-PDU MAC computation allocates nothing.
+// Endpoints are documented as single-task objects, so neither needs a
+// lock.
 type macScratch struct {
-	buf []byte
+	cmac *vcrypto.CMAC
+	buf  []byte
+}
+
+func newMACScratch(key []byte) (macScratch, error) {
+	if len(key) != 16 {
+		return macScratch{}, fmt.Errorf("secoc: key must be 16 bytes")
+	}
+	cmac, err := vcrypto.NewCMAC(key)
+	return macScratch{cmac: cmac}, err
 }
 
 // compute returns the truncated CMAC over data-ID || payload || full
 // freshness. The result aliases the endpoint's scratch buffer and is
 // only valid until the next compute call; both call sites either copy
 // it (Protect appends) or finish with it immediately (Verify compares).
-func (m *macScratch) compute(key []byte, cfg Config, payload []byte, fv uint64) ([]byte, error) {
+func (m *macScratch) compute(cfg Config, payload []byte, fv uint64) []byte {
 	n := 2 + len(payload) + 8
 	macBytes := cfg.MACBits / 8
 	if cap(m.buf) < n+macBytes {
@@ -182,11 +182,8 @@ func (m *macScratch) compute(key []byte, cfg Config, payload []byte, fv uint64) 
 	binary.BigEndian.PutUint16(msg[0:2], cfg.DataID)
 	copy(msg[2:], payload)
 	binary.BigEndian.PutUint64(msg[2+len(payload):], fv)
-	tag, err := vcrypto.CMAC(key, msg)
-	if err != nil {
-		return nil, err
-	}
+	tag := m.cmac.Sum(msg)
 	mac := m.buf[n : n+macBytes]
 	copy(mac, tag[:])
-	return mac, nil
+	return mac
 }

@@ -98,8 +98,17 @@ func TestVerifyToleratesLossWithinWindow(t *testing.T) {
 	if _, err := r.Verify(pdu); err != nil {
 		t.Errorf("in-window PDU after loss rejected: %v", err)
 	}
-	if r.LastFV() != 11 {
-		t.Errorf("receiver FV = %d, want 11", r.LastFV())
+	// The receiver's counter now stands at 11: replaying FV 11 fails,
+	// and FV 12 is the next one it accepts.
+	if _, err := r.Verify(pdu); err == nil {
+		t.Error("replayed FV 11 accepted")
+	}
+	next, err := s.Protect([]byte{11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Verify(next); err != nil {
+		t.Errorf("FV 12 after FV 11 rejected: %v", err)
 	}
 }
 

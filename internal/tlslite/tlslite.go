@@ -36,11 +36,12 @@ const (
 	Server
 )
 
-// Session is one side of an established channel.
+// Session is one side of an established channel. Not safe for
+// concurrent use.
 type Session struct {
 	role    Role
-	sendKey []byte
-	recvKey []byte
+	send    *vcrypto.GCM // keyed with this side's sending direction key
+	recv    *vcrypto.GCM // keyed with the peer's sending direction key
 	sendSeq uint64
 	replay  secchan.Window // DTLS sliding window over the 64 records below the highest seq
 }
@@ -63,33 +64,38 @@ func Handshake(clientPSK, serverPSK []byte, rng *sim.RNG) (*Session, *Session, e
 	sC2s := vcrypto.DeriveKey(serverPSK, "tls-c2s", transcript, 16)
 	sS2c := vcrypto.DeriveKey(serverPSK, "tls-s2c", transcript, 16)
 
-	// Finished verification: each side proves it derived the same keys.
-	clientFin, err := vcrypto.GCMTag(c2s, 0, 0, []byte("finished:"+transcript))
-	if err != nil {
-		return nil, nil, err
+	// The keyed values are built once per direction and per side, and
+	// the Finished exchange uses the same ones.
+	var gcms [4]*vcrypto.GCM
+	for i, key := range [][]byte{c2s, s2c, sC2s, sS2c} {
+		g, err := vcrypto.NewGCM(key)
+		if err != nil {
+			return nil, nil, err
+		}
+		gcms[i] = g
 	}
-	if !vcrypto.GCMVerifyTag(sC2s, 0, 0, []byte("finished:"+transcript), clientFin) {
+	client := &Session{role: Client, send: gcms[0], recv: gcms[1], replay: secchan.Window{Size: 64}}
+	server := &Session{role: Server, send: gcms[3], recv: gcms[2], replay: secchan.Window{Size: 64}}
+
+	// Finished verification: each side proves it derived the same keys.
+	finished := []byte("finished:" + transcript)
+	clientFin := client.send.Seal(nil, 0, 0, finished, nil)
+	if _, err := server.recv.Open(nil, 0, 0, finished, clientFin); err != nil {
 		return nil, nil, fmt.Errorf("tlslite: handshake failed: PSK mismatch")
 	}
-
-	client := &Session{role: Client, sendKey: c2s, recvKey: s2c, replay: secchan.Window{Size: 64}}
-	server := &Session{role: Server, sendKey: sS2c, recvKey: sC2s, replay: secchan.Window{Size: 64}}
 	return client, server, nil
 }
 
-// Seal protects a payload into a record.
+// Seal protects a payload into a record, sealing it into the buffer
+// that holds the header.
 func (s *Session) Seal(payload []byte) ([]byte, error) {
 	s.sendSeq++
-	hdr := make([]byte, 13)
-	hdr[0] = 23 // application data
-	binary.BigEndian.PutUint16(hdr[1:3], 1)
-	binary.BigEndian.PutUint64(hdr[3:11], s.sendSeq)
-	binary.BigEndian.PutUint16(hdr[11:13], uint16(len(payload)))
-	ct, err := vcrypto.GCMSeal(s.sendKey, uint64(s.role), uint32(s.sendSeq), hdr, payload)
-	if err != nil {
-		return nil, err
-	}
-	return append(hdr, ct...), nil
+	rec := make([]byte, 13, RecordOverhead+len(payload))
+	rec[0] = 23 // application data
+	binary.BigEndian.PutUint16(rec[1:3], 1)
+	binary.BigEndian.PutUint64(rec[3:11], s.sendSeq)
+	binary.BigEndian.PutUint16(rec[11:13], uint16(len(payload)))
+	return s.send.Seal(rec, uint64(s.role), uint32(s.sendSeq), rec[:13], payload), nil
 }
 
 // Open verifies a record, enforcing the DTLS sliding replay window, and
@@ -107,7 +113,7 @@ func (s *Session) Open(record []byte) ([]byte, error) {
 	if s.role == Client {
 		peer = Server
 	}
-	pt, err := vcrypto.GCMOpen(s.recvKey, uint64(peer), uint32(seq), hdr, record[13:])
+	pt, err := s.recv.Open(nil, uint64(peer), uint32(seq), hdr, record[13:])
 	if err != nil {
 		return nil, err
 	}

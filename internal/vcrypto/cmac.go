@@ -1,11 +1,18 @@
 // Package vcrypto provides the cryptographic building blocks used by the
 // vehicle security protocol stacks (SECOC, MACsec, CANsec, UWB STS) that
 // the Go standard library does not ship directly: AES-CMAC (RFC 4493),
-// a counter-mode KDF (NIST SP 800-108 style), truncated-MAC helpers with
-// constant-time comparison, and a simple key-hierarchy deriver.
+// AES-GCM with the MACsec-style SCI ‖ PN nonce, a counter-mode KDF (NIST
+// SP 800-108 style), and a simple key-hierarchy deriver.
 //
-// Everything here wraps crypto/aes, crypto/hmac, and crypto/sha256 from
-// the standard library; no primitives are invented.
+// The keyed primitives are values the protocol endpoints own: NewCMAC
+// and NewGCM take a key once, and the endpoint keeps the keyed value
+// for its lifetime. Like the endpoints, they are not safe for
+// concurrent use: each carries its own working buffers, so the
+// per-frame path takes no lock, consults no shared cache and borrows
+// nothing from a pool. The package keeps no per-key state of its own.
+//
+// Everything here wraps crypto/aes, crypto/cipher, crypto/hmac, and
+// crypto/sha256 from the standard library; no primitives are invented.
 //
 // Underpins every protected-channel experiment (tab1, fig4-fig6, exp-
 // vehicle, exp-zc) as the shared crypto substrate.
@@ -15,9 +22,6 @@ import (
 	"crypto/aes"
 	"crypto/cipher"
 	"fmt"
-	"sync"
-
-	"autosec/internal/secchan"
 )
 
 // cmacState is the per-key precomputation of CMAC: the expanded AES key
@@ -32,90 +36,69 @@ type cmacState struct {
 	rkOK   bool
 }
 
-// cmacCacheCap bounds the per-key state cache. Long-lived processes —
-// an avsecd serving many scenario fingerprints — mint a fresh session
-// key per campaign cell, and an unbounded map would retain every key
-// schedule ever seen. When the cap is hit the whole map is dropped: the
-// eviction is O(1), needs no access bookkeeping on the hot lookup, and
-// the active keys simply re-expand on their next use (a re-derivable
-// cache, so flushing changes no output bytes).
-const cmacCacheCap = 256
+// CMAC is AES-CMAC (RFC 4493) under one 16-, 24-, or 32-byte key. The
+// key schedule and subkeys are derived on first use, so an endpoint
+// that never MACs pays nothing for them. Not safe for concurrent use.
+type CMAC struct {
+	key []byte // held until the first Sum or SumBatch expands it
+	st  cmacState
+	// buf is the chaining/output pair. The slices handed to
+	// cipher.Block.Encrypt cross an interface boundary, so stack-local
+	// arrays would escape; a pair that lives in the CMAC keeps Sum
+	// allocation-free, which the SECOC receiver's forgery-sweep reject
+	// path depends on.
+	buf   [2][16]byte
+	batch cmacBatchScratch
+}
 
-// cmacCache memoizes cmacState per key. Protocol simulations MAC
-// thousands of frames under a handful of session keys, so the AES key
-// expansion and subkey derivation dominate short-message CMAC when done
-// per call; caching them changes no output bytes. A plain map under an
-// RWMutex (rather than sync.Map) lets the hot lookup use the compiler's
-// zero-copy map[string(b)] access, so a cache hit allocates nothing.
-var (
-	cmacMu    sync.RWMutex
-	cmacCache = map[string]*cmacState{}
-)
-
-func cmacStateFor(key []byte) (*cmacState, error) {
-	cmacMu.RLock()
-	st, ok := cmacCache[string(key)]
-	cmacMu.RUnlock()
-	if ok {
-		return st, nil
-	}
-	block, err := aes.NewCipher(key)
-	if err != nil {
+// NewCMAC returns the CMAC keyed with a copy of key.
+func NewCMAC(key []byte) (*CMAC, error) {
+	if err := checkKey(key); err != nil {
 		return nil, fmt.Errorf("vcrypto: cmac key: %w", err)
 	}
-	st = &cmacState{block: block}
+	return &CMAC{key: append([]byte(nil), key...)}, nil
+}
+
+// checkKey applies crypto/aes's key-length rule up front, so the keyed
+// values can defer the key expansion itself.
+func checkKey(key []byte) error {
+	switch len(key) {
+	case 16, 24, 32:
+		return nil
+	}
+	return aes.KeySizeError(len(key))
+}
+
+// state returns the expanded key, deriving it on first use.
+func (c *CMAC) state() *cmacState {
+	if c.key == nil {
+		return &c.st
+	}
+	block, err := aes.NewCipher(c.key)
+	if err != nil {
+		panic(err) // unreachable: NewCMAC checked the key length
+	}
+	c.st.block = block
 	var l [16]byte
 	block.Encrypt(l[:], l[:])
-	st.k1 = dbl(l)
-	st.k2 = dbl(st.k1)
-	if haveCMACAsm && len(key) == 16 {
-		expandAES128(key, &st.rk)
-		st.rkOK = true
+	c.st.k1 = dbl(l)
+	c.st.k2 = dbl(c.st.k1)
+	if haveCMACAsm && len(c.key) == 16 {
+		expandAES128(c.key, &c.st.rk)
+		c.st.rkOK = true
 	}
-	cmacMu.Lock()
-	if exist, ok := cmacCache[string(key)]; ok {
-		st = exist
-	} else {
-		if len(cmacCache) >= cmacCacheCap {
-			cmacCache = make(map[string]*cmacState, cmacCacheCap)
-		}
-		cmacCache[string(key)] = st
-	}
-	cmacMu.Unlock()
-	return st, nil
+	c.key = nil
+	return &c.st
 }
 
-// cmacCacheLen exposes the live entry count (cache-bound tests).
-func cmacCacheLen() int {
-	cmacMu.RLock()
-	defer cmacMu.RUnlock()
-	return len(cmacCache)
-}
-
-// cmacBufPool recycles the chaining/output buffer pair. The slices
-// handed to cipher.Block.Encrypt cross an interface boundary, so
-// stack-local arrays would escape — one heap allocation per tag, twice.
-// Borrowing an already-heap-resident pair instead makes CMAC
-// allocation-free on the steady state, which the SECOC receiver's
-// forgery-sweep reject path depends on.
-var cmacBufPool = sync.Pool{New: func() any { return new([2][16]byte) }}
-
-// CMAC computes the AES-CMAC (RFC 4493) of msg under a 16-, 24-, or
-// 32-byte AES key and returns the full 16-byte tag.
-func CMAC(key, msg []byte) ([16]byte, error) {
-	st, err := cmacStateFor(key)
-	if err != nil {
-		return [16]byte{}, err
-	}
-	buf := cmacBufPool.Get().(*[2][16]byte)
-	tag := cmacCore(st, msg, buf)
-	cmacBufPool.Put(buf)
-	return tag, nil
+// Sum returns the full 16-byte AES-CMAC of msg.
+func (c *CMAC) Sum(msg []byte) [16]byte {
+	return cmacCore(c.state(), msg, &c.buf)
 }
 
 // cmacCore runs the RFC 4493 block chain using the caller-provided
 // working pair: buf[0] is the CBC-MAC chaining value, buf[1] receives
-// the final tag (copied out by value before the pool reclaims it).
+// the final tag, returned by value.
 func cmacCore(st *cmacState, msg []byte, buf *[2][16]byte) [16]byte {
 	block, k1, k2 := st.block, st.k1, st.k2
 	x := &buf[0]
@@ -174,30 +157,4 @@ func xorInto(x *[16]byte, block []byte) {
 	for i := 0; i < 16; i++ {
 		x[i] ^= block[i]
 	}
-}
-
-// TruncatedCMAC computes an AES-CMAC and truncates it to bits (which
-// must be a positive multiple of 8, at most 128). AUTOSAR SECOC commonly
-// uses 24–64 bit truncation to fit CAN payloads.
-func TruncatedCMAC(key, msg []byte, bits int) ([]byte, error) {
-	if bits <= 0 || bits > 128 || bits%8 != 0 {
-		return nil, fmt.Errorf("vcrypto: invalid truncation %d bits", bits)
-	}
-	tag, err := CMAC(key, msg)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, bits/8)
-	copy(out, tag[:])
-	return out, nil
-}
-
-// VerifyTruncatedCMAC recomputes the truncated CMAC of msg and compares
-// it to mac in constant time.
-func VerifyTruncatedCMAC(key, msg, mac []byte) (bool, error) {
-	want, err := TruncatedCMAC(key, msg, len(mac)*8)
-	if err != nil {
-		return false, err
-	}
-	return secchan.VerifyTrunc(want, mac), nil
 }

@@ -2,7 +2,7 @@
 
 package vcrypto
 
-// haveCMACAsm gates the AES-NI batched CMAC kernel in CMACBatch.
+// haveCMACAsm gates the AES-NI batched CMAC kernel in SumBatch.
 const haveCMACAsm = true
 
 // useCMACAsm refines the build-time gate with the one-time CPUID probe:

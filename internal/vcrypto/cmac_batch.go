@@ -1,59 +1,44 @@
 package vcrypto
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // cmacLanes is the width of the batched kernel: 8 independent CBC-MAC
 // chains per assembly call, enough to cover AESENC's latency/throughput
 // gap on every AES-NI core.
 const cmacLanes = 8
 
-// CMACBatch computes the AES-CMAC (RFC 4493) of every msgs[i] under one
-// key, writing the full 16-byte tags into tags[i]. It is bit-identical
-// to calling CMAC per message (the differential fuzzer enforces this)
-// and allocation-free on the steady state; with AES-NI it pipelines up
-// to 8 message chains through one AES unit, amortizing the per-call
-// overhead a single latency-bound chain cannot hide.
-func CMACBatch(key []byte, msgs [][]byte, tags [][16]byte) error {
+// SumBatch computes the AES-CMAC (RFC 4493) of every msgs[i], writing
+// the full 16-byte tags into tags[i]. It is bit-identical to calling
+// Sum per message (the differential fuzzer enforces this) and
+// allocation-free on the steady state; with AES-NI it pipelines up to 8
+// message chains through one AES unit, amortizing the per-call overhead
+// a single latency-bound chain cannot hide.
+func (c *CMAC) SumBatch(msgs [][]byte, tags [][16]byte) error {
 	if len(tags) < len(msgs) {
-		return fmt.Errorf("vcrypto: CMACBatch tags %d < msgs %d", len(tags), len(msgs))
+		return fmt.Errorf("vcrypto: SumBatch tags %d < msgs %d", len(tags), len(msgs))
 	}
-	st, err := cmacStateFor(key)
-	if err != nil {
-		return err
-	}
+	st := c.state()
 	if !useCMACAsm || !st.rkOK || len(msgs) < 2 {
-		buf := cmacBufPool.Get().(*[2][16]byte)
 		for i, msg := range msgs {
-			tags[i] = cmacCore(st, msg, buf)
+			tags[i] = cmacCore(st, msg, &c.buf)
 		}
-		cmacBufPool.Put(buf)
 		return nil
 	}
-	sc := cmacBatchPool.Get().(*cmacBatchScratch)
 	for base := 0; base < len(msgs); base += cmacLanes {
-		end := base + cmacLanes
-		if end > len(msgs) {
-			end = len(msgs)
-		}
-		cmacGroup(st, msgs[base:end], tags[base:end], sc)
+		end := min(base+cmacLanes, len(msgs))
+		cmacGroup(st, msgs[base:end], tags[base:end], &c.batch)
 	}
-	cmacBatchPool.Put(sc)
 	return nil
 }
 
-// cmacBatchScratch holds one batch call's working memory: the packed
+// cmacBatchScratch holds a CMAC's batch working memory: the packed
 // [step][lane]block gather buffer the kernel streams through, and the 8
-// lane states. Pooled because both cross the assembly boundary and
-// would otherwise escape per call.
+// lane states. It lives in the CMAC because both cross the assembly
+// boundary and would otherwise escape per call.
 type cmacBatchScratch struct {
 	packed []byte
 	states [cmacLanes][16]byte
 }
-
-var cmacBatchPool = sync.Pool{New: func() any { return new(cmacBatchScratch) }}
 
 // cmacGroup runs up to 8 messages through the assembly kernel. The
 // gather pass lays message blocks out as [step][lane] with the RFC 4493

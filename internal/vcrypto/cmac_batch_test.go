@@ -47,9 +47,10 @@ func TestExpandAES128MatchesStdlib(t *testing.T) {
 // TestCMACBatchMatchesScalar drives the batched path over a matrix of
 // batch sizes and message lengths — empty messages, block-aligned,
 // ragged, mixed lengths in one batch — and requires bit-identity with
-// per-message CMAC.
+// per-message Sum.
 func TestCMACBatchMatchesScalar(t *testing.T) {
 	key := []byte("0123456789abcdef")
+	batch, scalar := mustCMAC(t, key), mustCMAC(t, key)
 	lengths := [][]int{
 		{0},
 		{16},
@@ -70,15 +71,11 @@ func TestCMACBatchMatchesScalar(t *testing.T) {
 				}
 			}
 			tags := make([][16]byte, len(msgs))
-			if err := CMACBatch(key, msgs, tags); err != nil {
+			if err := batch.SumBatch(msgs, tags); err != nil {
 				t.Fatal(err)
 			}
 			for i, msg := range msgs {
-				want, err := CMAC(key, msg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if tags[i] != want {
+				if want := scalar.Sum(msg); tags[i] != want {
 					t.Fatalf("msg %d (len %d): batch %x, scalar %x", i, len(msg), tags[i], want)
 				}
 			}
@@ -89,68 +86,17 @@ func TestCMACBatchMatchesScalar(t *testing.T) {
 // TestCMACBatchShortTags rejects an undersized tag slice instead of
 // writing out of bounds.
 func TestCMACBatchShortTags(t *testing.T) {
-	key := []byte("0123456789abcdef")
-	if err := CMACBatch(key, make([][]byte, 3), make([][16]byte, 2)); err == nil {
+	c := mustCMAC(t, []byte("0123456789abcdef"))
+	if err := c.SumBatch(make([][]byte, 3), make([][16]byte, 2)); err == nil {
 		t.Fatal("want error for tags shorter than msgs")
 	}
 }
 
-// TestCMACCacheBounded fills the per-key state cache past its cap and
-// checks the flush keeps it bounded — the avsecd leak the cap exists to
-// stop — and that post-flush MACs still match pre-flush ones.
-func TestCMACCacheBounded(t *testing.T) {
-	probe := []byte("cache-bound-probe")[:16]
-	want, err := CMAC(probe, []byte("msg"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2*cmacCacheCap; i++ {
-		key := []byte(fmt.Sprintf("cache-bound-%05d", i))[:16]
-		if _, err := CMAC(key, []byte("msg")); err != nil {
-			t.Fatal(err)
-		}
-		if n := cmacCacheLen(); n > cmacCacheCap {
-			t.Fatalf("cmacCache grew to %d entries (cap %d)", n, cmacCacheCap)
-		}
-	}
-	got, err := CMAC(probe, []byte("msg"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("MAC changed across cache flush: %x vs %x", got, want)
-	}
-}
-
-// TestAEADCacheBounded is the same bound check for the GCM AEAD cache.
-func TestAEADCacheBounded(t *testing.T) {
-	probe := []byte("aead-bound-probe!")[:16]
-	want, err := GCMSeal(probe, 1, 1, nil, []byte("msg"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2*aeadCacheCap; i++ {
-		key := []byte(fmt.Sprintf("aead-bound-%06d", i))[:16]
-		if _, err := GCMSeal(key, 1, 1, nil, []byte("msg")); err != nil {
-			t.Fatal(err)
-		}
-		if n := aeadCacheLen(); n > aeadCacheCap {
-			t.Fatalf("aeadCache grew to %d entries (cap %d)", n, aeadCacheCap)
-		}
-	}
-	got, err := GCMSeal(probe, 1, 1, nil, []byte("msg"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("seal changed across cache flush")
-	}
-}
-
-// FuzzCMACBatchEquivalence differentially fuzzes the batched CMAC
-// (assembly kernel on amd64, scalar grouping elsewhere) against the
-// scalar per-message path over arbitrary keys, batch shapes, and
-// message lengths. Wired into the CI fuzz-smoke job.
+// FuzzCMACBatchEquivalence differentially fuzzes SumBatch (assembly
+// kernel on amd64, scalar grouping elsewhere) against per-message Sum
+// over arbitrary keys, batch shapes, and message lengths. The batch
+// runs twice on one CMAC, so scratch reused from the first call must
+// not leak into the second. Wired into the CI fuzz-smoke job.
 func FuzzCMACBatchEquivalence(f *testing.F) {
 	f.Add([]byte("0123456789abcdef"), []byte{}, uint8(1))
 	f.Add([]byte("0123456789abcdef"), []byte("hello world, this is a cmac batch"), uint8(3))
@@ -174,17 +120,16 @@ func FuzzCMACBatchEquivalence(f *testing.F) {
 			msgs[i] = pool[off : off+l]
 			off += l
 		}
+		batch, scalar := mustCMAC(t, key), mustCMAC(t, key)
 		tags := make([][16]byte, count)
-		if err := CMACBatch(key, msgs, tags); err != nil {
-			t.Fatal(err)
-		}
-		for i, msg := range msgs {
-			want, err := CMAC(key, msg)
-			if err != nil {
+		for pass := 0; pass < 2; pass++ {
+			if err := batch.SumBatch(msgs, tags); err != nil {
 				t.Fatal(err)
 			}
-			if tags[i] != want {
-				t.Fatalf("msg %d (len %d): batch %x, scalar %x", i, len(msg), tags[i], want)
+			for i, msg := range msgs {
+				if want := scalar.Sum(msg); tags[i] != want {
+					t.Fatalf("pass %d msg %d (len %d): batch %x, scalar %x", pass, i, len(msg), tags[i], want)
+				}
 			}
 		}
 	})

@@ -2,7 +2,7 @@
 
 package vcrypto
 
-// haveCMACAsm gates the AES-NI batched CMAC kernel in CMACBatch.
+// haveCMACAsm gates the AES-NI batched CMAC kernel in SumBatch.
 // Without it the scalar cmacCore loop handles every lane.
 const haveCMACAsm = false
 

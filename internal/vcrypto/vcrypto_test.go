@@ -5,6 +5,8 @@ import (
 	"encoding/hex"
 	"testing"
 	"testing/quick"
+
+	"autosec/internal/secchan"
 )
 
 // RFC 4493 test vectors (AES-128 key 2b7e1516...).
@@ -19,6 +21,24 @@ func mustHex(t *testing.T, s string) []byte {
 	return b
 }
 
+func mustCMAC(t *testing.T, key []byte) *CMAC {
+	t.Helper()
+	c, err := NewCMAC(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+func mustGCM(t *testing.T, key []byte) *GCM {
+	t.Helper()
+	g, err := NewGCM(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 func TestCMACRFC4493Vectors(t *testing.T) {
 	t.Parallel()
 	cases := []struct {
@@ -31,12 +51,12 @@ func TestCMACRFC4493Vectors(t *testing.T) {
 		{"40B", "6bc1bee22e409f96e93d7e117393172aae2d8a571e03ac9c9eb76fac45af8e5130c81c46a35ce411", "dfa66747de9ae63030ca32611497c827"},
 		{"64B", "6bc1bee22e409f96e93d7e117393172aae2d8a571e03ac9c9eb76fac45af8e5130c81c46a35ce411e5fbc1191a0a52eff69f2445df4f9b17ad2b417be66c3710", "51f0bebf7e3b9d92fc49741779363cfe"},
 	}
+	// One keyed CMAC serves every vector in turn, so the working pair
+	// it reuses must not leak state from one message into the next.
+	c := mustCMAC(t, rfc4493Key)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			tag, err := CMAC(rfc4493Key, mustHex(t, tc.msg))
-			if err != nil {
-				t.Fatal(err)
-			}
+			tag := c.Sum(mustHex(t, tc.msg))
 			if got := hex.EncodeToString(tag[:]); got != tc.want {
 				t.Errorf("CMAC = %s, want %s", got, tc.want)
 			}
@@ -46,34 +66,26 @@ func TestCMACRFC4493Vectors(t *testing.T) {
 
 func TestCMACRejectsBadKey(t *testing.T) {
 	t.Parallel()
-	if _, err := CMAC([]byte("short"), nil); err == nil {
+	if _, err := NewCMAC([]byte("short")); err == nil {
 		t.Error("bad key accepted")
+	}
+	if _, err := NewGCM([]byte("short")); err == nil {
+		t.Error("bad GCM key accepted")
 	}
 }
 
+// TestTruncatedCMACLengths truncates tags to the lengths the protocols
+// use (SECOC 24–64 bits, PKES 64) and checks each verifies through the
+// constant-time comparison the endpoints use.
 func TestTruncatedCMACLengths(t *testing.T) {
 	t.Parallel()
 	msg := []byte("autosec frame payload")
+	c := mustCMAC(t, rfc4493Key)
+	full := c.Sum(msg)
 	for _, bits := range []int{24, 32, 64, 128} {
-		mac, err := TruncatedCMAC(rfc4493Key, msg, bits)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(mac) != bits/8 {
-			t.Errorf("bits=%d: len=%d", bits, len(mac))
-		}
-		ok, err := VerifyTruncatedCMAC(rfc4493Key, msg, mac)
-		if err != nil || !ok {
-			t.Errorf("bits=%d: verify failed (%v)", bits, err)
-		}
-	}
-}
-
-func TestTruncatedCMACInvalidBits(t *testing.T) {
-	t.Parallel()
-	for _, bits := range []int{0, -8, 7, 129, 136} {
-		if _, err := TruncatedCMAC(rfc4493Key, nil, bits); err == nil {
-			t.Errorf("bits=%d accepted", bits)
+		again := c.Sum(msg)
+		if !secchan.VerifyTrunc(full[:bits/8], again[:bits/8]) {
+			t.Errorf("bits=%d: truncated tag does not verify", bits)
 		}
 	}
 }
@@ -81,31 +93,30 @@ func TestTruncatedCMACInvalidBits(t *testing.T) {
 func TestVerifyTruncatedCMACRejectsTamper(t *testing.T) {
 	t.Parallel()
 	msg := []byte("engine rpm = 3000")
-	mac, err := TruncatedCMAC(rfc4493Key, msg, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := mustCMAC(t, rfc4493Key)
+	tag := c.Sum(msg)
+	mac := tag[:8]
 	bad := append([]byte(nil), msg...)
 	bad[0] ^= 1
-	if ok, _ := VerifyTruncatedCMAC(rfc4493Key, bad, mac); ok {
+	if badTag := c.Sum(bad); secchan.VerifyTrunc(badTag[:8], mac) {
 		t.Error("tampered message verified")
 	}
 	badMac := append([]byte(nil), mac...)
 	badMac[3] ^= 0x80
-	if ok, _ := VerifyTruncatedCMAC(rfc4493Key, msg, badMac); ok {
+	if secchan.VerifyTrunc(tag[:8], badMac) {
 		t.Error("tampered MAC verified")
 	}
 }
 
+// TestCMACPropertyVerifyRoundTrip: a tag from one keyed CMAC verifies
+// against a second CMAC under the same key, as between a SECOC sender
+// and receiver.
 func TestCMACPropertyVerifyRoundTrip(t *testing.T) {
 	t.Parallel()
+	send, recv := mustCMAC(t, rfc4493Key), mustCMAC(t, rfc4493Key)
 	f := func(msg []byte) bool {
-		mac, err := TruncatedCMAC(rfc4493Key, msg, 64)
-		if err != nil {
-			return false
-		}
-		ok, err := VerifyTruncatedCMAC(rfc4493Key, msg, mac)
-		return err == nil && ok
+		a, b := send.Sum(msg), recv.Sum(msg)
+		return secchan.VerifyTrunc(a[:8], b[:8])
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -114,13 +125,12 @@ func TestCMACPropertyVerifyRoundTrip(t *testing.T) {
 
 func TestCMACDistinguishesMessages(t *testing.T) {
 	t.Parallel()
+	c := mustCMAC(t, rfc4493Key)
 	f := func(a, b []byte) bool {
 		if bytes.Equal(a, b) {
 			return true
 		}
-		ta, err1 := CMAC(rfc4493Key, a)
-		tb, err2 := CMAC(rfc4493Key, b)
-		return err1 == nil && err2 == nil && ta != tb
+		return c.Sum(a) != c.Sum(b)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -171,14 +181,11 @@ func TestDeriveKeyLabelContextNotConfusable(t *testing.T) {
 
 func TestGCMSealOpenRoundTrip(t *testing.T) {
 	t.Parallel()
-	key := DeriveKey([]byte("0123456789abcdef"), "gcm", "t", 16)
+	g := mustGCM(t, DeriveKey([]byte("0123456789abcdef"), "gcm", "t", 16))
 	pt := []byte("wheel speed frame")
 	aad := []byte{0x88, 0xe5, 0x2c}
-	sealed, err := GCMSeal(key, 0xA1B2C3D4E5F60718, 42, aad, pt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := GCMOpen(key, 0xA1B2C3D4E5F60718, 42, aad, sealed)
+	sealed := g.Seal(nil, 0xA1B2C3D4E5F60718, 42, aad, pt)
+	got, err := g.Open(nil, 0xA1B2C3D4E5F60718, 42, aad, sealed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,24 +196,21 @@ func TestGCMSealOpenRoundTrip(t *testing.T) {
 
 func TestGCMOpenRejectsWrongPNOrAAD(t *testing.T) {
 	t.Parallel()
-	key := DeriveKey([]byte("0123456789abcdef"), "gcm", "t", 16)
-	sealed, err := GCMSeal(key, 1, 42, []byte("aad"), []byte("payload"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := GCMOpen(key, 1, 43, []byte("aad"), sealed); err == nil {
+	g := mustGCM(t, DeriveKey([]byte("0123456789abcdef"), "gcm", "t", 16))
+	sealed := g.Seal(nil, 1, 42, []byte("aad"), []byte("payload"))
+	if _, err := g.Open(nil, 1, 43, []byte("aad"), sealed); err == nil {
 		t.Error("wrong PN accepted")
 	}
-	if _, err := GCMOpen(key, 2, 42, []byte("aad"), sealed); err == nil {
+	if _, err := g.Open(nil, 2, 42, []byte("aad"), sealed); err == nil {
 		t.Error("wrong SCI accepted")
 	}
-	if _, err := GCMOpen(key, 1, 42, []byte("AAD"), sealed); err == nil {
+	if _, err := g.Open(nil, 1, 42, []byte("AAD"), sealed); err == nil {
 		t.Error("wrong AAD accepted")
 	}
 	// Every failed open returns the one sentinel, which keeps the text
 	// of the wrapped cipher error it replaced.
 	for _, sealed := range [][]byte{sealed, sealed[:4]} {
-		if _, err := GCMOpenInto(nil, key, 1, 43, []byte("aad"), sealed); err != errGCMAuth {
+		if _, err := g.Open(nil, 1, 43, []byte("aad"), sealed); err != errGCMAuth {
 			t.Errorf("failed open of %d bytes returned %v, want the sentinel", len(sealed), err)
 		}
 	}
@@ -216,24 +220,24 @@ func TestGCMOpenRejectsWrongPNOrAAD(t *testing.T) {
 	}
 }
 
+// TestGCMTagVerify covers authentication-only use: sealing no plaintext
+// yields a bare 16-byte tag over the AAD, and opening it appends
+// nothing.
 func TestGCMTagVerify(t *testing.T) {
 	t.Parallel()
-	key := DeriveKey([]byte("0123456789abcdef"), "gcm", "t", 16)
+	g := mustGCM(t, DeriveKey([]byte("0123456789abcdef"), "gcm", "t", 16))
 	msg := []byte("integrity-only frame")
-	tag, err := GCMTag(key, 7, 1, msg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tag := g.Seal(nil, 7, 1, msg, nil)
 	if len(tag) != 16 {
 		t.Errorf("tag length %d, want 16", len(tag))
 	}
-	if !GCMVerifyTag(key, 7, 1, msg, tag) {
-		t.Error("valid tag rejected")
+	if pt, err := g.Open(nil, 7, 1, msg, tag); err != nil || len(pt) != 0 {
+		t.Errorf("valid tag: open = %q, %v", pt, err)
 	}
-	if GCMVerifyTag(key, 7, 1, []byte("forged frame!!!!"), tag) {
+	if _, err := g.Open(nil, 7, 1, []byte("forged frame!!!!"), tag); err == nil {
 		t.Error("forged message accepted")
 	}
-	if GCMVerifyTag(key, 7, 2, msg, tag) {
+	if _, err := g.Open(nil, 7, 2, msg, tag); err == nil {
 		t.Error("replayed tag with wrong PN accepted")
 	}
 }
@@ -241,12 +245,10 @@ func TestGCMTagVerify(t *testing.T) {
 func TestGCMPropertyRoundTrip(t *testing.T) {
 	t.Parallel()
 	key := DeriveKey([]byte("0123456789abcdef"), "gcm", "q", 16)
+	send, recv := mustGCM(t, key), mustGCM(t, key)
 	f := func(pt, aad []byte, pn uint32) bool {
-		sealed, err := GCMSeal(key, 5, pn, aad, pt)
-		if err != nil {
-			return false
-		}
-		got, err := GCMOpen(key, 5, pn, aad, sealed)
+		sealed := send.Seal(nil, 5, pn, aad, pt)
+		got, err := recv.Open(nil, 5, pn, aad, sealed)
 		return err == nil && bytes.Equal(got, pt)
 	}
 	if err := quick.Check(f, nil); err != nil {

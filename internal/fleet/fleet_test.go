@@ -363,12 +363,35 @@ func failCampaigns(n int32) func(http.Handler) http.Handler {
 }
 
 // abortAllCampaigns kills every campaign connection: the worker that
-// dies right after a clean handshake.
-func abortAllCampaigns() func(http.Handler) http.Handler {
+// dies right after a clean handshake. It closes retired when it aborts
+// its third campaign, the failure that makes the coordinator retire it
+// (fleet's workerFailLimit).
+func abortAllCampaigns(retired chan<- struct{}) func(http.Handler) http.Handler {
+	var aborted atomic.Int32
 	return func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if isCampaign(r) {
+				if aborted.Add(1) == 3 {
+					close(retired)
+				}
 				panic(http.ErrAbortHandler)
+			}
+			next.ServeHTTP(w, r)
+		})
+	}
+}
+
+// holdCampaigns holds every campaign request until ready is closed or
+// bound has passed, so a healthy worker cannot finish the grid before
+// a faulty one has failed often enough to be retired.
+func holdCampaigns(ready <-chan struct{}, bound time.Duration) func(http.Handler) http.Handler {
+	return func(next http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if isCampaign(r) {
+				select {
+				case <-ready:
+				case <-time.After(bound):
+				}
 			}
 			next.ServeHTTP(w, r)
 		})
@@ -529,9 +552,11 @@ func TestFleetFaultInjection(t *testing.T) {
 		return cellOrder(serialBaseline(t, testIDs, seeds, 0.25).Cells)
 	}()
 
+	retired := make(chan struct{})
 	cases := []struct {
 		name     string
 		fault    func(http.Handler) http.Handler
+		hold     func(http.Handler) http.Handler // wraps the healthy worker
 		timeout  time.Duration
 		wantDead bool
 	}{
@@ -545,12 +570,15 @@ func TestFleetFaultInjection(t *testing.T) {
 		{name: "http-500", fault: failCampaigns(2)},
 		// Every campaign connection dies after a clean handshake: the
 		// worker is retired and the healthy worker absorbs the grid.
-		{name: "dead-after-handshake", fault: abortAllCampaigns(), wantDead: true},
+		// The healthy worker waits for the third abort, so the grid
+		// cannot finish before the retirement under any scheduling.
+		{name: "dead-after-handshake", fault: abortAllCampaigns(retired),
+			hold: holdCampaigns(retired, 10*time.Second), wantDead: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			faulty := newWorker(t, workerConfig(t, ""), tc.fault)
-			healthy := newWorker(t, workerConfig(t, ""), nil)
+			healthy := newWorker(t, workerConfig(t, ""), tc.hold)
 			var streamed []campaign.CellResult
 			rep, err := fleet.Run(context.Background(), fleet.Config{
 				Workers:      []string{faulty.URL, healthy.URL},
@@ -643,7 +671,7 @@ func TestFleetCorruptCacheEntry(t *testing.T) {
 	cacheDir := filepath.Join(t.TempDir(), "cache")
 	worker := newWorker(t, workerConfig(t, cacheDir), nil)
 
-	// Populate the cache, then flip bytes in the middle of one entry.
+	// Populate the cache, then flip bytes in the middle of one record.
 	run := func() string {
 		rep, err := fleet.Run(context.Background(), fleet.Config{
 			Workers: []string{worker.URL}, IDs: testIDs, Seeds: seeds,
@@ -656,26 +684,32 @@ func TestFleetCorruptCacheEntry(t *testing.T) {
 	if got := run(); got != want {
 		t.Fatalf("pre-corruption run diverged\nfirst difference: %s", firstDiff(want, got))
 	}
+	// The daemon's key for fig3 at seed 42 (server.cellCacheKey; a
+	// registry experiment has no scenario fingerprint).
+	key := resultcache.Key("avsecd-cell", "1", resultcache.CodeVersion(), "fig3", "42", "")
 	cache, err := resultcache.New(cacheDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys, err := cache.Entries()
+	defer cache.Close()
+	path, off, end, ok := cache.RecordSpan(key)
+	if !ok {
+		t.Fatal("no cache record for fig3 at seed 42 to corrupt")
+	}
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(keys) == 0 {
-		t.Fatal("no cache entries to corrupt")
-	}
-	path := cache.EntryPath(keys[0])
-	data, err := os.ReadFile(path)
-	if err != nil {
+	defer f.Close()
+	mid := make([]byte, 8)
+	at := off + (end-off)/2
+	if _, err := f.ReadAt(mid, at); err != nil {
 		t.Fatal(err)
 	}
-	for i := len(data) / 2; i < len(data)/2+8 && i < len(data); i++ {
-		data[i] ^= 0xFF
+	for i := range mid {
+		mid[i] ^= 0xFF
 	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	if _, err := f.WriteAt(mid, at); err != nil {
 		t.Fatal(err)
 	}
 
@@ -725,7 +759,7 @@ func TestFleetNoCacheStoreAfterRun(t *testing.T) {
 // Run returns the full grid with per-cell errors instead of hanging.
 func TestFleetAllWorkersDead(t *testing.T) {
 	t.Parallel()
-	worker := newWorker(t, workerConfig(t, ""), abortAllCampaigns())
+	worker := newWorker(t, workerConfig(t, ""), abortAllCampaigns(make(chan struct{})))
 	seeds := campaign.Seeds(42, 2)
 	rep, err := fleet.Run(context.Background(), fleet.Config{
 		Workers: []string{worker.URL}, IDs: []string{"fig3"}, Seeds: seeds,

@@ -2,10 +2,12 @@ package resultcache
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -60,10 +62,7 @@ func TestPutGetRoundTripIsExact(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			c, err := New(t.TempDir())
-			if err != nil {
-				t.Fatal(err)
-			}
+			c := newCache(t, t.TempDir())
 			key := Key("exp", "42", "v1")
 			if _, ok := c.Get(key); ok {
 				t.Fatal("Get on an empty cache hit")
@@ -105,10 +104,7 @@ func metricsBitEqual(a, b []sim.Metric) bool {
 
 func TestPutRejectsUnmarshalableMetrics(t *testing.T) {
 	t.Parallel()
-	c, err := New(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newCache(t, t.TempDir())
 	e := &Entry{Report: "r", Metrics: []sim.Metric{{Name: "nan", Value: math.NaN()}}}
 	if err := c.Put(Key("k"), e); err == nil {
 		t.Error("Put with a NaN metric succeeded, want error")
@@ -118,130 +114,199 @@ func TestPutRejectsUnmarshalableMetrics(t *testing.T) {
 	}
 }
 
-// entryFile locates the single cache file under the root, failing if
-// the layout assumption (dir/<shard>/<key>.entry) breaks.
-func entryFile(t *testing.T, c *Cache, key string) string {
+// frameOf frames a record as Put appends it: its length, then the
+// record.
+func frameOf(rec []byte) []byte {
+	return append(binary.LittleEndian.AppendUint32(nil, uint32(len(rec))), rec...)
+}
+
+// newCache opens a cache on dir and closes it when the test ends.
+func newCache(t testing.TB, dir string) *Cache {
 	t.Helper()
-	path := filepath.Join(c.Dir(), key[:2], key+".entry")
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("expected entry file: %v", err)
+	c, err := New(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return path
+	t.Cleanup(func() { c.Close() })
+	return c
+}
+
+// wantEntry fails t unless c serves want under key, bit for bit.
+func wantEntry(t *testing.T, c *Cache, key string, want *Entry) {
+	t.Helper()
+	got, ok := c.Get(key)
+	if !ok {
+		t.Fatalf("Get(%.16s…) missed", key)
+	}
+	if got.Report != want.Report || !metricsBitEqual(got.Metrics, want.Metrics) {
+		t.Fatalf("Get(%.16s…) served %q %v, want %q %v", key, got.Report, got.Metrics, want.Report, want.Metrics)
+	}
 }
 
 func TestCorruptionIsDetectedDeletedAndCounted(t *testing.T) {
 	t.Parallel()
+	key := Key("exp-ids", "7", "v1")
+	other := Key("some", "other", "cell")
+	// Each case damages the segment holding key's record (at) and,
+	// right after it, other's record of the same length.
+	type span struct{ off, end int }
 	cases := []struct {
 		name    string
-		corrupt func(t *testing.T, path string)
+		lookup  string
+		corrupt func(t *testing.T, seg []byte, at, oth span) []byte
+		// fresh is the corrupt count of a fresh cache on the damaged
+		// directory, as after a restart: a record it can still frame
+		// and index is read, refused and counted once; one it cannot
+		// is never indexed and is a plain miss.
+		fresh uint64
 	}{
-		{"flipped payload byte", func(t *testing.T, path string) {
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
+		{"flipped payload byte", key, func(t *testing.T, seg []byte, at, _ span) []byte {
 			// Flip a byte inside the body's report text, past the
 			// magic, the key and the checksum, so only the checksum
 			// can catch it.
-			i := strings.Index(string(data), "report")
+			i := strings.Index(string(seg[at.off:at.end]), "report")
 			if i < len(entryMagic)+64+sha256.Size {
 				t.Fatalf("report text not found in the body (index %d)", i)
 			}
-			data[i] ^= 0x01
-			if err := os.WriteFile(path, data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"flipped magic byte", func(t *testing.T, path string) {
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			data[0] ^= 0x01
-			if err := os.WriteFile(path, data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"resealed body with a trailing byte", func(t *testing.T, path string) {
-			// The checksum matches the new body, so only the body
-			// decoder can refuse the extra byte.
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
+			seg[at.off+i] ^= 0x01
+			return seg
+		}, 1},
+		{"flipped magic byte", key, func(t *testing.T, seg []byte, at, _ span) []byte {
+			seg[at.off] ^= 0x01
+			return seg
+		}, 0},
+		{"resealed body with a trailing byte", key, func(t *testing.T, seg []byte, at, _ span) []byte {
+			// The checksum matches the new body and the frame its new
+			// length, so a fresh cache indexes the record and only the
+			// body decoder can refuse the extra byte. The writer's
+			// index still holds the old length, which the frame
+			// contradicts.
+			rec := append(slices.Clone(seg[at.off:at.end]), 0)
 			bodyAt := len(entryMagic) + 64 + sha256.Size
-			data = append(data, 0)
-			sum := sha256.Sum256(data[bodyAt:])
-			copy(data[bodyAt-sha256.Size:], sum[:])
-			if err := os.WriteFile(path, data, 0o644); err != nil {
-				t.Fatal(err)
+			sum := sha256.Sum256(rec[bodyAt:])
+			copy(rec[bodyAt-sha256.Size:], sum[:])
+			out := append(slices.Clone(seg[:at.off-frameHead]), frameOf(rec)...)
+			return append(out, seg[at.end:]...)
+		}, 1},
+		{"truncated file", key, func(t *testing.T, seg []byte, at, _ span) []byte {
+			// The segment ends inside the record, as a torn tail does.
+			return seg[:at.off+10]
+		}, 0},
+		{"empty record", key, func(t *testing.T, seg []byte, at, _ span) []byte {
+			binary.LittleEndian.PutUint32(seg[at.off-frameHead:], 0)
+			return seg
+		}, 0},
+		{"record served under the wrong key", other, func(t *testing.T, seg []byte, at, oth span) []byte {
+			// Keep every frame intact but put key's record where the
+			// index says other's is: the embedded-key check must
+			// refuse it.
+			if at.end-at.off != oth.end-oth.off {
+				t.Fatalf("records of %d and %d bytes: the case needs equal lengths", at.end-at.off, oth.end-oth.off)
 			}
-		}},
-		{"truncated file", func(t *testing.T, path string) {
-			if err := os.Truncate(path, 10); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"empty file", func(t *testing.T, path string) {
-			if err := os.WriteFile(path, nil, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"entry renamed onto the wrong key", func(t *testing.T, path string) {
-			// Keep the file internally consistent but serve it under a
-			// different address: the embedded-key check must refuse.
-			other := Key("some", "other", "cell")
-			dst := filepath.Join(filepath.Dir(filepath.Dir(path)), other[:2], other+".entry")
-			if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.Rename(path, dst); err != nil {
-				t.Fatal(err)
-			}
-		}},
+			copy(seg[oth.off:oth.end], seg[at.off:at.end])
+			return seg
+		}, 0},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			c, err := New(t.TempDir())
-			if err != nil {
-				t.Fatal(err)
-			}
-			key := Key("exp-ids", "7", "v1")
+			dir := t.TempDir()
+			c := newCache(t, dir)
 			if err := c.Put(key, testEntry(1)); err != nil {
 				t.Fatal(err)
 			}
-			path := entryFile(t, c, key)
-			tc.corrupt(t, path)
+			if err := c.Put(other, testEntry(2)); err != nil {
+				t.Fatal(err)
+			}
+			path, off, end, ok := c.RecordSpan(key)
+			_, ooff, oend, ook := c.RecordSpan(other)
+			if !ok || !ook {
+				t.Fatal("RecordSpan found no record for a stored key")
+			}
+			seg, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seg = tc.corrupt(t, seg, span{int(off), int(end)}, span{int(ooff), int(oend)})
+			if err := os.WriteFile(path, seg, 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-			lookup := key
-			if tc.name == "entry renamed onto the wrong key" {
-				lookup = Key("some", "other", "cell")
+			fresh := newCache(t, dir)
+			for _, r := range []struct {
+				name    string
+				c       *Cache
+				corrupt uint64
+			}{{"writer", c, 1}, {"fresh cache", fresh, tc.fresh}} {
+				if _, ok := r.c.Get(tc.lookup); ok {
+					t.Fatalf("%s: Get served a corrupt record", r.name)
+				}
+				if s := r.c.Stats(); s.Corrupt != r.corrupt || s.Misses != 1 {
+					t.Errorf("%s: stats %+v, want %d corrupt and 1 miss", r.name, s, r.corrupt)
+				}
+				// The damaged record left the index: the next Get is a
+				// plain miss.
+				if _, ok := r.c.Get(tc.lookup); ok {
+					t.Fatalf("%s: corrupt record survived its detection", r.name)
+				}
+				if s := r.c.Stats(); s.Corrupt != r.corrupt {
+					t.Errorf("%s: second Get re-counted corruption: %+v", r.name, s)
+				}
 			}
-			if _, ok := c.Get(lookup); ok {
-				t.Fatal("Get served a corrupt entry")
+			// The next Put appends a replacement.
+			if err := c.Put(tc.lookup, testEntry(3)); err != nil {
+				t.Fatal(err)
 			}
-			if s := c.Stats(); s.Corrupt != 1 {
-				t.Errorf("corrupt count = %d, want 1 (stats %+v)", s.Corrupt, s)
-			}
-			// The damaged file is gone: the next Get is a plain miss.
-			if _, ok := c.Get(lookup); ok {
-				t.Fatal("corrupt entry survived its detection")
-			}
-			if s := c.Stats(); s.Corrupt != 1 {
-				t.Errorf("second Get re-counted corruption: %+v", s)
-			}
+			wantEntry(t, c, tc.lookup, testEntry(3))
 		})
+	}
+}
+
+func TestPrefixCollisionIsAPlainMiss(t *testing.T) {
+	t.Parallel()
+	c := newCache(t, t.TempDir())
+	a := Key("a")
+	b := a[:prefixLen] + Key("b")[prefixLen:] // a's 64-bit id, another key
+	if err := c.Put(a, testEntry(1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.Get(b); ok {
+		t.Fatal("Get served a's record under a colliding key")
+	}
+	if s := c.Stats(); s.Corrupt != 0 || s.Misses != 1 {
+		t.Errorf("stats %+v, want a plain miss", s)
+	}
+	wantEntry(t, c, a, testEntry(1))
+	// The newer record of the pair takes the index entry.
+	if err := c.Put(b, testEntry(2)); err != nil {
+		t.Fatal(err)
+	}
+	wantEntry(t, c, b, testEntry(2))
+	if _, ok := c.Get(a); ok {
+		t.Fatal("Get served b's record under a")
+	}
+	if s := c.Stats(); s.Corrupt != 0 {
+		t.Errorf("collision counted as corruption: %+v", s)
+	}
+}
+
+func TestPutRejectsMalformedKeys(t *testing.T) {
+	t.Parallel()
+	c := newCache(t, t.TempDir())
+	for _, k := range []string{"", "short", strings.ToUpper(Key("k")), "zz" + Key("k")} {
+		if err := c.Put(k, testEntry(1)); err == nil {
+			t.Errorf("Put(%q) succeeded, want error", k)
+		}
+		if _, ok := c.Get(k); ok {
+			t.Errorf("Get(%q) hit", k)
+		}
 	}
 }
 
 func TestConcurrentAccess(t *testing.T) {
 	t.Parallel()
-	c, err := New(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newCache(t, t.TempDir())
 	const workers = 8
 	const keys = 5
 	var wg sync.WaitGroup
@@ -259,7 +324,8 @@ func TestConcurrentAccess(t *testing.T) {
 				}
 				got, ok := c.Get(k)
 				if !ok {
-					continue // another writer may be mid-rename; a miss is legal, wrong bytes are not
+					errs <- fmt.Errorf("worker %d round %d: Get missed right after Put", w, round)
+					return
 				}
 				if got.Report != want.Report || !sim.MetricsEqual(got.Metrics, want.Metrics) {
 					errs <- fmt.Errorf("worker %d round %d: cache served wrong bytes", w, round)
@@ -303,5 +369,195 @@ func TestNewValidatesDir(t *testing.T) {
 	}
 	if _, err := os.Stat(dir); err != nil {
 		t.Errorf("cache root was not created: %v", err)
+	}
+}
+
+func TestCachesOnOneDirectoryServeEachOther(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	a, b := newCache(t, dir), newCache(t, dir)
+	// Alternate writers, each reading the other's newest entry, so every
+	// read past the first finds the other segment grown since its last
+	// scan.
+	for i := 0; i < 6; i++ {
+		w, r := a, b
+		if i%2 == 1 {
+			w, r = b, a
+		}
+		k := Key("cell", fmt.Sprint(i))
+		if err := w.Put(k, testEntry(i)); err != nil {
+			t.Fatal(err)
+		}
+		wantEntry(t, r, k, testEntry(i))
+	}
+	for _, c := range []*Cache{a, b} {
+		for i := 0; i < 6; i++ {
+			wantEntry(t, c, Key("cell", fmt.Sprint(i)), testEntry(i))
+		}
+		if s := c.Stats(); s.Misses != 0 || s.Corrupt != 0 || s.Stores != 3 {
+			t.Errorf("stats %+v, want 3 stores and only hits", s)
+		}
+	}
+	segs, _ := filepath.Glob(filepath.Join(dir, "*"+segExt))
+	if len(segs) != 2 {
+		t.Errorf("%d segments, want one per writer: %v", len(segs), segs)
+	}
+}
+
+func TestFreshCacheServesEarlierEntries(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	c := newCache(t, dir)
+	for i := 0; i < 3; i++ {
+		if err := c.Put(Key("cell", fmt.Sprint(i)), testEntry(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Close()
+	again := newCache(t, dir) // as after a restart
+	if len(again.segs) != 0 {
+		t.Fatalf("New opened %d segments, want none before the first Get", len(again.segs))
+	}
+	for i := 0; i < 3; i++ {
+		wantEntry(t, again, Key("cell", fmt.Sprint(i)), testEntry(i))
+	}
+}
+
+func TestTornTailIsNeverServed(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	intact := newCache(t, dir)
+	k1, k2, k3 := Key("cell", "1"), Key("cell", "2"), Key("cell", "3")
+	if err := intact.Put(k1, testEntry(1)); err != nil {
+		t.Fatal(err)
+	}
+	// Another writer's segment: one complete frame, then the length of
+	// a frame whose record never arrived, as a crash leaves it.
+	rec2, _ := encodeEntry(nil, k2, testEntry(2))
+	rec3, _ := encodeEntry(nil, k3, testEntry(3))
+	frame3 := frameOf(rec3)
+	torn := filepath.Join(dir, "torn"+segExt)
+	if err := os.WriteFile(torn, append(frameOf(rec2), frame3[:frameHead]...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c := newCache(t, dir)
+	if _, ok := c.Get(k3); ok {
+		t.Fatal("Get served a record from behind a torn frame")
+	}
+	wantEntry(t, c, k2, testEntry(2))
+	wantEntry(t, c, k1, testEntry(1))
+
+	// A writer still mid-append: the frame completes in two steps, and
+	// the record is served once it is whole.
+	f, err := os.OpenFile(torn, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	half := frameHead + len(rec3)/2
+	if _, err := f.Write(frame3[frameHead:half]); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.Get(k3); ok {
+		t.Fatal("Get served half a record")
+	}
+	if _, err := f.Write(frame3[half:]); err != nil {
+		t.Fatal(err)
+	}
+	wantEntry(t, c, k3, testEntry(3))
+	if s := c.Stats(); s.Corrupt != 0 {
+		t.Errorf("an incomplete frame was counted as corruption: %+v", s)
+	}
+}
+
+func TestFailedPutAbandonsSegment(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	c := newCache(t, dir)
+	k := func(i int) string { return Key("cell", fmt.Sprint(i)) }
+	for i := 0; i < 2; i++ {
+		if err := c.Put(k(i), testEntry(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Make the next write fail, as a full disk would: the writer's
+	// segment is swapped for a read-only handle on the same file.
+	ro, err := os.Open(c.w.path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.w.f.Close()
+	c.w.f = ro
+	if err := c.Put(k(2), testEntry(2)); err == nil {
+		t.Fatal("Put succeeded on a segment it cannot write")
+	}
+	wantEntry(t, c, k(0), testEntry(0))
+	wantEntry(t, c, k(1), testEntry(1))
+	if err := c.Put(k(2), testEntry(2)); err != nil {
+		t.Fatalf("Put after a failed write: %v", err)
+	}
+	wantEntry(t, c, k(2), testEntry(2))
+	if segs, _ := filepath.Glob(filepath.Join(dir, "*"+segExt)); len(segs) != 2 {
+		t.Errorf("%d segments, want the abandoned one and a new one", len(segs))
+	}
+	fresh := newCache(t, dir)
+	for i := 0; i < 3; i++ {
+		wantEntry(t, fresh, k(i), testEntry(i))
+	}
+}
+
+func TestPutMovesOnBeforeOffsetsOverflow(t *testing.T) {
+	t.Parallel()
+	c := newCache(t, t.TempDir())
+	if err := c.Put(Key("cell", "0"), testEntry(0)); err != nil {
+		t.Fatal(err)
+	}
+	first := c.w
+	first.end = maxOffset // as if the segment had filled up
+	if err := c.Put(Key("cell", "1"), testEntry(1)); err != nil {
+		t.Fatal(err)
+	}
+	if c.w == first || !first.done {
+		t.Fatal("Put appended past the offsets a location can hold")
+	}
+	wantEntry(t, c, Key("cell", "0"), testEntry(0))
+	wantEntry(t, c, Key("cell", "1"), testEntry(1))
+}
+
+// TestCloseReleasesFiles runs alone (not in parallel), so the
+// process's open descriptors are the cache's and the runtime's only.
+func TestCloseReleasesFiles(t *testing.T) {
+	fds := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skipf("cannot count open files: %v", err)
+		}
+		return len(ents)
+	}
+	before := fds()
+	dir := t.TempDir()
+	for round := 0; round < 3; round++ {
+		a, err := New(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := New(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := Key("cell", fmt.Sprint(round))
+		if err := a.Put(k, testEntry(round)); err != nil {
+			t.Fatal(err)
+		}
+		wantEntry(t, b, k, testEntry(round))
+		if err := a.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := fds(); after != before {
+		t.Errorf("%d open files before, %d after closing every cache", before, after)
 	}
 }

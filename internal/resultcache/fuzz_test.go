@@ -10,13 +10,15 @@ import (
 	"autosec/internal/sim"
 )
 
-// FuzzCacheEntry writes arbitrary bytes as an entry file and reads it
-// back. Get must never panic, and every read has one of two outcomes:
-// a miss that counts one corruption and deletes the file, or a hit
-// whose entry, stored again by Put, writes exactly the bytes read. Each
-// input is tried twice: as the whole file, and as a body sealed under
-// the right magic, key and checksum, which is how the fuzzer reaches
-// the body decoder past the checksum.
+// FuzzCacheEntry reads arbitrary bytes as a foreign segment, one that
+// another writer left in the cache directory beside the cache's own
+// segment. Get must never panic, and it may serve only what a Put
+// wrote: the fuzzed key only as an entry whose record, framed as Put
+// appends it, is in the segment byte for byte, and the cache's own key
+// only as the entry it stored. Each input is tried twice: as the whole
+// segment, and as a body sealed under the right magic, key and
+// checksum in one frame, which is how the fuzzer reaches the body
+// decoder past the checksum.
 func FuzzCacheEntry(f *testing.F) {
 	key := Key("fuzz", "1")
 	for _, e := range []*Entry{
@@ -25,24 +27,18 @@ func FuzzCacheEntry(f *testing.F) {
 		{Report: "r", Metrics: []sim.Metric{}},
 		{Metrics: []sim.Metric{{Name: "", Value: -0.0}}},
 	} {
-		data, err := encodeEntry(key, e)
+		rec, err := encodeEntry(nil, key, e)
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(data)
-		f.Add(data[len(entryMagic)+len(key)+sha256.Size:])
+		f.Add(frameOf(rec))
+		f.Add(rec[len(entryMagic)+len(key)+sha256.Size:])
 	}
 	f.Add([]byte{})
 	f.Add([]byte(entryMagic))
 
-	// One cache serves every input: each check leaves the entry file
-	// either deleted or rewritten, and compares counters by difference.
-	c, err := New(f.TempDir())
-	if err != nil {
-		f.Fatal(err)
-	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		checkEntryFile(t, c, key, data)
+		checkSegment(t, key, data)
 
 		sealed := make([]byte, 0, len(entryMagic)+len(key)+sha256.Size+len(data))
 		sealed = append(sealed, entryMagic...)
@@ -50,45 +46,48 @@ func FuzzCacheEntry(f *testing.F) {
 		sum := sha256.Sum256(data)
 		sealed = append(sealed, sum[:]...)
 		sealed = append(sealed, data...)
-		checkEntryFile(t, c, key, sealed)
+		checkSegment(t, key, frameOf(sealed))
 	})
 }
 
-// checkEntryFile writes data as key's entry file in c and checks that
-// Get either discards it as corrupt or serves an entry that Put
-// re-encodes to the same bytes.
-func checkEntryFile(t *testing.T, c *Cache, key string, data []byte) {
+// checkSegment puts seg as a foreign segment into a fresh cache that
+// has stored one entry of its own, then reads key and the cache's own
+// key through it.
+func checkSegment(t *testing.T, key string, seg []byte) {
 	t.Helper()
-	path := c.EntryPath(key)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+	dir := t.TempDir()
+	c := newCache(t, dir)
+	own := Key("fuzz", "own")
+	if err := c.Put(own, testEntry(1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "foreign"+segExt), seg, 0o644); err != nil {
 		t.Fatal(err)
 	}
+
 	before := c.Stats()
 	e, ok := c.Get(key)
 	after := c.Stats()
 	if !ok {
-		if after.Corrupt != before.Corrupt+1 || after.Misses != before.Misses+1 {
-			t.Fatalf("miss without one corruption and one miss counted: %+v -> %+v", before, after)
+		if after.Misses != before.Misses+1 || after.Hits != before.Hits || after.Corrupt > before.Corrupt+1 {
+			t.Fatalf("miss not counted as one miss: %+v -> %+v", before, after)
 		}
-		if _, err := os.Stat(path); !os.IsNotExist(err) {
-			t.Fatalf("corrupt entry file left behind (stat: %v)", err)
+		// A record refused once left the index: no second count.
+		if _, ok := c.Get(key); ok || c.Stats().Corrupt != after.Corrupt {
+			t.Fatalf("second Get of a refused key: hit=%v, stats %+v -> %+v", ok, after, c.Stats())
 		}
-		return
+	} else {
+		if after.Hits != before.Hits+1 || after.Corrupt != before.Corrupt {
+			t.Fatalf("hit not counted as one hit: %+v -> %+v", before, after)
+		}
+		rec, err := encodeEntry(nil, key, e)
+		if err != nil {
+			t.Fatalf("served entry does not encode: %v", err)
+		}
+		if !bytes.Contains(seg, frameOf(rec)) {
+			t.Fatalf("served an entry whose record is not in the segment: %x", rec)
+		}
 	}
-	if after.Hits != before.Hits+1 || after.Corrupt != before.Corrupt {
-		t.Fatalf("hit not counted as one hit: %+v -> %+v", before, after)
-	}
-	if err := c.Put(key, e); err != nil {
-		t.Fatalf("Put of an entry Get served: %v", err)
-	}
-	again, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(again, data) {
-		t.Fatalf("Put re-encoded a served entry differently:\n read %x\nwrote %x", data, again)
-	}
+	// No foreign frame can displace the cache's own entry.
+	wantEntry(t, c, own, testEntry(1))
 }

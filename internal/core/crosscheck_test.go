@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"testing"
@@ -10,9 +11,9 @@ import (
 
 // TestSerialParallelCrossCheck is the tentpole invariant of the
 // replicate pool: every registry experiment must produce byte-identical
-// reports and bit-identical typed metric streams whether its replicate
-// loops run serially (nil pool) or fan out over a pool of 1, 2, or
-// GOMAXPROCS workers. The serial pre-forking of per-replicate RNGs
+// reports, bit-identical typed metric streams and byte-identical JSONL
+// traces whether its replicate loops run serially (nil pool) or fan out
+// over a pool of 1, 2, or GOMAXPROCS workers. The serial pre-forking of per-replicate RNGs
 // makes this hold by construction; this test (run under -race in CI)
 // is what keeps it true as experiments evolve.
 func TestSerialParallelCrossCheck(t *testing.T) {
@@ -22,14 +23,20 @@ func TestSerialParallelCrossCheck(t *testing.T) {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
 			t.Parallel()
-			base, err := RunExperimentResult(e.ID, seed, RunOptions{})
+			var baseTrace bytes.Buffer
+			base, err := RunExperimentResult(e.ID, seed, RunOptions{Tracer: sim.NewJSONLTracer(&baseTrace)})
 			if err != nil {
 				t.Fatalf("serial run: %v", err)
 			}
 			for _, workers := range counts {
-				res, err := RunExperimentResult(e.ID, seed, RunOptions{Pool: sim.NewWorkerPool(workers)})
+				var trace bytes.Buffer
+				res, err := RunExperimentResult(e.ID, seed, RunOptions{Pool: sim.NewWorkerPool(workers), Tracer: sim.NewJSONLTracer(&trace)})
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
+				}
+				if !bytes.Equal(trace.Bytes(), baseTrace.Bytes()) {
+					t.Errorf("workers=%d: trace diverged from serial run\nfirst difference: %s",
+						workers, firstDiff(baseTrace.String(), trace.String()))
 				}
 				if res.Report != base.Report {
 					t.Errorf("workers=%d: report diverged from serial run\nfirst difference: %s",

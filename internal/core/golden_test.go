@@ -2,7 +2,10 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"os"
 	"strings"
 	"testing"
 
@@ -31,15 +34,46 @@ func capture(t *testing.T, id string, seed int64) (string, []sim.Metric, []byte)
 	return res.Report, res.Metrics, trace.Bytes()
 }
 
+// traceDigestFile pins the SHA-256 of every registry experiment's
+// seed-42 JSONL trace, one "<hex>  <id>" line per experiment in
+// registry order: the bytes `avsec run <id> -seed 42 -trace F` writes.
+const traceDigestFile = "testdata/trace.sha256"
+
+// loadTraceDigests reads traceDigestFile into a map from id to digest.
+func loadTraceDigests(t *testing.T) map[string]string {
+	t.Helper()
+	b, err := os.ReadFile(traceDigestFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	digests := make(map[string]string)
+	for _, line := range strings.Split(strings.TrimSpace(string(b)), "\n") {
+		f := strings.Fields(line)
+		if len(f) != 2 {
+			t.Fatalf("%s: malformed line %q", traceDigestFile, line)
+		}
+		digests[f[1]] = f[0]
+	}
+	return digests
+}
+
 // TestGoldenDeterminismAllExperiments executes all registry experiments
 // twice at seed 42 and asserts byte-identical reports, metrics, and
 // traces — the sim kernel's "same seed ⇒ identical output" requirement
-// now covers the full deterministic surface, trace included — then runs
-// each at three distinct seeds asserting success and non-trivial
+// now covers the full deterministic surface, trace included — and
+// compares each trace with its digest in traceDigestFile, so a change
+// that moves any trace byte names every experiment it moved. It then
+// runs each at three distinct seeds asserting success and non-trivial
 // output.
 func TestGoldenDeterminismAllExperiments(t *testing.T) {
-	for _, e := range Experiments() {
+	digests := loadTraceDigests(t)
+	exps := Experiments()
+	if len(digests) != len(exps) {
+		t.Errorf("%s pins %d traces, the registry has %d experiments", traceDigestFile, len(digests), len(exps))
+	}
+	for _, e := range exps {
 		e := e
+		want := digests[e.ID]
 		t.Run(e.ID, func(t *testing.T) {
 			t.Parallel()
 			first, m1, tr1 := capture(t, e.ID, 42)
@@ -62,6 +96,11 @@ func TestGoldenDeterminismAllExperiments(t *testing.T) {
 			}
 			if !bytes.Equal(tr1, tr2) {
 				t.Fatalf("%s: trace bytes diverge across identical runs", e.ID)
+			}
+			sum := sha256.Sum256(tr1)
+			if got := hex.EncodeToString(sum[:]); got != want {
+				t.Errorf("%s: seed-42 trace moved (%d bytes); if intended, its %s line becomes:\n%s  %s",
+					e.ID, len(tr1), traceDigestFile, got, e.ID)
 			}
 			// The trace must be valid JSONL bracketed by run-start/run-end.
 			lines := strings.Split(strings.TrimSuffix(string(tr1), "\n"), "\n")

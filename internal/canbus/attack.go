@@ -25,7 +25,7 @@ func (m *Masquerader) Start(k *sim.Kernel) {
 		k.After(period*sim.Time(i+1), "attack/masquerade", func(k *sim.Kernel) {
 			f := &Frame{ID: m.TargetID, Format: m.Format, Payload: m.Payload}
 			if err := m.Bus.Send(m.NodeName, f); err == nil {
-				k.Metrics().Inc("attack.masquerade.injected", 1)
+				k.Count("attack.masquerade.injected", 1)
 			}
 		})
 	}
@@ -50,7 +50,7 @@ func (fl *Flooder) Start(k *sim.Kernel) {
 		k.After(period*sim.Time(i+1), "attack/flood", func(k *sim.Kernel) {
 			f := &Frame{ID: 0x000, Format: fl.Format, Payload: payload}
 			if err := fl.Bus.Send(fl.NodeName, f); err == nil {
-				k.Metrics().Inc("attack.flood.injected", 1)
+				k.Count("attack.flood.injected", 1)
 			}
 		})
 	}

@@ -19,7 +19,7 @@ func ivnCfg(rc *RunContext) ivn.Config {
 func scenarioRow(tb *sim.Table, r ivn.Result) {
 	tb.AddRow(r.Scenario,
 		fmt.Sprintf("%d/%d", r.Delivered, r.Sent),
-		r.LatencyUs.P50,
+		r.P50Us,
 		r.OverheadRatio,
 		r.KeysAtZC,
 		r.CryptoOpsAtZC,

@@ -164,8 +164,8 @@ func (l *Link) Send(from MAC, f *Frame) error {
 	cp := f.Clone()
 	dur := sim.Time(int64(cp.WireBytes()*8) * int64(sim.Second) / l.bps)
 	l.kernel.After(dur, "eth/"+l.name+"/deliver", func(k *sim.Kernel) {
-		k.Metrics().Inc("ethernet."+l.name+".frames", 1)
-		k.Metrics().Inc("ethernet."+l.name+".bytes", int64(cp.WireBytes()))
+		k.Count("ethernet."+l.name+".frames", 1)
+		k.Count("ethernet."+l.name+".bytes", int64(cp.WireBytes()))
 		for _, tap := range l.taps {
 			tap(cp)
 		}

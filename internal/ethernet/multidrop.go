@@ -81,8 +81,8 @@ func (m *Multidrop) cycle(k *sim.Kernel, idx int) {
 	dur := sim.Time(int64(f.WireBytes()*8) * int64(sim.Second) / m.bps)
 	sender := m.nodes[idx].PortMAC()
 	k.After(dur, "t1s/"+m.name+"/deliver", func(k *sim.Kernel) {
-		k.Metrics().Inc("t1s."+m.name+".frames", 1)
-		k.Metrics().Inc("t1s."+m.name+".bytes", int64(f.WireBytes()))
+		k.Count("t1s."+m.name+".frames", 1)
+		k.Count("t1s."+m.name+".bytes", int64(f.WireBytes()))
 		for _, tap := range m.taps {
 			tap(f)
 		}

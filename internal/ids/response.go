@@ -102,7 +102,7 @@ func (e *Engine) observe(f *canbus.Frame) {
 
 func (e *Engine) raise(a Alert) {
 	e.alerts = append(e.alerts, a)
-	e.kernel.Metrics().Inc("ids.alerts."+a.Detector, 1)
+	e.kernel.Count("ids.alerts."+a.Detector, 1)
 	src := a.Source
 	if src == "" {
 		return // cannot respond without attribution
@@ -116,10 +116,10 @@ func (e *Engine) raise(a Alert) {
 	case Isolate, IsolateAndRekey:
 		e.isolated[src] = true
 		e.ContainedAt[src] = a.At
-		e.kernel.Metrics().Inc("ids.isolations", 1)
+		e.kernel.Count("ids.isolations", 1)
 		if e.Action == IsolateAndRekey {
 			e.rekeyCount++
-			e.kernel.Metrics().Inc("ids.rekeys", 1)
+			e.kernel.Count("ids.rekeys", 1)
 		}
 	}
 }

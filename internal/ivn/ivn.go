@@ -23,7 +23,7 @@ package ivn
 import (
 	"encoding/binary"
 	"fmt"
-	"strings"
+	"sort"
 
 	"autosec/internal/canbus"
 	"autosec/internal/ethernet"
@@ -45,7 +45,7 @@ type Config struct {
 	// legitimate traffic re-sent).
 	Replays int
 	// Tracer, when non-nil, is attached to the scenario's simulation
-	// kernel so scheduled/executed events and metric samples land in
+	// kernel so scheduled/executed events, counters and samples land in
 	// the run's structured trace.
 	Tracer sim.Tracer
 }
@@ -70,7 +70,8 @@ type Result struct {
 	Delivered int
 	Sent      int
 
-	LatencyUs sim.Summary
+	// P50Us is the median end-to-end latency of delivered messages.
+	P50Us float64
 
 	// WireBytes is the total bytes that crossed any medium; AppBytes is
 	// the useful application payload delivered. OverheadRatio is
@@ -94,7 +95,7 @@ type Result struct {
 // String renders a compact report line.
 func (r Result) String() string {
 	return fmt.Sprintf("%-12s delivered=%d/%d lat(p50)=%.1fµs overhead=%.2fx keysZC=%d opsZC=%d forged=%d/%d replayed=%d/%d",
-		r.Scenario, r.Delivered, r.Sent, r.LatencyUs.P50, r.OverheadRatio,
+		r.Scenario, r.Delivered, r.Sent, r.P50Us, r.OverheadRatio,
 		r.KeysAtZC, r.CryptoOpsAtZC,
 		r.ForgeriesAccepted, r.ForgeriesAttempted, r.ReplaysAccepted, r.ReplaysAttempted)
 }
@@ -171,15 +172,18 @@ func (t *flowTracker) count() int { return len(t.lat) }
 // stats reports the tracker as flow name; every sent message has its
 // own sequence number.
 func (t *flowTracker) stats(name string) FlowStats {
-	return FlowStats{Name: name, Sent: len(t.sendTime), Delivered: t.count(), P50Us: t.summary().P50}
+	return FlowStats{Name: name, Sent: len(t.sendTime), Delivered: t.count(), P50Us: t.p50()}
 }
 
-func (t *flowTracker) summary() sim.Summary {
-	m := sim.NewMetrics()
-	for _, v := range t.lat {
-		m.Observe("lat", v)
+// p50 is the median delivery latency in µs (the lower middle sample of
+// an even count), or 0 with no deliveries.
+func (t *flowTracker) p50() float64 {
+	if len(t.lat) == 0 {
+		return 0
 	}
-	return m.Summarize("lat")
+	sorted := append([]float64(nil), t.lat...)
+	sort.Float64s(sorted)
+	return sorted[int(0.5*float64(len(sorted)-1))]
 }
 
 func payloadWithSeq(seq uint32, size int) []byte {
@@ -198,27 +202,32 @@ func seqOf(payload []byte) (uint32, bool) {
 	return binary.BigEndian.Uint32(payload), true
 }
 
-// wireBytes sums every medium's byte counters from the kernel metrics.
-func wireBytes(k *sim.Kernel) int64 {
-	var total int64
-	m := k.Metrics()
-	for _, name := range m.CounterNames() {
-		if strings.HasSuffix(name, ".bytes") {
-			total += m.Counter(name)
-		}
-		if strings.HasSuffix(name, ".bits") {
-			total += m.Counter(name) / 8
-		}
-	}
-	return total
+// wireMeter totals the bytes that cross the media it watches: every
+// frame an Ethernet link or T1S segment delivers, plus each CAN bus's
+// delivered bits divided by 8 per bus.
+type wireMeter struct {
+	bytes   int64
+	canBits []int64 // one total per watched bus
 }
 
-func finalize(r *Result, k *sim.Kernel, t *flowTracker) {
-	r.Delivered = t.count()
-	r.LatencyUs = t.summary()
-	r.WireBytes = wireBytes(k)
-	r.AppBytes = t.appBytes
-	if r.AppBytes > 0 {
-		r.OverheadRatio = float64(r.WireBytes) / float64(r.AppBytes)
+// can watches bus b and returns it.
+func (w *wireMeter) can(b *canbus.Bus) *canbus.Bus {
+	i := len(w.canBits)
+	w.canBits = append(w.canBits, 0)
+	b.Tap(func(f *canbus.Frame) { w.canBits[i] += int64(f.WireBits()) })
+	return b
+}
+
+// eth watches an Ethernet link or T1S segment.
+func (w *wireMeter) eth(m interface{ Tap(func(*ethernet.Frame)) }) {
+	m.Tap(func(f *ethernet.Frame) { w.bytes += int64(f.WireBytes()) })
+}
+
+// total is the wire bytes delivered so far.
+func (w *wireMeter) total() int64 {
+	total := w.bytes
+	for _, bits := range w.canBits {
+		total += bits / 8
 	}
+	return total
 }

@@ -166,7 +166,7 @@ func TestLatencyOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e2e.LatencyUs.P50 <= 0 || p2p.LatencyUs.P50 <= 0 {
-		t.Errorf("latencies not recorded: %v %v", e2e.LatencyUs.P50, p2p.LatencyUs.P50)
+	if e2e.P50Us <= 0 || p2p.P50Us <= 0 {
+		t.Errorf("latencies not recorded: %v %v", e2e.P50Us, p2p.P50Us)
 	}
 }

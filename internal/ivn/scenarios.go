@@ -25,6 +25,7 @@ type driver struct {
 	k       *sim.Kernel
 	res     Result
 	tracker *flowTracker
+	wire    wireMeter
 }
 
 func newDriver(cfg Config, scenario string) *driver {
@@ -44,7 +45,9 @@ func (d *driver) uplink(down func(*sim.Kernel, *ethernet.Frame), unwrap func(*et
 			d.res.ReplaysAccepted++
 		}
 	}}
-	return ethernet.NewLink("zc-cc", backbone, d.k, &ethernet.PortFunc{MAC: zcUpMAC, Fn: down}, cc)
+	l := ethernet.NewLink("zc-cc", backbone, d.k, &ethernet.PortFunc{MAC: zcUpMAC, Fn: down}, cc)
+	d.wire.eth(l)
+	return l
 }
 
 // zone is the zone medium as the driver sees it, with the frames the
@@ -124,7 +127,14 @@ func drive[F interface{ Clone() F }](d *driver, z zone[F]) (Result, error) {
 	if err := k.Run(0); err != nil {
 		return d.res, err
 	}
-	finalize(&d.res, k, d.tracker)
+	r, t := &d.res, d.tracker
+	r.Delivered = t.count()
+	r.P50Us = t.p50()
+	r.WireBytes = d.wire.total()
+	r.AppBytes = t.appBytes
+	if r.AppBytes > 0 {
+		r.OverheadRatio = float64(r.WireBytes) / float64(r.AppBytes)
+	}
 	return d.res, nil
 }
 
@@ -171,7 +181,7 @@ func RunS1(cfg Config) (Result, error) {
 // PDUs with protect and forge, and the central computer checks them
 // with verify.
 func runGateway(d *driver, zcSecY, ccSecY *macsec.SecY, protect, forge, verify func([]byte) ([]byte, error)) (Result, error) {
-	bus := canbus.NewBus("zone-l", canRates, d.k)
+	bus := d.wire.can(canbus.NewBus("zone-l", canRates, d.k))
 	zcToCC := d.uplink(nil, func(f *ethernet.Frame) []byte {
 		payload := f.Payload
 		if ccSecY != nil {
@@ -253,6 +263,7 @@ func RunS2(cfg Config, mode S2Mode) (Result, error) {
 
 	zcToCC := d.uplink(nil, func(f *ethernet.Frame) []byte { return opened(ccSecY, f) })
 	seg := ethernet.NewMultidrop("zone-r", d.k)
+	d.wire.eth(seg)
 	seg.Attach(&ethernet.PortFunc{MAC: zcMAC, Fn: func(k *sim.Kernel, f *ethernet.Frame) {
 		if mode == S2EndToEnd {
 			// Forward ciphertext unchanged; the paper notes this also
@@ -327,7 +338,7 @@ func RunS3(cfg Config) (Result, error) {
 		return d.res, err
 	}
 
-	bus := canbus.NewBus("zone-xl", xlRates, d.k)
+	bus := d.wire.can(canbus.NewBus("zone-xl", xlRates, d.k))
 	zcToCC := d.uplink(func(k *sim.Kernel, f *ethernet.Frame) {
 		// CC → ECU direction: segment into the tunnel.
 		segs, err := zcDownAdapter.Segment(f)

@@ -85,10 +85,12 @@ func RunFullVehicle(cfg Config) (*VehicleResult, error) {
 	}
 
 	// --- topology: zone L (CAN) ---
-	busL := canbus.NewBus("zone-l", canRates, k)
+	var wire wireMeter
+	busL := wire.can(canbus.NewBus("zone-l", canRates, k))
 
 	// --- topology: zone R (10BASE-T1S) ---
 	segR := ethernet.NewMultidrop("zone-r", k)
+	wire.eth(segR)
 
 	// --- central computer and its two links ---
 	var linkL, linkR *ethernet.Link
@@ -122,6 +124,7 @@ func RunFullVehicle(cfg Config) (*VehicleResult, error) {
 
 	zcLUp := &ethernet.PortFunc{MAC: zcUpMAC}
 	linkL = ethernet.NewLink("zcl-cc", backbone, k, zcLUp, cc)
+	wire.eth(linkL)
 
 	// Zone controller L: CAN → MACsec'd Ethernet uplink.
 	busL.Attach(&canbus.NodeFunc{ID: "zc-l", Fn: func(k *sim.Kernel, f *canbus.Frame) {
@@ -142,6 +145,7 @@ func RunFullVehicle(cfg Config) (*VehicleResult, error) {
 		_ = segR.Send(zcRDownID, f)
 	}}
 	linkR = ethernet.NewLink("zcr-cc", backbone, k, zcRUp, cc)
+	wire.eth(linkR)
 	zcRDown := &ethernet.PortFunc{MAC: zcMAC, Fn: func(k *sim.Kernel, f *ethernet.Frame) {
 		// Zone R → CC: forward ciphertext unchanged (e2e).
 		if f.Dst == ccMAC {
@@ -214,7 +218,7 @@ func RunFullVehicle(cfg Config) (*VehicleResult, error) {
 		flowT1S.stats("ep1→cc (MACsec e2e)"),
 		flowCross.stats("ecu2→ep2 (SECOC e2e via CC)"),
 	}
-	res.WireBytes = wireBytes(k)
+	res.WireBytes = wire.total()
 	return res, nil
 }
 

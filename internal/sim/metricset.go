@@ -64,14 +64,6 @@ func (ms *MetricSet) Add(name string, v float64) {
 	}
 }
 
-// Len reports the number of metrics published so far.
-func (ms *MetricSet) Len() int {
-	if ms == nil {
-		return 0
-	}
-	return len(ms.metrics)
-}
-
 // Metrics returns the published metrics in publication order.
 func (ms *MetricSet) Metrics() []Metric {
 	if ms == nil {

@@ -1,6 +1,7 @@
 // Package sim provides a deterministic discrete-event simulation kernel
 // used by every substrate in autosec: a virtual clock, a priority event
-// queue, a seeded pseudo-random source, and metric recorders.
+// queue, a seeded pseudo-random source, and trace-only counters and
+// samples.
 //
 // Determinism is a hard requirement: two runs with the same seed and the
 // same event schedule must produce identical results, because the
@@ -35,45 +36,31 @@ const (
 	Second           = 1000 * Millisecond
 )
 
-// Duration converts the virtual timestamp into a time.Duration for
-// human-readable reporting only.
-func (t Time) Duration() time.Duration { return time.Duration(t) }
-
 func (t Time) String() string {
 	return time.Duration(t).String()
 }
 
-// Event is a unit of scheduled work. Run executes at the event's due
+// event is a unit of scheduled work. run executes at the event's due
 // time with the kernel as argument so handlers can schedule follow-ups.
-type Event struct {
-	At   Time
-	Name string
-	Run  func(k *Kernel)
-
-	seq int // tiebreak: FIFO among equal timestamps
-	idx int // heap index
+type event struct {
+	at   Time
+	name string
+	run  func(k *Kernel)
+	seq  int // tiebreak: FIFO among equal timestamps
 }
 
-// eventQueue implements heap.Interface ordered by (At, seq).
-type eventQueue []*Event
+// eventQueue implements heap.Interface ordered by (at, seq).
+type eventQueue []*event
 
 func (q eventQueue) Len() int { return len(q) }
 func (q eventQueue) Less(i, j int) bool {
-	if q[i].At != q[j].At {
-		return q[i].At < q[j].At
+	if q[i].at != q[j].at {
+		return q[i].at < q[j].at
 	}
 	return q[i].seq < q[j].seq
 }
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].idx = i
-	q[j].idx = j
-}
-func (q *eventQueue) Push(x any) {
-	e := x.(*Event)
-	e.idx = len(*q)
-	*q = append(*q, e)
-}
+func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
+func (q *eventQueue) Push(x any)   { *q = append(*q, x.(*event)) }
 func (q *eventQueue) Pop() any {
 	old := *q
 	n := len(old)
@@ -90,8 +77,6 @@ type Kernel struct {
 	queue   eventQueue
 	seq     int
 	rng     *RNG
-	metrics *Metrics
-	stopped bool
 	limit   int // safety cap on processed events; 0 = unlimited
 	handled int
 	tracer  Tracer
@@ -99,10 +84,7 @@ type Kernel struct {
 
 // NewKernel returns a kernel whose random source is seeded with seed.
 func NewKernel(seed int64) *Kernel {
-	return &Kernel{
-		rng:     NewRNG(seed),
-		metrics: NewMetrics(),
-	}
+	return &Kernel{rng: NewRNG(seed)}
 }
 
 // Now returns the current virtual time.
@@ -111,96 +93,77 @@ func (k *Kernel) Now() Time { return k.now }
 // RNG returns the kernel's deterministic random source.
 func (k *Kernel) RNG() *RNG { return k.rng }
 
-// Metrics returns the kernel's metric registry.
-func (k *Kernel) Metrics() *Metrics { return k.metrics }
-
 // SetEventLimit caps the number of events the kernel will process before
 // Run returns with an error; a guard against runaway schedules in tests.
 func (k *Kernel) SetEventLimit(n int) { k.limit = n }
 
 // SetTracer attaches a structured tracer. The kernel then emits one
 // event per Schedule, per executed event (carrying the cumulative RNG
-// draw count as a determinism checkpoint), and per Cancel, and the
-// metric registry mirrors every Inc/Observe. A nil tracer disables all
-// of it; the disabled cost is a single nil comparison per hook.
-func (k *Kernel) SetTracer(t Tracer) {
-	k.tracer = t
-	k.metrics.bindTrace(t, k.Now)
+// draw count as a determinism checkpoint), per Count and per Sample. A
+// nil tracer disables all of it; the disabled cost is a single nil
+// comparison per hook.
+func (k *Kernel) SetTracer(t Tracer) { k.tracer = t }
+
+// Count traces a "counter" event adding delta to the named counter.
+// The kernel stores nothing: without a tracer it is a no-op.
+func (k *Kernel) Count(name string, delta int64) {
+	if k.tracer != nil {
+		k.tracer.Trace(TraceEvent{T: k.now, Kind: "counter", Name: name, Value: float64(delta)})
+	}
 }
 
-// Tracer returns the attached tracer (nil when tracing is disabled).
-func (k *Kernel) Tracer() Tracer { return k.tracer }
+// Sample traces a "series" event carrying one sample v of the named
+// series. The kernel stores nothing: without a tracer it is a no-op.
+func (k *Kernel) Sample(name string, v float64) {
+	if k.tracer != nil {
+		k.tracer.Trace(TraceEvent{T: k.now, Kind: "series", Name: name, Value: v})
+	}
+}
 
 // Schedule enqueues fn to run at absolute virtual time at. Scheduling in
 // the past is an error that panics: it always indicates a logic bug in a
 // protocol model, never a recoverable condition.
-func (k *Kernel) Schedule(at Time, name string, fn func(k *Kernel)) *Event {
+func (k *Kernel) Schedule(at Time, name string, fn func(k *Kernel)) {
 	if at < k.now {
 		panic(fmt.Sprintf("sim: event %q scheduled at %v before now %v", name, at, k.now))
 	}
-	e := &Event{At: at, Name: name, Run: fn, seq: k.seq}
-	k.seq++
-	heap.Push(&k.queue, e)
+	heap.Push(&k.queue, &event{at: at, name: name, run: fn, seq: k.seq})
 	if k.tracer != nil {
-		k.tracer.Trace(TraceEvent{T: k.now, Kind: "schedule", Name: name, Seq: e.seq, At: at})
+		k.tracer.Trace(TraceEvent{T: k.now, Kind: "schedule", Name: name, Seq: k.seq, At: at})
 	}
-	return e
+	k.seq++
 }
 
 // After enqueues fn to run d nanoseconds from now.
-func (k *Kernel) After(d Time, name string, fn func(k *Kernel)) *Event {
-	return k.Schedule(k.now+d, name, fn)
+func (k *Kernel) After(d Time, name string, fn func(k *Kernel)) {
+	k.Schedule(k.now+d, name, fn)
 }
 
-// Cancel removes a pending event. Cancelling an already-fired or
-// already-cancelled event is a no-op.
-func (k *Kernel) Cancel(e *Event) {
-	if e == nil || e.idx < 0 || e.idx >= len(k.queue) || k.queue[e.idx] != e {
-		return
-	}
-	heap.Remove(&k.queue, e.idx)
-	e.idx = -1
-	if k.tracer != nil {
-		k.tracer.Trace(TraceEvent{T: k.now, Kind: "cancel", Name: e.Name, Seq: e.seq})
-	}
-}
-
-// Stop makes Run return after the current event completes.
-func (k *Kernel) Stop() { k.stopped = true }
-
-// Run processes events in timestamp order until the queue is empty, the
-// horizon is exceeded, or Stop is called. A horizon of 0 means no bound.
-// Events beyond the horizon stay queued, so a later Run with a larger
-// horizon still fires them.
+// Run processes events in timestamp order until the queue is empty or
+// the horizon is exceeded. A horizon of 0 means no bound. Events beyond
+// the horizon stay queued, so a later Run with a larger horizon still
+// fires them.
 func (k *Kernel) Run(horizon Time) error {
-	k.stopped = false
-	for len(k.queue) > 0 && !k.stopped {
+	for len(k.queue) > 0 {
 		// Peek before popping: an event past the horizon must remain
 		// pending, not be silently dropped.
-		if horizon > 0 && k.queue[0].At > horizon {
+		if horizon > 0 && k.queue[0].at > horizon {
 			k.now = horizon
 			return nil
 		}
-		e := heap.Pop(&k.queue).(*Event)
-		e.idx = -1
-		k.now = e.At
-		e.Run(k)
+		e := heap.Pop(&k.queue).(*event)
+		k.now = e.at
+		e.run(k)
 		k.handled++
 		if k.tracer != nil {
-			k.tracer.Trace(TraceEvent{T: k.now, Kind: "exec", Name: e.Name, Seq: e.seq, Draws: k.rng.Draws()})
+			k.tracer.Trace(TraceEvent{T: k.now, Kind: "exec", Name: e.name, Seq: e.seq, Draws: k.rng.Draws()})
 		}
 		if k.limit > 0 && k.handled >= k.limit {
-			return fmt.Errorf("sim: event limit %d reached at %v (last %q)", k.limit, k.now, e.Name)
+			return fmt.Errorf("sim: event limit %d reached at %v (last %q)", k.limit, k.now, e.name)
 		}
 	}
 	return nil
 }
-
-// Pending reports the number of events still queued.
-func (k *Kernel) Pending() int { return len(k.queue) }
-
-// Processed reports the number of events handled so far.
-func (k *Kernel) Processed() int { return k.handled }
 
 // RNG is a deterministic pseudo-random source (splitmix64 core with a
 // xorshift finisher). It is intentionally independent from math/rand so
@@ -245,9 +208,6 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Int63 returns a non-negative 63-bit integer.
-func (r *RNG) Int63() int64 { return int64(r.Uint64() >> 1) }
-
 // Float64 returns a uniform float in [0, 1).
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / float64(1<<53)
@@ -255,19 +215,6 @@ func (r *RNG) Float64() float64 {
 
 // Bool returns true with probability p.
 func (r *RNG) Bool(p float64) bool { return r.Float64() < p }
-
-// Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
 
 // Bytes fills b with random bytes.
 func (r *RNG) Bytes(b []byte) {

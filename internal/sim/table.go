@@ -41,9 +41,6 @@ func (t *Table) AddRow(cells ...any) {
 	t.rows = append(t.rows, row)
 }
 
-// Rows returns the number of data rows added so far.
-func (t *Table) Rows() int { return len(t.rows) }
-
 // publish emits every numeric cell of every row as a typed metric, in
 // row-major order, exactly once. Values are taken from the rendered
 // cell text via ParseMetricNumber, so the published value is precisely

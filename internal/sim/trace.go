@@ -17,11 +17,9 @@ import (
 //	schedule   T=now, Name=event name, Seq=event sequence, At=due time
 //	exec       T=due time, Name=event name, Seq, Draws=cumulative kernel
 //	           RNG draw count after the handler ran (the RNG checkpoint)
-//	cancel     T=now, Name=event name, Seq
-//	counter    T=now, Name=counter name, Value=delta
-//	series     T=now, Name=series name, Value=sample
+//	counter    T=now, Name=counter name, Value=delta (Kernel.Count)
+//	series     T=now, Name=series name, Value=sample (Kernel.Sample)
 //	metric     T=now, Name=published metric name, Value=metric value
-//	rng        T=now, Draws=cumulative draw count checkpoint
 //
 // Zero-valued fields are omitted from the JSONL encoding; an absent
 // field reads as 0.

@@ -145,17 +145,6 @@ func (m *Model) Systems() []*System {
 // Links returns all links.
 func (m *Model) Links() []*Link { return m.links }
 
-// AtLevel returns systems of the given level.
-func (m *Model) AtLevel(level int) []*System {
-	var out []*System
-	for _, id := range m.order {
-		if m.systems[id].Level == level {
-			out = append(out, m.systems[id])
-		}
-	}
-	return out
-}
-
 // SurfaceReport summarizes attack surface per level.
 type SurfaceReport struct {
 	Level              int

@@ -19,17 +19,21 @@ func maas(t *testing.T) *Model {
 
 func TestBuildMaaSStructure(t *testing.T) {
 	m := maas(t)
-	if len(m.AtLevel(0)) != 1 {
-		t.Errorf("level 0: %d", len(m.AtLevel(0)))
+	atLevel := make(map[int]int)
+	for _, s := range m.systems {
+		atLevel[s.Level]++
 	}
-	if len(m.AtLevel(1)) != 4 {
-		t.Errorf("level 1: %d systems, want 4 (AV, backend, hub, platform)", len(m.AtLevel(1)))
+	if atLevel[0] != 1 {
+		t.Errorf("level 0: %d", atLevel[0])
 	}
-	if len(m.AtLevel(2)) != 3 {
-		t.Errorf("level 2: %d systems, want 3 (vehicle OS, SDS, passenger OS)", len(m.AtLevel(2)))
+	if atLevel[1] != 4 {
+		t.Errorf("level 1: %d systems, want 4 (AV, backend, hub, platform)", atLevel[1])
 	}
-	if len(m.AtLevel(3)) != 5 {
-		t.Errorf("level 3: %d systems", len(m.AtLevel(3)))
+	if atLevel[2] != 3 {
+		t.Errorf("level 2: %d systems, want 3 (vehicle OS, SDS, passenger OS)", atLevel[2])
+	}
+	if atLevel[3] != 5 {
+		t.Errorf("level 3: %d systems", atLevel[3])
 	}
 	if !m.System("safety-fn").SafetyCritical || !m.System("act").SafetyCritical {
 		t.Error("safety-critical systems not flagged")

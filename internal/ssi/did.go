@@ -61,13 +61,6 @@ func GenerateKeyPair(seed []byte) (*KeyPair, error) {
 	}, nil
 }
 
-// WebDID derives a did:web-style identifier for the same key, anchored
-// in a DNS name — the paper's point that SSI can reuse the TLS/web trust
-// infrastructure.
-func (k *KeyPair) WebDID(domain string) DID {
-	return DID("did:web:" + domain)
-}
-
 // Sign signs msg with the private key.
 func (k *KeyPair) Sign(msg []byte) []byte {
 	return ed25519.Sign(k.private, msg)

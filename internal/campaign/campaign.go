@@ -34,7 +34,8 @@ import (
 // TypedRunFunc produces the report of one experiment at one seed and
 // the run's typed metrics, which are all that aggregation consumes. It
 // must be safe for concurrent use: the pool calls it from many
-// goroutines.
+// goroutines. A panic in it fails only its own cell, with
+// the error "panic: <value>".
 type TypedRunFunc func(id string, seed int64) (string, []sim.Metric, error)
 
 // recheckSeed drives the deterministic selection of which cells get
@@ -371,7 +372,7 @@ func Run(spec Spec) (*Result, error) {
 func runCell(spec *Spec, g *Grid, i int) {
 	c := &g.Cells[i]
 	t0 := time.Now()
-	c.Report, c.Metrics, c.Err = spec.RunTyped(c.ID, c.Seed)
+	c.Report, c.Metrics, c.Err = runTyped(spec.RunTyped, c.ID, c.Seed)
 	c.Elapsed = time.Since(t0)
 	if c.Err != nil || !c.Rechecked {
 		return
@@ -382,8 +383,20 @@ func runCell(spec *Spec, g *Grid, i int) {
 		c.Err = fmt.Errorf("skipped: %w", spec.Context.Err())
 		return
 	}
-	report, metrics, err := spec.RunTyped(c.ID, c.Seed)
+	report, metrics, err := runTyped(spec.RunTyped, c.ID, c.Seed)
 	g.Recheck(i, report, metrics, err)
+}
+
+// runTyped executes one cell with run, turning a panic into the cell's
+// error. The error text is the panic value alone, with no stack or
+// goroutine id, so it is the same at every -jobs.
+func runTyped(run TypedRunFunc, id string, seed int64) (report string, metrics []sim.Metric, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			report, metrics, err = "", nil, fmt.Errorf("panic: %v", v)
+		}
+	}()
+	return run(id, seed)
 }
 
 // Rechecked counts the cells the determinism self-check double-executed.

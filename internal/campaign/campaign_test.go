@@ -322,6 +322,65 @@ func TestCellErrorsJoined(t *testing.T) {
 	}
 }
 
+// TestPanickingCellFailsAlone checks that a cell whose RunTyped
+// panics, in its primary execution or in its recheck, fails with the
+// panic value as its error while the campaign goes on: at 1 and 4
+// slots every other cell and the summary are byte-identical, and every
+// slot comes home.
+func TestPanickingCellFailsAlone(t *testing.T) {
+	t.Parallel()
+	ids, seeds := []string{"a", "b", "c"}, Seeds(1, 4)
+	clean, err := Run(Spec{IDs: ids, Seeds: seeds, Jobs: 1, RunTyped: fakeRun})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var summary string
+	for _, jobs := range []int{1, 4} {
+		var calls sync.Map
+		run := func(id string, seed int64) (string, []sim.Metric, error) {
+			n, _ := calls.LoadOrStore(fmt.Sprintf("%s/%d", id, seed), new(atomic.Int64))
+			call := n.(*atomic.Int64).Add(1)
+			switch {
+			case id == "b" && seed == 2:
+				panic("boom b/2")
+			case id == "c" && seed == 3 && call == 2:
+				panic(fmt.Errorf("recheck boom c/%d", seed))
+			}
+			return fakeRun(id, seed)
+		}
+		pool := sim.NewWorkerPool(jobs)
+		res, err := Run(Spec{IDs: ids, Seeds: seeds, Pool: pool, Recheck: 1, RunTyped: run})
+		if err == nil {
+			t.Fatalf("jobs=%d: panics not surfaced", jobs)
+		}
+		for i := range res.Cells {
+			c, want := &res.Cells[i], &clean.Cells[i]
+			switch {
+			case c.ID == "b" && c.Seed == 2:
+				if c.Err == nil || c.Err.Error() != "panic: boom b/2" {
+					t.Errorf("jobs=%d: b/2 err = %v", jobs, c.Err)
+				}
+			case c.ID == "c" && c.Seed == 3:
+				if c.Err == nil || c.Err.Error() != "determinism recheck: panic: recheck boom c/3" {
+					t.Errorf("jobs=%d: c/3 err = %v", jobs, c.Err)
+				}
+			case c.Err != nil || c.Report != want.Report || !sim.MetricsEqual(c.Metrics, want.Metrics):
+				t.Errorf("jobs=%d: %s/%d moved: err %v", jobs, c.ID, c.Seed, c.Err)
+			}
+		}
+		if got := res.RenderSummary(); summary == "" {
+			summary = got
+		} else if got != summary {
+			t.Errorf("jobs=%d: summary differs from jobs=1:\n%s\nvs\n%s", jobs, got, summary)
+		}
+		for i := 0; i < jobs; i++ {
+			if !pool.TryAcquire() {
+				t.Fatalf("jobs=%d: slot %d not released after a panic", jobs, i)
+			}
+		}
+	}
+}
+
 func TestRenderSummaryAggregates(t *testing.T) {
 	t.Parallel()
 	// "quiet" publishes no typed metrics, as fig7 and exp-access do in

@@ -24,6 +24,7 @@
 package sim
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -121,7 +122,10 @@ func DefaultPool() *WorkerPool {
 // index i. Under that contract the observable output is bit-identical
 // for every pool size, including nil. The first error by replicate
 // index is returned; all n replicates run regardless, so the
-// side-effect surface does not depend on scheduling.
+// side-effect surface does not depend on scheduling. A replicate that
+// panics fails with the error "replicate <i>: panic: <value>" instead
+// of taking down the process, so the lowest panicking index is the one
+// reported at every pool size.
 func (p *WorkerPool) Replicates(n int, rng *RNG, fn func(i int, rng *RNG) error) error {
 	if n <= 0 {
 		return nil
@@ -131,6 +135,16 @@ func (p *WorkerPool) Replicates(n int, rng *RNG, fn func(i int, rng *RNG) error)
 	rngs := make([]*RNG, n)
 	for i := range rngs {
 		rngs[i] = rng.Fork()
+	}
+	// A panic is recoverable only on its own goroutine, so every
+	// replicate recovers where it runs.
+	run := func(i int) (err error) {
+		defer func() {
+			if v := recover(); v != nil {
+				err = fmt.Errorf("replicate %d: panic: %v", i, v)
+			}
+		}()
+		return fn(i, rngs[i])
 	}
 
 	// Borrow idle slots, never more than the n-1 replicates the calling
@@ -142,7 +156,7 @@ func (p *WorkerPool) Replicates(n int, rng *RNG, fn func(i int, rng *RNG) error)
 	if extra == 0 {
 		var first error
 		for i := 0; i < n; i++ {
-			if err := fn(i, rngs[i]); err != nil && first == nil {
+			if err := run(i); err != nil && first == nil {
 				first = err
 			}
 		}
@@ -157,7 +171,7 @@ func (p *WorkerPool) Replicates(n int, rng *RNG, fn func(i int, rng *RNG) error)
 			if i >= n {
 				return
 			}
-			errs[i] = fn(i, rngs[i])
+			errs[i] = run(i)
 		}
 	}
 	var wg sync.WaitGroup

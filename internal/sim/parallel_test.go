@@ -106,6 +106,39 @@ func TestReplicatesReturnsLowestIndexError(t *testing.T) {
 	}
 }
 
+// TestReplicatesPanicIsLowestIndexError checks that a panicking
+// replicate fails with its index instead of taking down the process:
+// with panics at indices 3 and 5, every pool size reports index 3,
+// every replicate still runs, and every borrowed slot comes home.
+func TestReplicatesPanicIsLowestIndexError(t *testing.T) {
+	const n = 8
+	for _, workers := range []int{0, 1, 4} {
+		var pool *WorkerPool
+		if workers > 0 {
+			pool = NewWorkerPool(workers)
+		}
+		var ran atomic.Int64
+		err := pool.Replicates(n, NewRNG(7), func(i int, r *RNG) error {
+			ran.Add(1)
+			if i == 3 || i == 5 {
+				panic(fmt.Sprintf("boom %d", i))
+			}
+			return nil
+		})
+		if err == nil || err.Error() != "replicate 3: panic: boom 3" {
+			t.Errorf("workers=%d: err = %v, want replicate 3's panic", workers, err)
+		}
+		if ran.Load() != n {
+			t.Errorf("workers=%d: ran %d replicates, want %d", workers, ran.Load(), n)
+		}
+		for i := 0; i < workers; i++ {
+			if !pool.TryAcquire() {
+				t.Fatalf("workers=%d: slot %d not returned after a panic", workers, i)
+			}
+		}
+	}
+}
+
 func TestReplicatesConcurrencyBounded(t *testing.T) {
 	pool := NewWorkerPool(3)
 	var cur, max atomic.Int64

@@ -99,8 +99,11 @@ func main() {
 	}
 }
 
-// fail prints an error and exits non-zero.
+// fail prints an error and exits non-zero. os.Exit skips deferred
+// calls, so fail stops a running CPU profile itself, which would
+// otherwise be left an empty file.
 func fail(err error) {
+	pprof.StopCPUProfile()
 	fmt.Fprintln(os.Stderr, "avsec:", err)
 	os.Exit(1)
 }
@@ -481,12 +484,13 @@ func usage() {
   avsec all [-seed N] [-jobs K] [-recheck F] [-json F]
                                                  run every experiment (pooled, ordered output;
                                                  cells and replicates share the -jobs budget)
-  avsec campaign [-seeds N] [-seed B] [-jobs K] [-recheck F] [-json F] [-timings] [ids...]
+  avsec campaign [-seeds N] [-seed B] [-jobs K] [-recheck F] [-json F] [-timings]
+                 [-scenarios D] [-corpus] [ids...]
                                                  multi-seed campaign with aggregate stats,
                                                  determinism self-check, and slowest-cell
                                                  timing diagnostics on stderr
-  avsec fleet -workers URL[,URL...] [-seeds N] [-seed B] [-chunk N] [-inflight K]
-              [-recheck F] [-deadline-ms N] [-no-cache] [-json F] [ids...]
+  avsec fleet -workers URL[,URL...] [-seeds N] [-seed B] [-chunk N] [-inflight K] [-jobs K]
+              [-recheck F] [-deadline-ms N] [-no-cache] [-json F] [-timings] [-v] [ids...]
                                                  shard one campaign across avsecd workers;
                                                  stdout is byte-identical to avsec campaign
                                                  for the same grid (docs/FLEET.md)

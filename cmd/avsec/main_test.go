@@ -67,9 +67,10 @@ func TestCampaignScenarioCellsJobsInvariant(t *testing.T) {
 
 // TestRunLoadsCorpusOnlyForScenarioIDs pins that `avsec run` compiles
 // the -scenarios corpus only for scn- ids: a registry id runs beside a
-// malformed spec, and a scenario id still reports its parse error.
-// Each command runs in a child copy of this test binary, which takes
-// the avsec command line after "--".
+// malformed spec, and a scenario id still reports its parse error. A
+// run that fails after -cpuprofile started still leaves a complete
+// (gzip-compressed) profile. Each command runs in a child copy of this
+// test binary, which takes the avsec command line after "--".
 func TestRunLoadsCorpusOnlyForScenarioIDs(t *testing.T) {
 	if args := flag.Args(); len(args) > 0 && args[0] == "run" {
 		runOne(args[1:])
@@ -83,9 +84,9 @@ func TestRunLoadsCorpusOnlyForScenarioIDs(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(folder, scenario.SpecFile), []byte("[attacker\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	run := func(id string) (string, error) {
-		cmd := exec.Command(os.Args[0], "-test.run=^TestRunLoadsCorpusOnlyForScenarioIDs$", "--", "run", "-scenarios", dir, id)
-		out, err := cmd.CombinedOutput()
+	run := func(id string, flags ...string) (string, error) {
+		args := append([]string{"-test.run=^TestRunLoadsCorpusOnlyForScenarioIDs$", "--", "run", "-scenarios", dir}, flags...)
+		out, err := exec.Command(os.Args[0], append(args, id)...).CombinedOutput()
 		return string(out), err
 	}
 	if out, err := run("fig2"); err != nil || !strings.Contains(out, "Fig. 2") {
@@ -94,6 +95,13 @@ func TestRunLoadsCorpusOnlyForScenarioIDs(t *testing.T) {
 	const parseErr = `unterminated section header "[attacker"`
 	if out, err := run("scn-broken"); err == nil || !strings.Contains(out, parseErr) {
 		t.Errorf("avsec run scn-broken: err %v, output %q; want exit 1 with %s", err, out, parseErr)
+	}
+	prof := filepath.Join(dir, "cpu.pprof")
+	if _, err := run("scn-broken", "-cpuprofile", prof); err == nil {
+		t.Error("avsec run scn-broken -cpuprofile succeeded")
+	}
+	if b, err := os.ReadFile(prof); err != nil || len(b) < 2 || b[0] != 0x1f || b[1] != 0x8b {
+		t.Errorf("CPU profile of a failed run is not a gzip stream (%d bytes, err %v)", len(b), err)
 	}
 }
 

@@ -9,8 +9,8 @@ import (
 	"autosec/internal/ext"
 )
 
-// runExt lists the binary's registered extensions — every pluggable
-// unit of every kind, including drop-ins linked into this build. The
+// runExt lists the binary's registered extensions — every channel
+// suite and attack, including drop-ins linked into this build. The
 // catalog and its JSON shape are exactly what the avsecd daemon serves
 // at GET /api/v1/extensions, so the two listings cannot drift.
 func runExt(args []string) {
@@ -42,15 +42,12 @@ func runExt(args []string) {
 	}
 
 	if *jsonOut {
-		doc := ext.Catalog()
-		if metas != nil {
-			doc.Extensions = metas
-		} else {
-			doc.Extensions = []ext.Meta{}
+		if metas == nil {
+			metas = []ext.Meta{}
 		}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(doc); err != nil {
+		if err := enc.Encode(ext.CatalogDoc{Extensions: metas}); err != nil {
 			fail(err)
 		}
 		return
@@ -80,6 +77,5 @@ func runExt(args []string) {
 			fmt.Printf("%-18s %-18s ↳ %s\n", "", "", m.Paper)
 		}
 	}
-	fmt.Fprintf(os.Stderr, "avsec: %d extensions across %d kinds; fingerprint %s\n",
-		len(metas), len(ext.Kinds()), ext.Fingerprint())
+	fmt.Fprintf(os.Stderr, "avsec: %d extensions across %d kinds\n", len(metas), len(ext.Kinds()))
 }

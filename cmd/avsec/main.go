@@ -503,9 +503,8 @@ func usage() {
   avsec scenarios [-scenarios D]                 list the scenario corpus (run with
                                                  'avsec run scn-<name>')
   avsec ext [-kind K] [-json]                    list registered extensions by kind —
-                                                 suites, attacks, defences, detectors,
-                                                 coverage dims, experiments — with the
-                                                 extension-set fingerprint on stderr
+                                                 channel suites and attacks, drop-ins
+                                                 included
   avsec dot                                      emit the Fig. 9 model as Graphviz
 
 run and campaign also resolve scn-* scenario ids from -scenarios

@@ -56,16 +56,25 @@ type Bus struct {
 	busOff  map[string]bool // nodes locked out after TEC overflow
 	taps    []func(f *Frame)
 	sabotor func(f *Frame) bool // error-injection attacker hook
+	// Counter and series names, built once: the kernel drops them
+	// when untraced, so building them per frame allocates for nothing.
+	errorsName, busOffName, deliveredName, bitsName, latencyName string
 }
 
 // NewBus creates a bus bound to a kernel.
 func NewBus(name string, rates BitRates, k *sim.Kernel) *Bus {
+	prefix := "canbus." + name
 	return &Bus{
-		name:   name,
-		rates:  rates,
-		kernel: k,
-		tec:    make(map[string]int),
-		busOff: make(map[string]bool),
+		name:          name,
+		rates:         rates,
+		kernel:        k,
+		tec:           make(map[string]int),
+		busOff:        make(map[string]bool),
+		errorsName:    prefix + ".errors",
+		busOffName:    prefix + ".busoff",
+		deliveredName: prefix + ".delivered",
+		bitsName:      prefix + ".bits",
+		latencyName:   prefix + ".latency_us",
 	}
 }
 
@@ -135,10 +144,10 @@ func (b *Bus) arbitrate() {
 func (b *Bus) complete(k *sim.Kernel, tx *pendingTx) {
 	if b.sabotor != nil && b.sabotor(tx.frame) {
 		b.tec[tx.sender] += 8 // TEC penalty per ISO 11898-1
-		k.Count("canbus."+b.name+".errors", 1)
+		k.Count(b.errorsName, 1)
 		if b.tec[tx.sender] >= busOffThreshold && !b.busOff[tx.sender] {
 			b.busOff[tx.sender] = true
-			k.Count("canbus."+b.name+".busoff", 1)
+			k.Count(b.busOffName, 1)
 		}
 		// A real controller retransmits automatically until bus-off.
 		if !b.busOff[tx.sender] {
@@ -150,9 +159,9 @@ func (b *Bus) complete(k *sim.Kernel, tx *pendingTx) {
 	if b.tec[tx.sender] > 0 {
 		b.tec[tx.sender]-- // successful transmission decrements TEC
 	}
-	k.Count("canbus."+b.name+".delivered", 1)
-	k.Count("canbus."+b.name+".bits", int64(tx.frame.WireBits()))
-	k.Sample("canbus."+b.name+".latency_us", float64(k.Now()-tx.queued)/float64(sim.Microsecond))
+	k.Count(b.deliveredName, 1)
+	k.Count(b.bitsName, int64(tx.frame.WireBits()))
+	k.Sample(b.latencyName, float64(k.Now()-tx.queued)/float64(sim.Microsecond))
 	for _, tap := range b.taps {
 		tap(tx.frame)
 	}

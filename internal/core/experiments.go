@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"autosec/internal/canbus"
-	"autosec/internal/ext"
 	"autosec/internal/ranging"
 	"autosec/internal/secchan"
 	"autosec/internal/secchan/suites"
@@ -61,26 +60,6 @@ func Experiments() []Experiment {
 		{ID: "ablate-k", Title: "Ablation: redundancy k vs insider", Source: "design", Run: RunAblateRedundancy, Cost: 1},
 		{ID: "ablate-ids", Title: "Ablation: sender-ID match radius", Source: "design", Run: RunAblateIDSThreshold, Cost: 6},
 		{ID: "ablate-scale", Title: "Ablation: scenario costs vs endpoints per zone", Source: "design", Run: RunAblateScale},
-	}
-}
-
-// ExperimentExtensions mirrors the experiment catalog into the
-// extension kernel (ext kind "experiment"), so `avsec ext` and the
-// daemon's extension listing cover the catalog with the same metadata
-// shape as suites, attacks, defences, and detectors. The catalog
-// itself stays the paper-ordered slice above — the registry is a
-// read-only view, and the catalog feeds it, never the reverse.
-var ExperimentExtensions = ext.NewRegistry[Experiment]("experiment")
-
-func init() {
-	for i, e := range Experiments() {
-		ExperimentExtensions.Register(ext.Meta{
-			Name:        e.ID,
-			Description: e.Title,
-			Paper:       e.Source,
-			Caps:        []string{ext.CapCore},
-			Rank:        i + 1,
-		}, e)
 	}
 }
 

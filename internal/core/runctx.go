@@ -176,9 +176,5 @@ func lookup(id string) (Experiment, error) {
 	for i, e := range exps {
 		ids[i] = e.ID
 	}
-	msg := fmt.Sprintf("core: unknown experiment %q", id)
-	if sug := ext.SuggestNames(id, ids, 3); len(sug) > 0 {
-		msg += fmt.Sprintf(" (did you mean %s?)", strings.Join(sug, ", "))
-	}
-	return Experiment{}, fmt.Errorf("%s — run 'avsec list' for all ids", msg)
+	return Experiment{}, fmt.Errorf("core: unknown experiment %q%s — run 'avsec list' for all ids", id, ext.DidYouMean(id, ids))
 }

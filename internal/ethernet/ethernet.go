@@ -136,11 +136,17 @@ type Link struct {
 	kernel *sim.Kernel
 	a, b   Port
 	taps   []func(f *Frame)
+	// Event and counter names, built once rather than per frame.
+	deliverName, framesName, bytesName string
 }
 
 // NewLink creates a link at the given bit rate connecting a and b.
 func NewLink(name string, bps int64, k *sim.Kernel, a, b Port) *Link {
-	return &Link{name: name, bps: bps, kernel: k, a: a, b: b}
+	return &Link{name: name, bps: bps, kernel: k, a: a, b: b,
+		deliverName: "eth/" + name + "/deliver",
+		framesName:  "ethernet." + name + ".frames",
+		bytesName:   "ethernet." + name + ".bytes",
+	}
 }
 
 // Tap registers a frame observer (IDS, measurement).
@@ -163,9 +169,9 @@ func (l *Link) Send(from MAC, f *Frame) error {
 	}
 	cp := f.Clone()
 	dur := sim.Time(int64(cp.WireBytes()*8) * int64(sim.Second) / l.bps)
-	l.kernel.After(dur, "eth/"+l.name+"/deliver", func(k *sim.Kernel) {
-		k.Count("ethernet."+l.name+".frames", 1)
-		k.Count("ethernet."+l.name+".bytes", int64(cp.WireBytes()))
+	l.kernel.After(dur, l.deliverName, func(k *sim.Kernel) {
+		k.Count(l.framesName, 1)
+		k.Count(l.bytesName, int64(cp.WireBytes()))
 		for _, tap := range l.taps {
 			tap(cp)
 		}

@@ -13,7 +13,6 @@ import (
 // medium is a broadcast wire with no sender authentication, which is why
 // the paper pairs it with MACsec in scenarios S2/S3.
 type Multidrop struct {
-	name    string
 	bps     int64
 	kernel  *sim.Kernel
 	nodes   []Port
@@ -23,11 +22,19 @@ type Multidrop struct {
 	// BeaconNs is the per-node transmit-opportunity overhead when a
 	// node has nothing to send (the PLCA silence slot).
 	BeaconNs int64
+	// Event and counter names, built once rather than per frame.
+	cycleName, toName, deliverName, framesName, bytesName string
 }
 
 // NewMultidrop creates an empty 10BASE-T1S segment.
 func NewMultidrop(name string, k *sim.Kernel) *Multidrop {
-	return &Multidrop{name: name, bps: 10_000_000, kernel: k, BeaconNs: 2000}
+	return &Multidrop{bps: 10_000_000, kernel: k, BeaconNs: 2000,
+		cycleName:   "t1s/" + name + "/cycle",
+		toName:      "t1s/" + name + "/to",
+		deliverName: "t1s/" + name + "/deliver",
+		framesName:  "t1s." + name + ".frames",
+		bytesName:   "t1s." + name + ".bytes",
+	}
 }
 
 // Attach adds a node; its PLCA ID is its attach order.
@@ -51,7 +58,7 @@ func (m *Multidrop) Send(plcaID int, f *Frame) error {
 	m.queues[plcaID] = append(m.queues[plcaID], f.Clone())
 	if !m.cycling {
 		m.cycling = true
-		m.kernel.After(0, "t1s/"+m.name+"/cycle", func(k *sim.Kernel) { m.cycle(k, 0) })
+		m.kernel.After(0, m.cycleName, func(k *sim.Kernel) { m.cycle(k, 0) })
 	}
 	return nil
 }
@@ -73,16 +80,16 @@ func (m *Multidrop) cycle(k *sim.Kernel, idx int) {
 	next := (idx + 1) % len(m.nodes)
 	if len(m.queues[idx]) == 0 {
 		// Silent transmit opportunity: just the beacon delay.
-		k.After(sim.Time(m.BeaconNs), "t1s/"+m.name+"/to", func(k *sim.Kernel) { m.cycle(k, next) })
+		k.After(sim.Time(m.BeaconNs), m.toName, func(k *sim.Kernel) { m.cycle(k, next) })
 		return
 	}
 	f := m.queues[idx][0]
 	m.queues[idx] = m.queues[idx][1:]
 	dur := sim.Time(int64(f.WireBytes()*8) * int64(sim.Second) / m.bps)
 	sender := m.nodes[idx].PortMAC()
-	k.After(dur, "t1s/"+m.name+"/deliver", func(k *sim.Kernel) {
-		k.Count("t1s."+m.name+".frames", 1)
-		k.Count("t1s."+m.name+".bytes", int64(f.WireBytes()))
+	k.After(dur, m.deliverName, func(k *sim.Kernel) {
+		k.Count(m.framesName, 1)
+		k.Count(m.bytesName, int64(f.WireBytes()))
 		for _, tap := range m.taps {
 			tap(f)
 		}

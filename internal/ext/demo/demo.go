@@ -7,8 +7,7 @@
 // Neither registration claims the "core" or "table1" capability, so
 // the canonical lists feeding the byte-pinned goldens (Table I rows,
 // AttackTypes, the corpus generator's vocabulary) are unchanged by
-// linking this package in; only the extension-set fingerprint moves,
-// which is exactly what the fleet handshake checks.
+// linking this package in.
 //
 // The suite is deliberately weak — an unkeyed checksum with no replay
 // protection — so demo scenarios show the failure modes the real

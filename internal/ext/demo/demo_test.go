@@ -41,7 +41,7 @@ func TestDropInsStayOutOfCanonicalLists(t *testing.T) {
 			t.Error("jam leaked into the canonical attack-type list")
 		}
 	}
-	m, ok := suites.Suites.Meta("noop-mac")
+	_, m, ok := suites.Suites.Get("noop-mac")
 	if !ok || len(m.Caps) != 0 {
 		t.Errorf("noop-mac caps = %v, want none (ok=%v)", m.Caps, ok)
 	}

@@ -1,41 +1,34 @@
-// Package ext is the repo-wide extension registry kernel: every
-// pluggable unit of the simulation — channel suites (Table I),
-// scenario attack behaviours, kill-chain defences (Fig. 8), IDS
-// detectors (§VIII), scenario-generator coverage dimensions, and the
-// experiment catalog itself — registers here under a (kind, name) key
-// with uniform metadata. The daemon (`GET /api/v1/extensions`), the
-// CLI (`avsec ext`), and the docs layer all render from this one
-// catalog, and the fleet health handshake folds Fingerprint() into its
-// compatibility check, so two workers whose binaries register
-// different extension sets refuse to form a fleet.
+// Package ext is the extension registry kernel for the two kinds a
+// drop-in can add to: channel suites (Table I, kind "suite") and
+// scenario attack behaviours (kind "attack"). Each registers here
+// under a (kind, name) key with uniform metadata. The daemon
+// (`GET /api/v1/extensions`), the CLI (`avsec ext`), and the docs
+// layer all render from this one catalog.
 //
 // Adding an extension is a one-file drop-in: register it from an init
 // function and blank-import the file's package from the binaries that
 // should carry it (internal/ext/demo is the worked example; see
-// docs/EXTENSIONS.md).
+// docs/EXTENSIONS.md). A fleet needs no separate extension check:
+// drop-ins register in init, so two workers with one code version
+// carry one extension set.
 //
 // Determinism contract: iteration order is (Rank, Name) — stable under
 // any registration interleaving, including concurrent init — and the
 // "core" capability marks the built-in entries whose canonical lists
-// (Table I rows, attack-type order, defence order) feed the
-// byte-pinned goldens and the corpus generator. Drop-in extensions
-// never enter those lists, so registering one cannot move a golden
-// byte.
+// (Table I rows, attack-type order) feed the byte-pinned goldens and
+// the corpus generator. Drop-in extensions never enter those lists, so
+// registering one cannot move a golden byte.
 package ext
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 )
 
 // CapCore marks a built-in entry: one whose membership in canonical
-// ordered lists (Table I rows, AttackTypes, DefenceNames) is part of
-// the byte-pinned output contract. Drop-in extensions must not claim
-// it.
+// ordered lists (Table I rows, AttackTypes) is part of the byte-pinned
+// output contract. Drop-in extensions must not claim it.
 const CapCore = "core"
 
 // Meta is the uniform metadata every registered extension carries.
@@ -116,9 +109,6 @@ func NewRegistry[T any](kind string) *Registry[T] {
 	return r
 }
 
-// Kind returns the registry's kind name.
-func (r *Registry[T]) Kind() string { return r.kind }
-
 func (r *Registry[T]) kindName() string { return r.kind }
 
 // Register enters one extension. Empty names and name collisions are
@@ -149,12 +139,7 @@ func (r *Registry[T]) Lookup(name string) (T, error) {
 		return e.value, nil
 	}
 	var zero T
-	names := r.Names()
-	msg := fmt.Sprintf("unknown %s %q", r.kind, name)
-	if sug := SuggestNames(name, names, 3); len(sug) > 0 {
-		msg += fmt.Sprintf(" (did you mean %s?)", strings.Join(sug, ", "))
-	}
-	return zero, fmt.Errorf("%s — known: %s", msg, strings.Join(names, ", "))
+	return zero, UnknownError(r.kind, name, r.Names())
 }
 
 // Get returns the value and metadata of a registered name without the
@@ -166,24 +151,9 @@ func (r *Registry[T]) Get(name string) (T, Meta, bool) {
 	return e.value, e.meta, ok
 }
 
-// Meta returns a registered entry's metadata.
-func (r *Registry[T]) Meta(name string) (Meta, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	e, ok := r.entries[name]
-	return e.meta, ok
-}
-
-// Len reports how many extensions the kind holds.
-func (r *Registry[T]) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.entries)
-}
-
-// Metas lists every entry's metadata in (Rank, Name) order — the
+// metas lists every entry's metadata in (Rank, Name) order — the
 // deterministic iteration order of the kind.
-func (r *Registry[T]) Metas() []Meta {
+func (r *Registry[T]) metas() []Meta {
 	r.mu.RLock()
 	out := make([]Meta, 0, len(r.entries))
 	for _, e := range r.entries {
@@ -194,18 +164,16 @@ func (r *Registry[T]) Metas() []Meta {
 	return out
 }
 
-func (r *Registry[T]) metas() []Meta { return r.Metas() }
-
 // Names lists every registered name in (Rank, Name) order.
 func (r *Registry[T]) Names() []string {
-	return metaNames(r.Metas())
+	return metaNames(r.metas())
 }
 
 // NamesWith lists the names of entries claiming a capability, in
 // (Rank, Name) order — how the shim layers derive their canonical
 // built-in lists (e.g. Table I rows are NamesWith("table1")).
 func (r *Registry[T]) NamesWith(cap string) []string {
-	all := r.Metas()
+	all := r.metas()
 	out := make([]string, 0, len(all))
 	for _, m := range all {
 		if m.Has(cap) {
@@ -213,20 +181,6 @@ func (r *Registry[T]) NamesWith(cap string) []string {
 		}
 	}
 	return out
-}
-
-// Each calls fn for every entry in (Rank, Name) order.
-func (r *Registry[T]) Each(fn func(Meta, T)) {
-	metas := r.Metas()
-	r.mu.RLock()
-	es := make([]entry[T], 0, len(metas))
-	for _, m := range metas {
-		es = append(es, r.entries[m.Name])
-	}
-	r.mu.RUnlock()
-	for _, e := range es {
-		fn(e.meta, e.value)
-	}
 }
 
 func sortMetas(ms []Meta) {
@@ -280,11 +234,9 @@ func All() []Meta {
 // CatalogDoc is the catalog document `avsec ext -json` emits and the
 // daemon serves verbatim at GET /api/v1/extensions. Both render it
 // from Catalog(), which is what keeps the two listings identical by
-// construction. Fingerprint always digests the FULL extension set,
-// even when a caller narrows Extensions to one kind for display.
+// construction.
 type CatalogDoc struct {
-	Fingerprint string `json:"fingerprint"`
-	Extensions  []Meta `json:"extensions"`
+	Extensions []Meta `json:"extensions"`
 }
 
 // Catalog returns the full extension catalog document.
@@ -293,19 +245,5 @@ func Catalog() CatalogDoc {
 	if metas == nil {
 		metas = []Meta{}
 	}
-	return CatalogDoc{Fingerprint: Fingerprint(), Extensions: metas}
-}
-
-// Fingerprint digests the full extension set — kind, name, and
-// capability flags of every entry, in catalog order — as a hex
-// SHA-256. Two binaries fingerprint equal exactly when they register
-// the same extension sets; the fleet health handshake compares it so
-// a worker missing a drop-in extension is refused before it can fail
-// mid-campaign on an unknown name.
-func Fingerprint() string {
-	h := sha256.New()
-	for _, m := range All() {
-		fmt.Fprintf(h, "%s/%s[%s]\n", m.Kind, m.Name, strings.Join(m.Caps, ","))
-	}
-	return hex.EncodeToString(h.Sum(nil))
+	return CatalogDoc{Extensions: metas}
 }

@@ -2,7 +2,6 @@ package ext
 
 import (
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -24,31 +23,40 @@ func TestRegisterLookup(t *testing.T) {
 	if err != nil || v != 1 {
 		t.Fatalf("Lookup(alpha) = %v, %v", v, err)
 	}
-	m, ok := r.Meta("alpha")
-	if !ok || m.Kind != "widget" || m.Paper != "§I" || !m.Has(CapCore) {
-		t.Fatalf("Meta(alpha) = %+v, %v — want kind stamped and caps kept", m, ok)
+	v, m, ok := r.Get("alpha")
+	if !ok || v != 1 || m.Kind != "widget" || m.Paper != "§I" || !m.Has(CapCore) {
+		t.Fatalf("Get(alpha) = %v, %+v, %v — want kind stamped and caps kept", v, m, ok)
 	}
 	if _, _, ok := r.Get("gamma"); ok {
 		t.Fatal("Get(gamma) found an unregistered entry")
 	}
-	if r.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", r.Len())
+	if got := r.Names(); !reflect.DeepEqual(got, []string{"alpha", "beta"}) {
+		t.Fatalf("Names = %v, want [alpha beta]", got)
 	}
 }
 
 func TestLookupUnknownSuggests(t *testing.T) {
 	t.Parallel()
 	r := newTestRegistry[string]("suite")
-	r.Register(Meta{Name: "SECOC"}, "")
-	r.Register(Meta{Name: "MACsec"}, "")
-	_, err := r.Lookup("SECOD")
-	if err == nil {
+	r.Register(Meta{Name: "SECOC", Rank: 1}, "")
+	r.Register(Meta{Name: "MACsec", Rank: 2}, "")
+	_, lookupErr := r.Lookup("SECOD")
+	if lookupErr == nil {
 		t.Fatal("Lookup(SECOD) succeeded")
 	}
-	msg := err.Error()
-	for _, want := range []string{`unknown suite "SECOD"`, "did you mean SECOC", "known: "} {
-		if !strings.Contains(msg, want) {
-			t.Errorf("error %q missing %q", msg, want)
+	defences := []string{"enumeration-defence", "disable-heapdump", "secret-scrubbing", "least-privilege", "data-minimization"}
+	for _, c := range []struct {
+		err  error
+		want string
+	}{
+		{lookupErr, `unknown suite "SECOD" (did you mean SECOC?) — known: SECOC, MACsec`},
+		{UnknownError("defence", "least-privilage", defences),
+			`unknown defence "least-privilage" (did you mean least-privilege?) — known: enumeration-defence, disable-heapdump, secret-scrubbing, least-privilege, data-minimization`},
+		{UnknownError("defence", "zzzzzzzzzzzz", defences),
+			`unknown defence "zzzzzzzzzzzz" — known: enumeration-defence, disable-heapdump, secret-scrubbing, least-privilege, data-minimization`},
+	} {
+		if got := c.err.Error(); got != c.want {
+			t.Errorf("error = %q\nwant    %q", got, c.want)
 		}
 	}
 }
@@ -120,19 +128,6 @@ func TestNamesWithFiltersByCap(t *testing.T) {
 	}
 }
 
-func TestEachVisitsInOrder(t *testing.T) {
-	t.Parallel()
-	r := newTestRegistry[int]("widget")
-	r.Register(Meta{Name: "b", Rank: 2}, 20)
-	r.Register(Meta{Name: "a", Rank: 1}, 10)
-	var names []string
-	var vals []int
-	r.Each(func(m Meta, v int) { names = append(names, m.Name); vals = append(vals, v) })
-	if !reflect.DeepEqual(names, []string{"a", "b"}) || !reflect.DeepEqual(vals, []int{10, 20}) {
-		t.Errorf("Each visited %v %v", names, vals)
-	}
-}
-
 // TestSuggestNamesQuality pins the suggestion ranking: typos resolve
 // to their nearest neighbour first, prefixes always qualify, and
 // garbage yields nothing.
@@ -157,24 +152,5 @@ func TestSuggestNamesQuality(t *testing.T) {
 	}
 	if got := SuggestNames("relay", names, 1); len(got) != 1 {
 		t.Errorf("SuggestNames max=1 returned %v", got)
-	}
-}
-
-func TestFingerprintTracksRegistrations(t *testing.T) {
-	t.Parallel()
-	// The fingerprint is a pure function of the registered set; two
-	// calls agree, and it has sha256-hex shape.
-	f1, f2 := Fingerprint(), Fingerprint()
-	if f1 != f2 {
-		t.Fatalf("Fingerprint unstable: %q vs %q", f1, f2)
-	}
-	if len(f1) != 64 {
-		t.Fatalf("Fingerprint %q is not sha256 hex", f1)
-	}
-	// Registering into a fresh kind changes the catalog digest.
-	r := NewRegistry[int]("ext-test-fingerprint")
-	r.Register(Meta{Name: "probe"}, 1)
-	if f3 := Fingerprint(); f3 == f1 {
-		t.Error("Fingerprint unchanged after registering a new extension")
 	}
 }

@@ -1,18 +1,37 @@
 package ext
 
 import (
+	"fmt"
 	"sort"
 	"strings"
 )
+
+// UnknownError is the error of every registry and enum vocabulary
+// miss: `unknown <kind> "<name>" (did you mean …?) — known: …`, the
+// known names listed in the order given.
+func UnknownError(kind, name string, known []string) error {
+	return fmt.Errorf("unknown %s %q%s — known: %s", kind, name, DidYouMean(name, known), strings.Join(known, ", "))
+}
+
+// DidYouMean formats the suggestion clause of an unknown-name error:
+// " (did you mean a, b?)" with up to three near misses, or "" when
+// nothing is near. It is the repo's one did-you-mean formatter.
+func DidYouMean(name string, known []string) string {
+	sug := SuggestNames(name, known, 3)
+	if len(sug) == 0 {
+		return ""
+	}
+	return " (did you mean " + strings.Join(sug, ", ") + "?)"
+}
 
 // SuggestNames returns up to max candidates closest to the misspelled
 // name by Damerau–Levenshtein distance, nearest first, ties in slice
 // order. Candidates further than half their length away are omitted:
 // past that point the suggestion is noise, not help. This is the one
-// did-you-mean kernel of the repo — registry lookups of every kind,
-// the experiment id resolvers (core.lookup and
+// did-you-mean kernel of the repo: registry lookups, the kill-chain
+// defence names, the experiment id resolvers (core.lookup and
 // scenario.Namespace.Lookup), and the daemon's request validation all
-// route through it.
+// route through it via DidYouMean.
 func SuggestNames(name string, candidates []string, max int) []string {
 	type cand struct {
 		id   string

@@ -224,30 +224,6 @@ func TestHandshakeRefusesMixedVersions(t *testing.T) {
 	}
 }
 
-// TestHandshakeRefusesMixedExtensions pins the second fleet invariant:
-// workers running the same code version but registering different
-// extension sets (one carries a drop-in the other lacks) are refused
-// at handshake, before a campaign can fail mid-flight on an unknown
-// suite or attack name.
-func TestHandshakeRefusesMixedExtensions(t *testing.T) {
-	t.Parallel()
-	stub := func(extensions string) *httptest.Server {
-		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			fmt.Fprintf(w, `{"status": "ok", "code_version": "aaa", "extensions": %q, "jobs": 1, "gomaxprocs": 1}`, extensions)
-		}))
-		t.Cleanup(ts.Close)
-		return ts
-	}
-	_, err := fleet.Run(context.Background(), fleet.Config{
-		Workers: []string{stub("fp-with-demo").URL, stub("fp-without-demo").URL},
-		IDs:     []string{"fig3"},
-		Seeds:   []int64{42},
-	})
-	if err == nil || !strings.Contains(err.Error(), "mixed extension sets") {
-		t.Fatalf("mixed-extension fleet not refused: %v", err)
-	}
-}
-
 // TestFleetCrossWorkerCacheReuse pins the shared-cache story: a second
 // worker pointed at the cache directory a first worker populated
 // serves the whole campaign from cache (every cell a hit, zero

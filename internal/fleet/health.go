@@ -12,14 +12,11 @@ import (
 // WorkerHealth is the handshake document a worker serves at
 // GET /api/v1/health (docs/DAEMON.md). CodeVersion is the content hash
 // of the worker's binary — the part of every cell cache key that makes
-// cross-worker cache reuse sound — Extensions is the worker's
-// extension-set fingerprint (internal/ext.Fingerprint), and
-// Jobs/GOMAXPROCS advertise the worker's compute capacity for
-// chunk-assignment weighting.
+// cross-worker cache reuse sound — and Jobs/GOMAXPROCS advertise the
+// worker's compute capacity for chunk-assignment weighting.
 type WorkerHealth struct {
 	Status      string `json:"status"`
 	CodeVersion string `json:"code_version"`
-	Extensions  string `json:"extensions"`
 	Experiments int    `json:"experiments"`
 	Scenarios   int    `json:"scenarios"`
 	Cache       string `json:"cache"`
@@ -62,15 +59,12 @@ func Handshake(ctx context.Context, client *http.Client, base string) (WorkerHea
 }
 
 // HandshakeAll probes every worker and enforces the fleet's version
-// invariants: all workers must run the identical binary AND register
-// the identical extension set. Shared content-addressed cache keys
-// include the code version, so a mixed fleet would silently never
-// share results — and worse, the merged grid would mix outputs of two
-// different implementations. A worker missing a drop-in extension
-// would instead fail mid-campaign on an unknown suite or attack name,
-// so both mismatches refuse at handshake time. Workers predating the
-// extensions field report it empty; the comparison still holds — an
-// old worker only pairs with other old workers.
+// invariant: all workers must run the identical binary. Shared
+// content-addressed cache keys include the code version, so a mixed
+// fleet would silently never share results — and worse, the merged
+// grid would mix outputs of two different implementations. One code
+// version also means one extension set, since drop-ins register at
+// init in the binary the version hashes.
 func HandshakeAll(ctx context.Context, client *http.Client, workers []string) ([]WorkerHealth, error) {
 	healths := make([]WorkerHealth, len(workers))
 	for i, w := range workers {
@@ -86,14 +80,6 @@ func HandshakeAll(ctx context.Context, client *http.Client, workers []string) ([
 			fmt.Fprintf(&b, "fleet: mixed code versions across workers (cache keying and determinism require one binary):")
 			for j, w := range workers {
 				fmt.Fprintf(&b, "\n  %s  code_version %s", w, healths[j].CodeVersion)
-			}
-			return nil, fmt.Errorf("%s", b.String())
-		}
-		if healths[i].Extensions != healths[0].Extensions {
-			var b strings.Builder
-			fmt.Fprintf(&b, "fleet: mixed extension sets across workers (a worker missing a drop-in would fail mid-campaign on an unknown name):")
-			for j, w := range workers {
-				fmt.Fprintf(&b, "\n  %s  extensions %s", w, healths[j].Extensions)
 			}
 			return nil, fmt.Errorf("%s", b.String())
 		}

@@ -157,11 +157,6 @@ func (s *SenderIdentifier) Enroll(frameID uint32, nodeID string) {
 	s.KnowNode(nodeID)
 }
 
-// EndTraining is a no-op: the identifier has no learning phase —
-// enrollment is explicit provisioning. It exists so the identifier
-// satisfies the uniform Detector interface of the registry.
-func (s *SenderIdentifier) EndTraining() {}
-
 // KnowNode registers a physical node's signature for attribution (all
 // in-vehicle ECUs get profiled at provisioning, including ones that
 // never legitimately send protected identifiers). Knowing a node twice

@@ -237,60 +237,39 @@ func Defences() []Defence {
 	return out
 }
 
-// DefenceSpec is the registered form of one hardening measure (ext
-// kind "defence"): a mutator that deploys the defence onto a telemetry
-// cloud config. Drop-in defences register a spec from their own file
-// and become deployable from scenario.ini [killchain] sections like
-// built-ins; they never enter the Fig. 8 sweep, which iterates the
-// core-capped enum.
-type DefenceSpec struct {
-	// Harden deploys the defence on the config.
-	Harden func(*telemetry.Config)
-}
-
-// Extensions is the defence extension registry. The built-in Fig. 8
-// defences register at init from the Defence enum, so the registry and
-// the enum cannot drift apart.
-var Extensions = ext.NewRegistry[DefenceSpec]("defence")
-
-func init() {
-	descs := map[Defence]string{
-		DefendEnumeration: "rate-limit and 404-harden path probing, breaking gobuster recon",
-		DisableHeapDump:   "remove the actuator heap-dump endpoint from production",
-		ScrubSecrets:      "keep long-lived credentials out of process memory",
-		LeastPrivilege:    "scope IAM keys so none can mint a fleet-wide token",
-		MinimizeData:      "store coarse locations only, shrinking a breach's blast radius",
-	}
-	for i, d := range Defences() {
-		d := d
-		Extensions.Register(ext.Meta{
-			Name:        d.String(),
-			Description: descs[d],
-			Paper:       fmt.Sprintf("Fig. 8 kill chain, defence breaking stage %d", i+1),
-			Caps:        []string{ext.CapCore},
-			Rank:        i + 1,
-		}, DefenceSpec{Harden: func(cfg *telemetry.Config) { applyOne(cfg, d) }})
-	}
-}
-
-// DefenceNames lists every built-in defence's canonical name in
-// Defences order — the core-capped slice of the extension registry,
-// and the vocabulary the scenario corpus generator mutates over.
+// DefenceNames lists every defence's canonical name in Defences
+// order — the vocabulary of scenario.ini [killchain] sections and of
+// the scenario corpus generator.
 func DefenceNames() []string {
-	return Extensions.NamesWith(ext.CapCore)
+	ds := Defences()
+	out := make([]string, len(ds))
+	for i, d := range ds {
+		out[i] = d.String()
+	}
+	return out
+}
+
+// ParseDefence resolves a canonical defence name; an unknown name
+// errors with did-you-mean suggestions and the known names.
+func ParseDefence(name string) (Defence, error) {
+	for _, d := range Defences() {
+		if d.String() == name {
+			return d, nil
+		}
+	}
+	return 0, ext.UnknownError("defence", name, DefenceNames())
 }
 
 // ConfigFor returns the worst-case config with the named defences
-// deployed, resolving every name — built-in or drop-in — through the
-// extension registry. This is the scenario DSL's deployment path.
+// deployed. This is the scenario DSL's deployment path.
 func ConfigFor(names []string) (telemetry.Config, error) {
 	cfg := telemetry.WorstCase()
 	for _, n := range names {
-		spec, err := Extensions.Lookup(n)
+		d, err := ParseDefence(n)
 		if err != nil {
 			return cfg, fmt.Errorf("killchain: %w", err)
 		}
-		spec.Harden(&cfg)
+		applyOne(&cfg, d)
 	}
 	return cfg, nil
 }

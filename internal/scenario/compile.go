@@ -156,17 +156,9 @@ func runTraffic(sp *Spec, rc *core.RunContext) (string, error) {
 	return b.String(), nil
 }
 
-// trafficDetectors names the registered detectors the traffic loop
-// taps, in observation order: the two in-vehicle detectors of the
-// paper's §VIII. The entropy and busload detectors stay out of the
-// scenario tap chain (the exp-ids engine exercises them) so the
-// byte-pinned scenario goldens do not depend on their alert streams.
-var trafficDetectors = []string{"interval", "sender-id"}
-
 // simulateTraffic runs one replicate on its own RNG stream. It must
 // draw randomness only from r and touch no shared state. The attack
-// behaviour is resolved from the attack registry; the detector chain
-// from the detector registry.
+// behaviour is resolved from the attack registry.
 func simulateTraffic(sp *Spec, r *sim.RNG) (trial, error) {
 	res := trial{firstDetect: -1}
 
@@ -193,38 +185,22 @@ func simulateTraffic(sp *Spec, r *sim.RNG) (trial, error) {
 	attackerNode := fmt.Sprintf("z%d-attacker", sp.Attacker.Zone)
 	period := sim.Time(sp.World.PeriodUS) * sim.Microsecond
 
-	// Detector chain: constructors claiming CapRNG get a fork of the
-	// replicate RNG (exactly one fork per claiming detector, so the
-	// draw stream does not depend on the RNG-free detectors in the
-	// chain); detectors exposing the Enroller interface get the victim
-	// stream enrolled and every physical node profiled for attribution.
-	var detectors []ids.Detector
+	// The two in-vehicle detectors of the paper's §VIII tap every
+	// arrival: the interval detector, then the sender identifier on a
+	// fork of the replicate RNG, with the victim stream enrolled and
+	// every physical node profiled for attribution.
+	var interval *ids.IntervalDetector
+	var sender *ids.SenderIdentifier
 	if sp.IDS.Enabled {
-		params := ids.DetectorParams{
-			Tolerance:   sp.IDS.Tolerance,
-			MinSamples:  8,
-			MatchRadius: sp.IDS.MatchRadius,
-			NoiseStd:    sp.IDS.NoiseStd,
+		interval = ids.NewIntervalDetectorWith(sp.IDS.Tolerance, 8)
+		sender = ids.NewSenderIdentifier(r.Fork())
+		sender.MatchRadius = sp.IDS.MatchRadius
+		sender.NoiseStd = sp.IDS.NoiseStd
+		sender.Enroll(victimID, victimNode)
+		for _, node := range nodes {
+			sender.KnowNode(node)
 		}
-		for _, name := range trafficDetectors {
-			ctor, meta, ok := ids.Detectors.Get(name)
-			if !ok {
-				return res, fmt.Errorf("scenario: detector %q not registered", name)
-			}
-			p := params
-			if meta.Has(ids.CapRNG) {
-				p.RNG = r.Fork()
-			}
-			d := ctor(p)
-			if en, isEnroller := d.(ids.Enroller); isEnroller {
-				en.Enroll(victimID, victimNode)
-				for _, node := range nodes {
-					en.KnowNode(node)
-				}
-				en.KnowNode(attackerNode)
-			}
-			detectors = append(detectors, d)
-		}
+		sender.KnowNode(attackerNode)
 	}
 
 	atk, err := Attacks.Lookup(sp.Attacker.Type)
@@ -244,15 +220,16 @@ func simulateTraffic(sp *Spec, r *sim.RNG) (trial, error) {
 	// detector must not keep it past Observe.
 	frame := &canbus.Frame{Format: canbus.FD}
 	observe := func(step int, at sim.Time, id uint32, node string) {
-		if len(detectors) == 0 {
+		if interval == nil {
 			return
 		}
 		frame.ID, frame.SourceID = id, node
 		alerts := 0
-		for _, d := range detectors {
-			if a := d.Observe(at, frame); a != nil {
-				alerts++
-			}
+		if interval.Observe(at, frame) != nil {
+			alerts++
+		}
+		if sender.Observe(at, frame) != nil {
+			alerts++
 		}
 		if alerts == 0 {
 			return
@@ -285,10 +262,8 @@ func simulateTraffic(sp *Spec, r *sim.RNG) (trial, error) {
 
 	for step := 0; step < sp.World.Frames; step++ {
 		now := sim.Time(step) * period
-		if step == warmupSteps {
-			for _, d := range detectors {
-				d.EndTraining()
-			}
+		if step == warmupSteps && interval != nil {
+			interval.EndTraining()
 		}
 
 		// Background endpoints keep their periodic streams alive so the

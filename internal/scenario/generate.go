@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"autosec/internal/core"
-	"autosec/internal/ext"
 	"autosec/internal/killchain"
 	"autosec/internal/secchan/suites"
 	"autosec/internal/sim"
@@ -63,21 +62,38 @@ func bucket(v float64) string {
 }
 
 // coverageKeys derives the coverage signals of one evaluated candidate
-// by folding every registered coverage dimension over its spec and
-// metrics: which attack/suite pairing ran, which kill-chain stage the
-// attacker reached, which side of the detection boundary the IDS
-// landed on, whether the replay window let late traffic through.
-// Coverage is set-semantic, so dimension iteration order is free.
+// from its spec and metrics, over five dimensions: which attacker type
+// it stages; for kill-chain specs, the stage reached, the breach
+// outcome and the defence count; otherwise which suite ran and which
+// suite×attack pairing it exercised, the attack-accept, late-accept
+// and detection rate buckets, and whether the IDS raised alerts before
+// the attack started. Coverage is set-semantic, so key order is free;
+// but adding a dimension changes which candidates count as fresh
+// coverage and regenerates the corpus (`avsec gen -check` catches it).
 func coverageKeys(sp *Spec, metrics []sim.Metric) []string {
 	m := make(map[string]float64, len(metrics))
 	for _, mt := range metrics {
 		m[mt.Name] = mt.Value
 	}
-	var keys []string
-	GenDims.Each(func(_ ext.Meta, d GenDim) {
-		keys = append(keys, d.Keys(sp, m)...)
-	})
-	return keys
+	t := sp.Attacker.Type
+	keys := []string{"attack:" + t}
+	if t == AttackKillChain {
+		return append(keys,
+			fmt.Sprintf("kc:stage:%d", int(m["stage-reached/value"])),
+			"kc:breached:"+bucket(m["breach-rate/value"]),
+			fmt.Sprintf("kc:ndef:%d", len(sp.KillChain.Defences)))
+	}
+	s := sp.Protocol.Suite
+	fp := "fp:none"
+	if m["false-alerts-per-replicate/value"] > 0 {
+		fp = "fp:some"
+	}
+	return append(keys,
+		"suite:"+s, "pair:"+s+"+"+t,
+		"accept:"+t+":"+bucket(m["attack-accept-rate/value"]),
+		"late:"+s+":"+bucket(m["late-accept-rate/value"]),
+		"detect:"+t+":"+bucket(m["detection-rate/value"]),
+		fp)
 }
 
 // baseSpecs are the search's starting population: one tuned spec per

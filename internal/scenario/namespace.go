@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"strings"
 
 	"autosec/internal/core"
 	"autosec/internal/ext"
@@ -84,11 +83,7 @@ func (ns *Namespace) Lookup(id string) (core.Experiment, error) {
 	for i, en := range ns.entries {
 		ids[i] = en.exp.ID
 	}
-	msg := fmt.Sprintf("unknown experiment %q", id)
-	if sug := ext.SuggestNames(id, ids, 3); len(sug) > 0 {
-		msg += fmt.Sprintf(" (did you mean %s?)", strings.Join(sug, ", "))
-	}
-	return core.Experiment{}, fmt.Errorf("%s — run 'avsec list' or 'avsec scenarios' for all ids", msg)
+	return core.Experiment{}, fmt.Errorf("unknown experiment %q%s — run 'avsec list' or 'avsec scenarios' for all ids", id, ext.DidYouMean(id, ids))
 }
 
 // Select chooses a campaign grid's ids. Explicit ids win and must all

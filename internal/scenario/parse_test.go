@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"autosec/internal/killchain"
 )
 
 // TestRoundTripDefault pins the structural round-trip guarantee on the
@@ -42,18 +44,30 @@ func TestRoundTripKillChain(t *testing.T) {
 }
 
 // TestValidateRejectsUnknownDefence: a [killchain] defence name that is
-// not registered in killchain.Extensions parses but fails validation.
+// not a killchain.Defences() name parses but fails validation, naming
+// the typo, suggesting the near miss and listing the known defences in
+// Defences() order.
 func TestValidateRejectsUnknownDefence(t *testing.T) {
-	sp, err := Parse([]byte("[scenario]\nname = a\n[attacker]\ntype = killchain\n[killchain]\ndefences = moat\n"))
-	if err != nil {
-		t.Fatal(err)
+	var known []string
+	for _, d := range killchain.Defences() {
+		known = append(known, d.String())
 	}
-	err = sp.Validate()
-	if err == nil {
-		t.Fatal("Validate accepted [killchain] defences = moat")
-	}
-	if !strings.Contains(err.Error(), `"moat"`) {
-		t.Errorf("error %q does not name the unknown defence", err)
+	for name, suggestion := range map[string]string{
+		"moat":            "",
+		"least-privilage": " (did you mean least-privilege?)",
+	} {
+		sp, err := Parse([]byte("[scenario]\nname = a\n[attacker]\ntype = killchain\n[killchain]\ndefences = " + name + "\n"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = sp.Validate()
+		if err == nil {
+			t.Fatalf("Validate accepted [killchain] defences = %s", name)
+		}
+		want := `scenario: [killchain] unknown defence "` + name + `"` + suggestion + " — known: " + strings.Join(known, ", ")
+		if err.Error() != want {
+			t.Errorf("error = %q\nwant    %q", err, want)
+		}
 	}
 }
 

@@ -55,7 +55,7 @@ func TestRegisteredNamesRoundTripThroughDSL(t *testing.T) {
 		})
 	}
 
-	for _, name := range killchain.Extensions.Names() {
+	for _, name := range killchain.DefenceNames() {
 		t.Run("defence/"+name, func(t *testing.T) {
 			sp := DefaultSpec("rt-defence")
 			sp.Attacker.Type = AttackKillChain

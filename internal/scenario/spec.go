@@ -119,8 +119,8 @@ type IDS struct {
 
 // KillChain parameterises the AttackKillChain scenario type.
 type KillChain struct {
-	// Defences names the deployed killchain defences (names registered
-	// in killchain.Extensions), deduplicated, in deployment order.
+	// Defences names the deployed killchain defences (names from
+	// killchain.DefenceNames), deduplicated, in deployment order.
 	Defences []string
 }
 
@@ -226,7 +226,7 @@ func (s *Spec) Validate() error {
 	if s.Attacker.Type == AttackKillChain {
 		seen := make(map[string]bool)
 		for _, name := range s.KillChain.Defences {
-			if _, err := killchain.Extensions.Lookup(name); err != nil {
+			if _, err := killchain.ParseDefence(name); err != nil {
 				return fmt.Errorf("scenario: [killchain] %w", err)
 			}
 			if seen[name] {

@@ -36,35 +36,20 @@ func simulateTrafficRef(sp *Spec, r *sim.RNG) (trial, error) {
 	attackerNode := fmt.Sprintf("z%d-attacker", sp.Attacker.Zone)
 	period := sim.Time(sp.World.PeriodUS) * sim.Microsecond
 
-	var detectors []ids.Detector
+	var interval *ids.IntervalDetector
+	var sender *ids.SenderIdentifier
 	if sp.IDS.Enabled {
-		params := ids.DetectorParams{
-			Tolerance:   sp.IDS.Tolerance,
-			MinSamples:  8,
-			MatchRadius: sp.IDS.MatchRadius,
-			NoiseStd:    sp.IDS.NoiseStd,
+		interval = ids.NewIntervalDetectorWith(sp.IDS.Tolerance, 8)
+		sender = ids.NewSenderIdentifier(r.Fork())
+		sender.MatchRadius = sp.IDS.MatchRadius
+		sender.NoiseStd = sp.IDS.NoiseStd
+		sender.Enroll(victimID, victimNode)
+		for z := 0; z < sp.World.Zones; z++ {
+			for e := 0; e < sp.World.EndpointsPerZone; e++ {
+				sender.KnowNode(fmt.Sprintf("z%d-e%d", z, e))
+			}
 		}
-		for _, name := range trafficDetectors {
-			ctor, meta, ok := ids.Detectors.Get(name)
-			if !ok {
-				return res, fmt.Errorf("scenario: detector %q not registered", name)
-			}
-			p := params
-			if meta.Has(ids.CapRNG) {
-				p.RNG = r.Fork()
-			}
-			d := ctor(p)
-			if en, isEnroller := d.(ids.Enroller); isEnroller {
-				en.Enroll(victimID, victimNode)
-				for z := 0; z < sp.World.Zones; z++ {
-					for e := 0; e < sp.World.EndpointsPerZone; e++ {
-						en.KnowNode(fmt.Sprintf("z%d-e%d", z, e))
-					}
-				}
-				en.KnowNode(attackerNode)
-			}
-			detectors = append(detectors, d)
-		}
+		sender.KnowNode(attackerNode)
 	}
 
 	atk, err := Attacks.Lookup(sp.Attacker.Type)
@@ -81,14 +66,15 @@ func simulateTrafficRef(sp *Spec, r *sim.RNG) (trial, error) {
 		attackStart = warmupSteps
 	}
 	observe := func(step int, at sim.Time, f *canbus.Frame) {
-		if len(detectors) == 0 {
+		if interval == nil {
 			return
 		}
 		alerts := 0
-		for _, d := range detectors {
-			if a := d.Observe(at, f); a != nil {
-				alerts++
-			}
+		if interval.Observe(at, f) != nil {
+			alerts++
+		}
+		if sender.Observe(at, f) != nil {
+			alerts++
 		}
 		if alerts == 0 {
 			return
@@ -125,10 +111,8 @@ func simulateTrafficRef(sp *Spec, r *sim.RNG) (trial, error) {
 
 	for step := 0; step < sp.World.Frames; step++ {
 		now := sim.Time(step) * period
-		if step == warmupSteps {
-			for _, d := range detectors {
-				d.EndTraining()
-			}
+		if step == warmupSteps && interval != nil {
+			interval.EndTraining()
 		}
 
 		for z := 0; z < sp.World.Zones; z++ {

@@ -1,53 +1,54 @@
 package server
 
 import (
+	"encoding/json"
 	"reflect"
 	"testing"
 
 	"autosec/internal/ext"
+	_ "autosec/internal/ext/demo" // the noop-mac suite and jam attack drop-ins
 )
 
 // TestExtensionsEndpointMatchesCatalog pins the no-drift property the
 // extension registry was built for: GET /api/v1/extensions serves
 // ext.Catalog() verbatim — the same document `avsec ext -json` renders
 // — so any binary's CLI and daemon listings are identical sets by
-// construction, and the health document's extensions field is the
-// catalog's fingerprint.
+// construction. The catalog holds exactly the two drop-in kinds, with
+// the linked demo drop-ins, and neither document carries an extension
+// fingerprint.
 func TestExtensionsEndpointMatchesCatalog(t *testing.T) {
 	t.Parallel()
 	ts := newTestServer(t, testConfig(t))
 
-	var got ext.CatalogDoc
-	getJSON(t, ts.URL+"/api/v1/extensions", &got)
+	var raw map[string]json.RawMessage
+	getJSON(t, ts.URL+"/api/v1/extensions", &raw)
+	if _, ok := raw["fingerprint"]; ok {
+		t.Error("catalog document carries a fingerprint key")
+	}
+	var got []ext.Meta
+	if err := json.Unmarshal(raw["extensions"], &got); err != nil {
+		t.Fatal(err)
+	}
+	if want := ext.Catalog().Extensions; !reflect.DeepEqual(got, want) {
+		t.Errorf("served catalog diverges from ext.Catalog():\n got %d entries\nwant %d entries", len(got), len(want))
+	}
 
-	want := ext.Catalog()
-	if got.Fingerprint != want.Fingerprint {
-		t.Errorf("fingerprint = %q, want %q", got.Fingerprint, want.Fingerprint)
-	}
-	if len(got.Fingerprint) != 64 {
-		t.Errorf("fingerprint %q is not a sha256 hex digest", got.Fingerprint)
-	}
-	if !reflect.DeepEqual(got.Extensions, want.Extensions) {
-		t.Errorf("served catalog diverges from ext.Catalog():\n got %d entries\nwant %d entries", len(got.Extensions), len(want.Extensions))
-	}
-
-	// Every extension kind of the refactor resolves through the one
-	// catalog the endpoint serves.
 	kinds := map[string]bool{}
-	for _, m := range got.Extensions {
+	names := map[string]string{}
+	for _, m := range got {
 		kinds[m.Kind] = true
+		names[m.Name] = m.Kind
 	}
-	for _, k := range []string{"suite", "attack", "defence", "detector", "gendim", "experiment"} {
-		if !kinds[k] {
-			t.Errorf("catalog missing kind %q", k)
-		}
+	if want := map[string]bool{"attack": true, "suite": true}; !reflect.DeepEqual(kinds, want) {
+		t.Errorf("catalog kinds = %v, want exactly attack and suite", kinds)
+	}
+	if names["noop-mac"] != "suite" || names["jam"] != "attack" {
+		t.Errorf("demo drop-ins missing from the catalog: noop-mac=%q jam=%q", names["noop-mac"], names["jam"])
 	}
 
-	var health struct {
-		Extensions string `json:"extensions"`
-	}
+	var health map[string]json.RawMessage
 	getJSON(t, ts.URL+"/api/v1/health", &health)
-	if health.Extensions != want.Fingerprint {
-		t.Errorf("health extensions = %q, want catalog fingerprint %q", health.Extensions, want.Fingerprint)
+	if _, ok := health["extensions"]; ok {
+		t.Error("health document carries an extensions key")
 	}
 }

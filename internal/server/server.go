@@ -115,7 +115,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	doc := struct {
 		Status      string `json:"status"`
 		CodeVersion string `json:"code_version"`
-		Extensions  string `json:"extensions"`
 		Experiments int    `json:"experiments"`
 		Scenarios   int    `json:"scenarios"`
 		Cache       string `json:"cache"`
@@ -124,7 +123,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	}{
 		Status:      "ok",
 		CodeVersion: resultcache.CodeVersion(),
-		Extensions:  ext.Fingerprint(),
 		Experiments: len(s.ns.Registry()),
 		Scenarios:   len(s.ns.Specs()),
 		Cache:       "disabled",
@@ -138,10 +136,9 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleExtensions serves the extension catalog: every registered
-// extension of every kind in this binary, drop-ins included, plus the
-// set fingerprint the fleet handshake compares. The document is
-// ext.Catalog() verbatim — the same call `avsec ext -json` renders —
-// so the CLI and daemon listings cannot drift.
+// extension of every kind in this binary, drop-ins included. The
+// document is ext.Catalog() verbatim — the same call `avsec ext -json`
+// renders — so the CLI and daemon listings cannot drift.
 func (s *Server) handleExtensions(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, ext.Catalog())
 }

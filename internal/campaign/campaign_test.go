@@ -556,3 +556,32 @@ func TestWriteJSONTimingsOptIn(t *testing.T) {
 		t.Errorf("timed JSON has %d elapsed_ms entries, want 6", n)
 	}
 }
+
+// BenchmarkRenderSummary times RenderSummary for one fleet chunk (one
+// experiment × 4 seeds) and for a registry-sized grid (28 × 32). Every
+// cell publishes 24 metrics, about as many as a registry report.
+func BenchmarkRenderSummary(b *testing.B) {
+	run := func(id string, seed int64) (string, []sim.Metric, error) {
+		ms := make([]sim.Metric, 24)
+		for i := range ms {
+			ms[i] = sim.Metric{Name: fmt.Sprintf("%s × %d/col %d", id, i/4, i%4), Value: float64(seed*int64(i+1)) / 7}
+		}
+		return "", ms, nil
+	}
+	for _, grid := range []struct{ ids, seeds int }{{1, 4}, {28, 32}} {
+		ids := make([]string, grid.ids)
+		for i := range ids {
+			ids[i] = fmt.Sprintf("exp%02d", i)
+		}
+		res, err := Run(Spec{IDs: ids, Seeds: Seeds(42, grid.seeds), Jobs: 1, RunTyped: run})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("cells=%d", len(res.Cells)), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res.RenderSummary()
+			}
+		})
+	}
+}

@@ -40,12 +40,15 @@ func FuzzFleetStream(f *testing.F) {
 	c1, c2, c3 := cell(id, 1, "r1"), cell(id, 2, "r2"), cell(id, 3, "r3")
 	head := `{"type":"campaign","experiments":["fig3"],"seeds":[1,2,3],"cells":3,"recheck":0}` + "\n"
 	done := `{"type":"done","cells":3,"rechecked":0,"divergences":0}` + "\n"
+	// Older daemons streamed a summary event; the merger passes over it.
+	summary := `{"type":"summary","text":"table\n"}` + "\n"
 	for _, seed := range []string{
-		head + c1 + c2 + c3 + done,      // valid
-		c1 + c2[:len(c2)/2],             // truncated mid-line
-		c1 + c1 + c2 + c3,               // duplicated cell
-		c2 + c1 + c3,                    // reordered
-		c1 + cell("fig4", 2, "r2") + c3, // wrong id
+		head + c1 + c2 + c3 + done,                          // valid
+		head + c1 + c2 + c3 + summary + done,                // an event the merger passes over
+		c1 + c2[:len(c2)/2],                                 // truncated mid-line
+		c1 + c1 + c2 + c3,                                   // duplicated cell
+		c2 + c1 + c3,                                        // reordered
+		c1 + cell("fig4", 2, "r2") + c3,                     // wrong id
 		c1 + cell(id, 2, strings.Repeat("x", 100<<10)) + c3, // oversized: past the scanner's initial buffer
 		c1 + `{"type":"cell","id":"fig3","seed":2,"error":"skipped: campaign canceled"}` + "\n" + c3,
 		c1 + `{"type":"error","error":"worker shut down"}` + "\n",

@@ -93,16 +93,18 @@ func (e *Engine) Rekeys() int { return e.rekeyCount }
 func (e *Engine) observe(f *canbus.Frame) {
 	now := e.kernel.Now()
 	if a := e.interval.Observe(now, f); a != nil {
-		e.raise(*a)
+		e.raise(*a, "ids.alerts.interval")
 	}
 	if a := e.senderID.Observe(now, f); a != nil {
-		e.raise(*a)
+		e.raise(*a, "ids.alerts.sender-id")
 	}
 }
 
-func (e *Engine) raise(a Alert) {
+// raise records a and counts it under counter, "ids.alerts." plus a's
+// detector, passed as a constant so an untraced run builds no name.
+func (e *Engine) raise(a Alert, counter string) {
 	e.alerts = append(e.alerts, a)
-	e.kernel.Count("ids.alerts."+a.Detector, 1)
+	e.kernel.Count(counter, 1)
 	src := a.Source
 	if src == "" {
 		return // cannot respond without attribution

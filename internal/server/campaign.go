@@ -240,11 +240,6 @@ type evCell struct {
 	ElapsedMS *float64 `json:"elapsed_ms,omitempty"`
 }
 
-type evSummary struct {
-	Type string `json:"type"` // "summary"
-	Text string `json:"text"`
-}
-
 type evDone struct {
 	Type        string `json:"type"` // "done"
 	Cells       int    `json:"cells"`
@@ -264,10 +259,9 @@ type evError struct {
 // handleCampaign executes one campaign request. The NDJSON stream
 // emits a campaign header, one cell event per grid cell in grid order
 // (streamed as soon as the cell and its predecessors finish, however
-// the pool schedules them), the aggregate summary — byte-identical to
-// `avsec campaign` stdout for the same spec — and a final done event.
-// The text format skips the events and returns the summary bytes
-// alone.
+// the pool schedules them) and a final done or error event. The text
+// format skips the events and returns the aggregate summary alone,
+// byte-identical to `avsec campaign` stdout for the same spec.
 func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 	req, err := decodeCampaignRequest(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
@@ -363,9 +357,6 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 		emit(ev)
 	}
 	res, runErr := campaign.Run(spec)
-	if res != nil {
-		emit(evSummary{Type: "summary", Text: res.RenderSummary()})
-	}
 	if runErr != nil {
 		// A canceled campaign fails one joined error per skipped cell;
 		// report the cause once instead of a page of "skipped" lines.

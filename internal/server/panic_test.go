@@ -52,7 +52,7 @@ func TestPanickingCellFailsAlone(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %s\n%s", resp.Status, data)
 	}
-	types, cells, _ := decodeStream(t, data)
+	types, cells := decodeStream(t, data)
 	if len(cells) != 2 || types[len(types)-1] != "error" {
 		t.Fatalf("stream: %v with %d cells, want 2 cells and a terminal error", types, len(cells))
 	}
@@ -68,7 +68,7 @@ func TestPanickingCellFailsAlone(t *testing.T) {
 	}
 
 	resp, data = postCampaign(t, ts, `{"ids": ["fig3"], "seed_count": 1}`)
-	if types, _, _ := decodeStream(t, data); resp.StatusCode != http.StatusOK || types[len(types)-1] != "done" {
+	if types, _ := decodeStream(t, data); resp.StatusCode != http.StatusOK || types[len(types)-1] != "done" {
 		t.Fatalf("next request: status %s, stream %v", resp.Status, types)
 	}
 }

@@ -7,9 +7,9 @@
 // from the content-addressed result cache (internal/resultcache).
 //
 // The daemon inherits the repo's determinism contract wholesale: for
-// the same campaign spec, the streamed cell events, the aggregate
-// summary, and the text-format response are byte-identical at every
-// worker count and on every repetition — whether a cell was computed
+// the same campaign spec, the NDJSON stream and the text-format
+// response (the aggregate summary) are byte-identical at every worker
+// count and on every repetition — whether a cell was computed
 // or served from cache is observable only through the opt-in timings
 // fields and the cache statistics endpoint, never through the result
 // bytes. docs/DAEMON.md is the API reference; the cross-check test in

@@ -169,7 +169,7 @@ func decodeStream(t *testing.T, data []byte) (types []string, cells []struct {
 	Metrics []sim.Metric `json:"metrics"`
 	Report  string       `json:"report"`
 	Error   string       `json:"error"`
-}, summary string) {
+}) {
 	t.Helper()
 	sc := bufio.NewScanner(bytes.NewReader(data))
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
@@ -181,8 +181,7 @@ func decodeStream(t *testing.T, data []byte) (types []string, cells []struct {
 			t.Fatalf("bad stream line %q: %v", sc.Text(), err)
 		}
 		types = append(types, head.Type)
-		switch head.Type {
-		case "cell":
+		if head.Type == "cell" {
 			var c struct {
 				ID      string       `json:"id"`
 				Seed    int64        `json:"seed"`
@@ -194,25 +193,22 @@ func decodeStream(t *testing.T, data []byte) (types []string, cells []struct {
 				t.Fatal(err)
 			}
 			cells = append(cells, c)
-		case "summary":
-			var s struct {
-				Text string `json:"text"`
-			}
-			if err := json.Unmarshal(sc.Bytes(), &s); err != nil {
-				t.Fatal(err)
-			}
-			summary = s.Text
 		}
 	}
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
-	return types, cells, summary
+	return types, cells
 }
 
+// TestCampaignStreamShapeAndGridOrder pins the NDJSON stream: a
+// campaign header, one cell per grid cell in grid order, each carrying
+// the serial run's report and metrics, then done. The stream carries
+// no summary; that is the text format's job.
 func TestCampaignStreamShapeAndGridOrder(t *testing.T) {
 	t.Parallel()
-	ts := newTestServer(t, testConfig(t))
+	cfg := testConfig(t)
+	ts := newTestServer(t, cfg)
 	resp, data := postCampaign(t, ts,
 		`{"ids": ["fig3", "exp-ids"], "seed_base": 42, "seed_count": 2, "jobs": 4, "include_reports": true}`)
 	if resp.StatusCode != http.StatusOK {
@@ -221,34 +217,43 @@ func TestCampaignStreamShapeAndGridOrder(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
 		t.Errorf("Content-Type = %q", ct)
 	}
-	types, cells, summary := decodeStream(t, data)
-	if len(types) < 4 || types[0] != "campaign" || types[len(types)-1] != "done" {
-		t.Fatalf("stream shape: %v", types)
+	types, cells := decodeStream(t, data)
+	if want := []string{"campaign", "cell", "cell", "cell", "cell", "done"}; strings.Join(types, " ") != strings.Join(want, " ") {
+		t.Fatalf("stream shape %v, want %v", types, want)
 	}
-	wantOrder := []struct {
-		id   string
-		seed int64
-	}{{"fig3", 42}, {"fig3", 43}, {"exp-ids", 42}, {"exp-ids", 43}}
-	if len(cells) != len(wantOrder) {
-		t.Fatalf("%d cell events, want %d", len(cells), len(wantOrder))
+	if bytes.Contains(data, []byte(`"type":"summary"`)) {
+		t.Error("stream carries a summary event")
 	}
-	for i, want := range wantOrder {
-		if cells[i].ID != want.id || cells[i].Seed != want.seed {
+
+	ns, err := scenario.LoadNamespace(cfg.ScenarioDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial, err := campaign.Run(campaign.Spec{
+		IDs:      []string{"fig3", "exp-ids"},
+		Seeds:    campaign.Seeds(42, 2),
+		Jobs:     1,
+		RunTyped: ns.Typed(nil),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range serial.Cells {
+		got := cells[i]
+		if got.ID != want.ID || got.Seed != want.Seed {
 			t.Errorf("cell %d = %s/%d, want %s/%d (grid order violated)",
-				i, cells[i].ID, cells[i].Seed, want.id, want.seed)
+				i, got.ID, got.Seed, want.ID, want.Seed)
+			continue
 		}
-		if cells[i].Report == "" {
-			t.Errorf("cell %d: include_reports set but report empty", i)
+		if got.Error != "" {
+			t.Errorf("cell %d: %s", i, got.Error)
 		}
-		if len(cells[i].Metrics) == 0 {
-			t.Errorf("cell %d: no metrics", i)
+		if got.Report != want.Report {
+			t.Errorf("cell %s/%d: report differs from the serial run", got.ID, got.Seed)
 		}
-		if cells[i].Error != "" {
-			t.Errorf("cell %d: %s", i, cells[i].Error)
+		if len(got.Metrics) == 0 || !sim.MetricsEqual(got.Metrics, want.Metrics) {
+			t.Errorf("cell %s/%d: metrics %v, want the serial run's %v", got.ID, got.Seed, got.Metrics, want.Metrics)
 		}
-	}
-	if !strings.HasPrefix(summary, "campaign: 2 experiments × 2 seeds = 4 cells") {
-		t.Errorf("summary text: %q...", summary[:min(len(summary), 80)])
 	}
 }
 
@@ -415,7 +420,7 @@ func TestCorpusSelection(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("corpus campaign: %s\n%s", resp.Status, data)
 	}
-	_, cells, _ := decodeStream(t, data)
+	_, cells := decodeStream(t, data)
 	if len(cells) != 2 || cells[0].ID != "scn-alpha" || cells[1].ID != "scn-beta" {
 		t.Errorf("corpus cells: %+v", cells)
 	}

@@ -15,5 +15,5 @@ type CPUFeatures struct {
 var hostCPU = probeCPU()
 
 // HostCPU reports the host's CPUFeatures, probed once at init. Off
-// amd64 every feature is false.
+// amd64, and in a build with the purego tag, every feature is false.
 func HostCPU() CPUFeatures { return hostCPU }

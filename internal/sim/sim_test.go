@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -330,6 +331,84 @@ func TestTableRendering(t *testing.T) {
 	for _, want := range []string{"demo", "alpha", "2.500"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("table missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// renderTableRef is the fmt-based renderer Table replaced: %.3f for
+// float64, %v for every other cell, %-*s to pad.
+func renderTableRef(title string, headers []string, rows [][]any) string {
+	cells := make([][]string, len(rows))
+	for r, row := range rows {
+		for _, c := range row {
+			if v, ok := c.(float64); ok {
+				cells[r] = append(cells[r], fmt.Sprintf("%.3f", v))
+			} else {
+				cells[r] = append(cells[r], fmt.Sprint(c))
+			}
+		}
+	}
+	width := make([]int, len(headers))
+	for i, h := range headers {
+		width[i] = len(h)
+	}
+	for _, row := range cells {
+		for i, c := range row {
+			if i < len(width) && len(c) > width[i] {
+				width[i] = len(c)
+			}
+		}
+	}
+	var b strings.Builder
+	if title != "" {
+		fmt.Fprintf(&b, "== %s ==\n", title)
+	}
+	writeRow := func(row []string) {
+		for i, c := range row {
+			if i > 0 {
+				b.WriteString("  ")
+			}
+			fmt.Fprintf(&b, "%-*s", width[i], c)
+		}
+		b.WriteByte('\n')
+	}
+	writeRow(headers)
+	sep := make([]string, len(headers))
+	for i := range sep {
+		sep[i] = strings.Repeat("-", width[i])
+	}
+	writeRow(sep)
+	for _, row := range cells {
+		writeRow(row)
+	}
+	return b.String()
+}
+
+// TestTableMatchesFmtReference pins Table's strconv rendering to the
+// fmt reference byte for byte: multi-byte runes (padded by rune count
+// against byte-length widths), cells wider than the padding runs,
+// special floats, short rows and cell types that still go through %v.
+func TestTableMatchesFmtReference(t *testing.T) {
+	headers := []string{"metric", "n", "value", "note"}
+	rows := [][]any{
+		{"alpha", 1, 2.5, "ok"},
+		{"beta × gamma", -42, -0.0, "—"},
+		{"nan", 0, math.NaN(), true},
+		{"inf", math.MaxInt64, math.Inf(1), int64(7)},
+		{"-inf", math.MinInt64, math.Inf(-1), uint8(3)},
+		{"huge", 3, 1e300, strings.Repeat("×", 40)},
+		{"tiny", 4, 0.0004999, float32(1.5)},
+		{"round", 5, 2.0005},
+		{"short"},
+		{},
+	}
+	for _, title := range []string{"", "demo — ×"} {
+		tb := NewTable(title, headers...)
+		for _, row := range rows {
+			tb.AddRow(row...)
+		}
+		if got, want := tb.String(), renderTableRef(title, headers, rows); got != want {
+			t.Errorf("title %q:\n got %q\nwant %q", title, got, want)
 		}
 	}
 }

@@ -2,7 +2,9 @@ package sim
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Table is a tiny text-table builder used by the experiment harness to
@@ -27,13 +29,18 @@ func NewTable(title string, headers ...string) *Table {
 // numeric cells into it. A nil ms disables publication.
 func (t *Table) BindMetrics(ms *MetricSet) { t.ms = ms }
 
-// AddRow appends a row; cells are formatted with %v.
+// AddRow appends a row. A float64 cell renders as %.3f, an int or a
+// string as itself, and any other value with %v.
 func (t *Table) AddRow(cells ...any) {
 	row := make([]string, len(cells))
 	for i, c := range cells {
 		switch v := c.(type) {
 		case float64:
-			row[i] = fmt.Sprintf("%.3f", v)
+			row[i] = strconv.FormatFloat(v, 'f', 3, 64)
+		case int:
+			row[i] = strconv.Itoa(v)
+		case string:
+			row[i] = v
 		default:
 			row[i] = fmt.Sprint(c)
 		}
@@ -78,27 +85,55 @@ func (t *Table) String() string {
 			}
 		}
 	}
-	var b strings.Builder
-	if t.title != "" {
-		fmt.Fprintf(&b, "== %s ==\n", t.title)
+	line := 0
+	for _, w := range width {
+		line += w + 2
 	}
+	var b strings.Builder
+	b.Grow(len(t.title) + 7 + line*(len(t.rows)+2))
+	if t.title != "" {
+		b.WriteString("== ")
+		b.WriteString(t.title)
+		b.WriteString(" ==\n")
+	}
+	// A column's width is its longest cell in bytes, but a cell is
+	// padded by its rune count, so a cell holding "×" or "—" comes out
+	// narrower in bytes than an ASCII cell of the same column.
 	writeRow := func(cells []string) {
 		for i, c := range cells {
 			if i > 0 {
 				b.WriteString("  ")
 			}
-			fmt.Fprintf(&b, "%-*s", width[i], c)
+			b.WriteString(c)
+			fill(&b, spaces, width[i]-utf8.RuneCountInString(c))
 		}
 		b.WriteByte('\n')
 	}
 	writeRow(t.headers)
-	sep := make([]string, len(t.headers))
-	for i := range sep {
-		sep[i] = strings.Repeat("-", width[i])
+	for i, w := range width {
+		if i > 0 {
+			b.WriteString("  ")
+		}
+		fill(&b, dashes, w)
 	}
-	writeRow(sep)
+	b.WriteByte('\n')
 	for _, row := range t.rows {
 		writeRow(row)
 	}
 	return b.String()
+}
+
+const (
+	spaces = "                                "
+	dashes = "--------------------------------"
+)
+
+// fill writes n bytes of run, a string of one repeated byte, to b.
+func fill(b *strings.Builder, run string, n int) {
+	for ; n > len(run); n -= len(run) {
+		b.WriteString(run)
+	}
+	if n > 0 {
+		b.WriteString(run[:n])
+	}
 }

@@ -25,7 +25,7 @@ func Correlate(rx Signal, sts *STS) []float64 {
 // set once at init from sim.HostCPU; tests lower it to pin every tier
 // against correlateRef.
 const (
-	tierGo     = iota // 6-wide pure-Go loop: arm64, wasm, pre-AVX2 amd64
+	tierGo     = iota // 6-wide pure-Go loop: arm64, wasm, pre-AVX2 amd64, purego
 	tierAVX2          // corrBlock32
 	tierAVX512        // corrBlock64, then corrBlock32 below 64 windows
 )

@@ -1,4 +1,4 @@
-//go:build !amd64
+//go:build !amd64 || purego
 
 package vcrypto
 
@@ -7,11 +7,12 @@ package vcrypto
 const haveCMACAsm = false
 
 // useCMACAsm mirrors the amd64 runtime probe; constant false here so
-// the batch driver compiles to the scalar loop on non-amd64 targets.
+// SumBatch compiles to the scalar loop off amd64 and under the purego
+// tag.
 const useCMACAsm = false
 
 // cmacSteps8 is never called when haveCMACAsm is false; this stub only
-// satisfies the compiler on non-amd64 targets.
+// satisfies the compiler off amd64 and under the purego tag.
 func cmacSteps8(rk *[176]byte, packed *byte, states *[8][16]byte, nsteps int) {
 	panic("vcrypto: cmacSteps8 without asm kernel")
 }

@@ -91,13 +91,17 @@ echo "   cache hits $hits_before -> $hits_after, bytes identical"
 
 echo "== NDJSON stream shape"
 post_campaign "{\"ids\": $IDS_JSON, \"seed_count\": 1, \"jobs\": 4}" > "$work/stream.ndjson"
-for type in campaign cell summary done; do
+for type in campaign cell done; do
     grep -q "\"type\":\"$type\"" "$work/stream.ndjson" || {
         echo "stream is missing a \"$type\" event" >&2
         exit 1
     }
 done
-echo "   campaign/cell/summary/done events present"
+if grep -q '"type":"summary"' "$work/stream.ndjson"; then
+    echo "stream carries a summary event; only format text renders the summary" >&2
+    exit 1
+fi
+echo "   campaign/cell/done events present, no summary event"
 
 echo "== corpus campaign vs the corpus golden, computed then cached"
 CORPUS_REQ='{"corpus": true, "seed_count": 2, "jobs": 8, "format": "text"}'

@@ -187,15 +187,16 @@ func selectRechecks(n int, fraction float64) []bool {
 }
 
 // Grid settles one campaign: every cell in grid order (experiment-major,
-// then seed) with its recheck selection, and the prefix of completed
-// cells already handed to OnCell. Run and the fleet coordinator
-// (internal/fleet) both settle through it, so a cell is rechecked,
-// compared, streamed and reported the same way whoever executes it.
-// Distinct cells may be filled and rechecked concurrently; Complete
-// must be called from one goroutine at a time.
+// then seed) with its recheck selection, the deliveries each cell still
+// owes, and the prefix of completed cells already handed to OnCell. Run
+// and the fleet coordinator (internal/fleet) both settle through it, so
+// a cell is rechecked, compared, streamed and reported the same way
+// whoever executes it. Distinct cells may be delivered concurrently;
+// Complete must be called from one goroutine at a time.
 type Grid struct {
 	Result
 	onCell func(CellResult)
+	got    []uint8 // deliveries landed per cell
 	done   []bool
 	next   int // first cell not yet handed to onCell
 }
@@ -216,6 +217,7 @@ func NewGrid(ids []string, seeds []int64, recheck float64, onCell func(CellResul
 	g := &Grid{
 		Result: Result{IDs: append([]string(nil), ids...), Seeds: append([]int64(nil), seeds...)},
 		onCell: onCell,
+		got:    make([]uint8, len(ids)*len(seeds)),
 		done:   make([]bool, len(ids)*len(seeds)),
 	}
 	g.Cells = make([]CellResult, 0, len(g.done))
@@ -230,21 +232,39 @@ func NewGrid(ids []string, seeds []int64, recheck float64, onCell func(CellResul
 	return g, nil
 }
 
-// Recheck settles the second execution of cell i against its first,
-// covering the metric stream as well as the report bytes.
-func (g *Grid) Recheck(i int, report string, metrics []sim.Metric, err error) {
+// Owes reports whether cell i still needs a delivery: its primary, or
+// its recheck when it was selected and its primary succeeded. A failed
+// primary is not recompared.
+func (g *Grid) Owes(i int) bool {
 	c := &g.Cells[i]
-	if err != nil {
+	return g.got[i] == 0 || g.got[i] == 1 && c.Rechecked && c.Err == nil
+}
+
+// Deliver lands one execution of cell i. The first fills the cell; the
+// second is the determinism recheck, compared with the first over the
+// report bytes and the metric stream (elapsed is then ignored). A
+// delivery the cell does not owe changes nothing and returns false.
+func (g *Grid) Deliver(i int, report string, metrics []sim.Metric, err error, elapsed time.Duration) bool {
+	if !g.Owes(i) {
+		return false
+	}
+	g.got[i]++
+	c := &g.Cells[i]
+	switch {
+	case g.got[i] == 1:
+		c.Report, c.Metrics, c.Err, c.Elapsed = report, metrics, err, elapsed
+	case err != nil:
 		c.Err = fmt.Errorf("determinism recheck: %w", err)
-		return
+	default:
+		if report != c.Report {
+			c.Diverged = true
+			c.RecheckReport = report
+		}
+		if !sim.MetricsEqual(c.Metrics, metrics) {
+			c.MetricsDiverged = true
+		}
 	}
-	if report != c.Report {
-		c.Diverged = true
-		c.RecheckReport = report
-	}
-	if !sim.MetricsEqual(c.Metrics, metrics) {
-		c.MetricsDiverged = true
-	}
+	return true
 }
 
 // Complete marks cell i settled and hands every cell of the completed
@@ -258,6 +278,9 @@ func (g *Grid) Complete(i int) {
 		g.next++
 	}
 }
+
+// Settled reports whether every cell has been completed.
+func (g *Grid) Settled() bool { return g.next == len(g.Cells) }
 
 // Settle returns the result, stamped with the campaign wall time, and
 // the joined error of every cell failure and every determinism
@@ -341,7 +364,7 @@ func Run(spec Spec) (*Result, error) {
 				// the queue drains without executing, so cancellation
 				// latency is bounded by the cells already in flight.
 				if err := ctx.Err(); err != nil {
-					grid[i].Err = fmt.Errorf("skipped: %w", err)
+					g.Deliver(i, "", nil, fmt.Errorf("skipped: %w", err), 0)
 					done <- i
 					continue
 				}
@@ -349,7 +372,7 @@ func Run(spec Spec) (*Result, error) {
 				// inside the cell borrows only idle capacity.
 				spec.Pool.Acquire()
 				if err := ctx.Err(); err != nil {
-					grid[i].Err = fmt.Errorf("skipped: %w", err)
+					g.Deliver(i, "", nil, fmt.Errorf("skipped: %w", err), 0)
 				} else {
 					runCell(&spec, g, i)
 				}
@@ -372,9 +395,9 @@ func Run(spec Spec) (*Result, error) {
 func runCell(spec *Spec, g *Grid, i int) {
 	c := &g.Cells[i]
 	t0 := time.Now()
-	c.Report, c.Metrics, c.Err = runTyped(spec.RunTyped, c.ID, c.Seed)
-	c.Elapsed = time.Since(t0)
-	if c.Err != nil || !c.Rechecked {
+	report, metrics, err := runTyped(spec.RunTyped, c.ID, c.Seed)
+	g.Deliver(i, report, metrics, err, time.Since(t0))
+	if !g.Owes(i) {
 		return
 	}
 	// The recheck is a second cell execution: a done context skips it
@@ -383,8 +406,8 @@ func runCell(spec *Spec, g *Grid, i int) {
 		c.Err = fmt.Errorf("skipped: %w", spec.Context.Err())
 		return
 	}
-	report, metrics, err := runTyped(spec.RunTyped, c.ID, c.Seed)
-	g.Recheck(i, report, metrics, err)
+	report, metrics, err = runTyped(spec.RunTyped, c.ID, c.Seed)
+	g.Deliver(i, report, metrics, err, 0)
 }
 
 // runTyped executes one cell with run, turning a panic into the cell's

@@ -140,6 +140,70 @@ func TestGridOrderAndCellLookup(t *testing.T) {
 	}
 }
 
+// TestGridDeliverOwes pins the grid's delivery accounting, which Run
+// and the fleet coordinator share: a cell owes its primary, plus its
+// recheck when selected and the primary succeeded; the recheck is
+// compared with the primary; a delivery not owed is refused.
+func TestGridDeliverOwes(t *testing.T) {
+	t.Parallel()
+	type delivery struct {
+		report  string
+		metrics []sim.Metric
+		err     error
+	}
+	m1, m2 := []sim.Metric{{Name: "m", Value: 1}}, []sim.Metric{{Name: "m", Value: 2}}
+	ok := delivery{"r", m1, nil}
+	for _, tc := range []struct {
+		name      string
+		rechecked bool
+		deliver   []delivery
+		accepted  []bool // Deliver's verdict per delivery
+		owes      []bool // Owes after each delivery
+		failed    bool   // the cell ends with an error
+		diverged  bool
+		metricsDv bool
+	}{
+		{"not rechecked owes one", false, []delivery{ok, ok}, []bool{true, false}, []bool{false, false}, false, false, false},
+		{"rechecked owes two", true, []delivery{ok, ok, ok}, []bool{true, true, false}, []bool{true, false, false}, false, false, false},
+		{"failed primary owes nothing more", true, []delivery{{"", nil, errors.New("boom")}, ok}, []bool{true, false}, []bool{false, false}, true, false, false},
+		{"failed recheck fails the cell", true, []delivery{ok, {"", nil, errors.New("boom")}}, []bool{true, true}, []bool{true, false}, true, false, false},
+		{"differing report diverges", true, []delivery{ok, {"r2", m1, nil}}, []bool{true, true}, []bool{true, false}, false, true, false},
+		{"differing metrics diverge", true, []delivery{ok, {"r", m2, nil}}, []bool{true, true}, []bool{true, false}, false, false, true},
+	} {
+		g, err := NewGrid([]string{"a"}, []int64{1}, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.Cells[0].Rechecked = tc.rechecked
+		if !g.Owes(0) {
+			t.Errorf("%s: a fresh cell owes nothing", tc.name)
+		}
+		for k, d := range tc.deliver {
+			if got := g.Deliver(0, d.report, d.metrics, d.err, time.Duration(k+1)); got != tc.accepted[k] {
+				t.Errorf("%s: delivery %d accepted = %v, want %v", tc.name, k+1, got, tc.accepted[k])
+			}
+			if got := g.Owes(0); got != tc.owes[k] {
+				t.Errorf("%s: Owes after delivery %d = %v, want %v", tc.name, k+1, got, tc.owes[k])
+			}
+		}
+		c := g.Cells[0]
+		if (c.Err != nil) != tc.failed || c.Diverged != tc.diverged || c.MetricsDiverged != tc.metricsDv {
+			t.Errorf("%s: err %v, diverged %v, metrics diverged %v; want failed %v, %v, %v",
+				tc.name, c.Err, c.Diverged, c.MetricsDiverged, tc.failed, tc.diverged, tc.metricsDv)
+		}
+		if c.Elapsed != 1 {
+			t.Errorf("%s: elapsed %v, want the primary's", tc.name, c.Elapsed)
+		}
+		if g.Settled() {
+			t.Errorf("%s: settled before Complete", tc.name)
+		}
+		g.Complete(0)
+		if !g.Settled() {
+			t.Errorf("%s: not settled after Complete", tc.name)
+		}
+	}
+}
+
 // TestJobsIndependence is the core determinism property: a pool that
 // completes cells in scrambled order must render byte-identical output
 // to a serial run, and emit OnCell callbacks in grid order.

@@ -49,6 +49,7 @@ import (
 	"time"
 
 	"autosec/internal/campaign"
+	"autosec/internal/server"
 )
 
 // Config describes one fleet campaign.
@@ -123,7 +124,7 @@ type Stats struct {
 // WorkerStatus reports one worker's share of a fleet run.
 type WorkerStatus struct {
 	URL    string
-	Health WorkerHealth
+	Health server.Health
 	Slots  int // concurrent chunk requests granted
 	Chunks int // chunk executions completed without transport error
 	Cells  int // cell events delivered (including duplicates)

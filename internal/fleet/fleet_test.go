@@ -810,3 +810,36 @@ func TestFleetContextCancel(t *testing.T) {
 		t.Fatalf("canceled fleet did not report cancellation: %v", err)
 	}
 }
+
+// TestFleetCancelFailsPendingRechecks pins that a run canceled after
+// its primaries land still fails every cell whose recheck never
+// arrived, as campaign.Run fails a skipped recheck: the grid, not the
+// scheduler, says what a cell still owes. OnCell fires only once a
+// cell's recheck has landed, so the cell that cancels is the one cell
+// that may settle cleanly.
+func TestFleetCancelFailsPendingRechecks(t *testing.T) {
+	t.Parallel()
+	worker := newWorker(t, workerConfig(t, ""), nil)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	rep, err := fleet.Run(ctx, fleet.Config{
+		Workers: []string{worker.URL}, IDs: testIDs, Seeds: campaign.Seeds(42, 3),
+		Recheck: 1, InFlight: 1, ChunkSize: 1,
+		OnCell: func(campaign.CellResult) { cancel() },
+	})
+	if err == nil {
+		t.Fatal("a fleet canceled before its rechecks landed reported success")
+	}
+	if rep == nil || len(rep.Result.Cells) != len(testIDs)*3 {
+		t.Fatalf("canceled fleet did not return the full grid: %+v", rep)
+	}
+	clean := 0
+	for _, c := range rep.Result.Cells {
+		if c.Err == nil {
+			clean++
+		}
+	}
+	if clean > 1 {
+		t.Errorf("%d cells settled without error, want at most the one whose recheck landed before the cancel", clean)
+	}
+}

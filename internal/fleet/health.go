@@ -7,26 +7,16 @@ import (
 	"io"
 	"net/http"
 	"strings"
+
+	"autosec/internal/server"
 )
 
-// WorkerHealth is the handshake document a worker serves at
-// GET /api/v1/health (docs/DAEMON.md). CodeVersion is the content hash
-// of the worker's binary — the part of every cell cache key that makes
-// cross-worker cache reuse sound — and Jobs/GOMAXPROCS advertise the
+// handshake probes one worker's health endpoint (docs/DAEMON.md). The
+// code version is the part of every cell cache key that makes
+// cross-worker cache reuse sound, and Jobs/GOMAXPROCS advertise the
 // worker's compute capacity for chunk-assignment weighting.
-type WorkerHealth struct {
-	Status      string `json:"status"`
-	CodeVersion string `json:"code_version"`
-	Experiments int    `json:"experiments"`
-	Scenarios   int    `json:"scenarios"`
-	Cache       string `json:"cache"`
-	Jobs        int    `json:"jobs"`
-	GOMAXPROCS  int    `json:"gomaxprocs"`
-}
-
-// Handshake probes one worker's health endpoint.
-func Handshake(ctx context.Context, client *http.Client, base string) (WorkerHealth, error) {
-	var h WorkerHealth
+func handshake(ctx context.Context, client *http.Client, base string) (server.Health, error) {
+	var h server.Health
 	if client == nil {
 		client = http.DefaultClient
 	}
@@ -65,10 +55,10 @@ func Handshake(ctx context.Context, client *http.Client, base string) (WorkerHea
 // grid would mix outputs of two different implementations. One code
 // version also means one extension set, since drop-ins register at
 // init in the binary the version hashes.
-func HandshakeAll(ctx context.Context, client *http.Client, workers []string) ([]WorkerHealth, error) {
-	healths := make([]WorkerHealth, len(workers))
+func HandshakeAll(ctx context.Context, client *http.Client, workers []string) ([]server.Health, error) {
+	healths := make([]server.Health, len(workers))
 	for i, w := range workers {
-		h, err := Handshake(ctx, client, w)
+		h, err := handshake(ctx, client, w)
 		if err != nil {
 			return nil, err
 		}

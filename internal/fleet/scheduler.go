@@ -14,7 +14,7 @@ import (
 	"time"
 
 	"autosec/internal/campaign"
-	"autosec/internal/sim"
+	"autosec/internal/server"
 )
 
 // workerFailLimit retires a worker after this many consecutive
@@ -66,7 +66,7 @@ func splitChunks(id string, refs []cellRef, size int) []*chunk {
 
 type workerState struct {
 	url    string
-	health WorkerHealth
+	health server.Health
 	slots  int
 	chunks int // chunk executions completed without transport error
 	cells  int // cell events delivered
@@ -75,15 +75,13 @@ type workerState struct {
 	dead   bool
 }
 
-// sched is the shared scheduler state: a FIFO chunk queue plus
-// per-cell delivery accounting. Every field is guarded by mu; workers
-// block on cond when the queue is empty and nothing is stealable.
+// sched is the shared scheduler state: a FIFO chunk queue over the
+// grid, which keeps the per-cell delivery accounting. Every field is
+// guarded by mu; workers block on cond when the queue is empty and
+// nothing is stealable.
 type sched struct {
 	cfg       *Config
 	grid      *campaign.Grid
-	need      []int // deliveries required per cell: 1, or 2 when rechecked
-	got       []int // deliveries landed per cell (capped at need)
-	remaining int   // sum over cells of need-got
 	all       []*chunk
 	todo      []*chunk
 	workers   []*workerState
@@ -94,18 +92,9 @@ type sched struct {
 	cond      *sync.Cond
 }
 
-func newSched(cfg *Config, grid *campaign.Grid, healths []WorkerHealth) *sched {
+func newSched(cfg *Config, grid *campaign.Grid, healths []server.Health) *sched {
 	s := &sched{cfg: cfg, grid: grid}
 	s.cond = sync.NewCond(&s.mu)
-	s.need = make([]int, len(grid.Cells))
-	s.got = make([]int, len(grid.Cells))
-	for i, c := range grid.Cells {
-		s.need[i] = 1
-		if c.Rechecked {
-			s.need[i] = 2
-		}
-		s.remaining += s.need[i]
-	}
 	for i, url := range cfg.Workers {
 		slots := cfg.InFlight
 		if slots <= 0 {
@@ -185,7 +174,7 @@ func (s *sched) next(w *workerState) *chunk {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
-		if s.remaining == 0 || w.dead {
+		if s.grid.Settled() || w.dead {
 			return nil
 		}
 		for len(s.todo) > 0 {
@@ -229,7 +218,7 @@ func (s *sched) stealLocked() *chunk {
 		}
 		n := 0
 		for _, ref := range ch.cells {
-			if s.got[ref.gi] < s.need[ref.gi] {
+			if s.grid.Owes(ref.gi) {
 				n++
 			}
 		}
@@ -242,7 +231,7 @@ func (s *sched) stealLocked() *chunk {
 
 func (s *sched) undeliveredLocked(ch *chunk) bool {
 	for _, ref := range ch.cells {
-		if s.got[ref.gi] < s.need[ref.gi] {
+		if s.grid.Owes(ref.gi) {
 			return true
 		}
 	}
@@ -257,81 +246,55 @@ func (s *sched) failChunkLocked(ch *chunk) {
 		cause = errors.New("dispatch attempts exhausted")
 	}
 	for _, ref := range ch.cells {
-		if s.got[ref.gi] < s.need[ref.gi] {
-			s.deliverLocked(ref, cellEvent{
+		if s.grid.Owes(ref.gi) {
+			s.deliverLocked(ref.gi, server.CellEvent{
 				Error: fmt.Sprintf("chunk failed after %d dispatch attempts: %v", ch.attempts, cause),
 			}, nil, 0)
 		}
 	}
 }
 
-// abortLocked ends the run: every fully-undelivered cell fails with
-// err, partially-delivered cells keep their primary result, and all
-// in-flight requests are canceled.
+// abortLocked ends the run: every cell still owed a delivery fails
+// with err — a cell whose recheck never arrived too, as when
+// campaign.Run skips a recheck — and all in-flight requests are
+// canceled.
 func (s *sched) abortLocked(err error) {
-	if s.remaining == 0 {
-		return
-	}
 	for gi := range s.grid.Cells {
-		if s.got[gi] >= s.need[gi] {
-			continue
+		if s.grid.Owes(gi) {
+			s.grid.Deliver(gi, "", nil, err, 0)
+			s.grid.Complete(gi)
 		}
-		if c := &s.grid.Cells[gi]; s.got[gi] == 0 && c.Err == nil {
-			c.Err = err
-		}
-		s.got[gi] = s.need[gi]
-		s.grid.Complete(gi)
 	}
-	s.remaining = 0
 	if s.cancelRun != nil {
 		s.cancelRun()
 	}
 	s.cond.Broadcast()
 }
 
-// deliverLocked lands one cell event at its grid index. The first
-// delivery fills the cell; the second (recheck or speculative
-// duplicate) is the grid's determinism comparison, exactly like the
-// second execution in campaign.Run; anything beyond need is counted
-// and dropped — sound because the determinism contract makes every
-// correct duplicate byte-identical, so first-wins cannot depend on
-// scheduling. Completing a cell flushes the done prefix to OnCell in
-// grid order.
-func (s *sched) deliverLocked(ref cellRef, ev cellEvent, w *workerState, elapsed time.Duration) {
+// deliverLocked lands one cell event at grid index gi through the
+// grid's Deliver: the first delivery fills the cell, and the second
+// (recheck or speculative duplicate) is the grid's determinism
+// comparison, exactly like the second execution in campaign.Run. A
+// delivery the cell no longer owes is counted and dropped — sound
+// because the determinism contract makes every correct duplicate
+// byte-identical, so first-wins cannot depend on scheduling. Completing
+// a cell flushes the done prefix to OnCell in grid order.
+func (s *sched) deliverLocked(gi int, ev server.CellEvent, w *workerState, elapsed time.Duration) {
 	if w != nil {
 		w.cells++
 	}
-	if s.got[ref.gi] >= s.need[ref.gi] {
+	var err error
+	if ev.Error != "" {
+		err = errors.New(ev.Error)
+	}
+	if !s.grid.Deliver(gi, ev.Report, ev.Metrics, err, elapsed) {
 		s.stats.Duplicates++
 		return
 	}
-	s.got[ref.gi]++
-	s.remaining--
-	c := &s.grid.Cells[ref.gi]
-	if s.got[ref.gi] == 1 {
-		c.Report = ev.Report
-		c.Metrics = ev.Metrics
-		c.Elapsed = elapsed
-		if ev.Error != "" {
-			c.Err = errors.New(ev.Error)
-		}
-		if c.Err != nil && s.need[ref.gi] == 2 {
-			// A failed cell is not recompared; serial runCell skips the
-			// recheck after a primary error too.
-			s.need[ref.gi] = 1
-			s.remaining--
-		}
-	} else {
-		var err error
-		if ev.Error != "" {
-			err = errors.New(ev.Error)
-		}
-		s.grid.Recheck(ref.gi, ev.Report, ev.Metrics, err)
+	if !s.grid.Owes(gi) {
+		s.grid.Complete(gi)
 	}
-	if s.got[ref.gi] >= s.need[ref.gi] {
-		s.grid.Complete(ref.gi)
-	}
-	if s.remaining == 0 && s.cancelRun != nil {
+	if s.grid.Settled() && s.cancelRun != nil {
 		// Unblock any request still streaming to a straggler.
 		s.cancelRun()
 	}
@@ -346,7 +309,7 @@ func (s *sched) execute(ctx context.Context, w *workerState, ch *chunk) {
 	// chunk may find some cells already delivered by another copy.
 	var cells []cellRef
 	for _, ref := range ch.cells {
-		if s.got[ref.gi] < s.need[ref.gi] {
+		if s.grid.Owes(ref.gi) {
 			cells = append(cells, ref)
 		}
 	}
@@ -365,7 +328,7 @@ func (s *sched) execute(ctx context.Context, w *workerState, ch *chunk) {
 	defer s.mu.Unlock()
 	defer s.cond.Broadcast()
 	ch.active--
-	if s.remaining == 0 {
+	if s.grid.Settled() {
 		// The run completed while this request was in flight (its
 		// context was canceled under it); nothing left to settle.
 		return
@@ -377,8 +340,8 @@ func (s *sched) execute(ctx context.Context, w *workerState, ch *chunk) {
 		// answered, keeps its place in the fleet.
 		s.cfg.logf("fleet: worker %s rejected chunk %s: %s", w.url, ch.id, rejected.msg)
 		for _, ref := range cells {
-			if s.got[ref.gi] < s.need[ref.gi] {
-				s.deliverLocked(ref, cellEvent{Error: terr.Error()}, nil, 0)
+			if s.grid.Owes(ref.gi) {
+				s.deliverLocked(ref.gi, server.CellEvent{Error: terr.Error()}, nil, 0)
 			}
 		}
 		return
@@ -399,7 +362,7 @@ func (s *sched) execute(ctx context.Context, w *workerState, ch *chunk) {
 	}
 	missing := false
 	for _, ref := range cells {
-		if s.got[ref.gi] < s.need[ref.gi] {
+		if s.grid.Owes(ref.gi) {
 			missing = true
 			break
 		}
@@ -418,41 +381,17 @@ func (s *sched) execute(ctx context.Context, w *workerState, ch *chunk) {
 			s.todo = append(s.todo, ch)
 		}
 	}
-	if s.alive == 0 && s.remaining > 0 {
+	if s.alive == 0 && !s.grid.Settled() {
 		s.abortLocked(errors.New("all fleet workers failed"))
 	}
 }
 
-// chunkRequest is the wire form of one dispatch: the server's
-// CampaignRequest restricted to the fields the coordinator drives.
-// Recheck is always sent (the coordinator runs the self-check itself,
-// so workers must not double-execute), and reports are always
-// requested because byte-level report merge is the whole point.
-type chunkRequest struct {
-	IDs            []string `json:"ids"`
-	Seeds          []int64  `json:"seeds"`
-	Jobs           int      `json:"jobs,omitempty"`
-	Recheck        float64  `json:"recheck"`
-	Cache          *bool    `json:"cache,omitempty"`
-	IncludeReports bool     `json:"include_reports"`
-	DeadlineMS     int      `json:"deadline_ms,omitempty"`
-}
-
-// cellEvent mirrors the server's cell stream event (docs/DAEMON.md).
-type cellEvent struct {
-	Type    string       `json:"type"`
-	ID      string       `json:"id"`
-	Seed    int64        `json:"seed"`
-	Metrics []sim.Metric `json:"metrics"`
-	Report  string       `json:"report"`
-	Error   string       `json:"error"`
-}
-
 // decodeStreamLine decodes one NDJSON stream line into ev in a single
-// pass. A line that is valid JSON but whose fields do not fit cellEvent
-// is decided on its type alone: a cell is a bad event, and any other
-// line passes with its type and, for an error event, its message.
-func decodeStreamLine(line []byte, ev *cellEvent) error {
+// pass. A line that is valid JSON but whose fields do not fit
+// server.CellEvent is decided on its type alone: a cell is a bad event,
+// and any other line passes with its type and, for an error event, its
+// message.
+func decodeStreamLine(line []byte, ev *server.CellEvent) error {
 	err := json.Unmarshal(line, ev)
 	if err == nil {
 		return nil
@@ -495,9 +434,14 @@ func (s *sched) postChunk(ctx context.Context, w *workerState, ch *chunk, cells 
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.ChunkTimeout)
 		defer cancel()
 	}
-	creq := chunkRequest{
+	// recheck is always 0, because the coordinator runs the self-check
+	// itself and workers must not double-execute; reports are always
+	// requested, because byte-level report merge is the whole point.
+	var zero float64
+	creq := server.CampaignRequest{
 		IDs:            []string{ch.id},
 		Jobs:           s.cfg.Jobs,
+		Recheck:        &zero,
 		Cache:          s.cfg.Cache,
 		IncludeReports: true,
 		DeadlineMS:     int(s.cfg.ChunkTimeout / time.Millisecond),
@@ -550,7 +494,7 @@ func (s *sched) postChunk(ctx context.Context, w *workerState, ch *chunk, cells 
 	sc.Buffer(make([]byte, 4<<10), 16<<20)
 	for sc.Scan() {
 		line := sc.Bytes()
-		var ev cellEvent
+		var ev server.CellEvent
 		if err := decodeStreamLine(line, &ev); err != nil {
 			return err
 		}
@@ -575,7 +519,7 @@ func (s *sched) postChunk(ctx context.Context, w *workerState, ch *chunk, cells 
 				ev.Metrics = nil
 			}
 			s.mu.Lock()
-			s.deliverLocked(ref, ev, w, time.Since(t0))
+			s.deliverLocked(ref.gi, ev, w, time.Since(t0))
 			s.mu.Unlock()
 		case "error":
 			workerErr = ev.Error

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"sync"
 
 	"autosec/internal/core"
 	"autosec/internal/ext"
@@ -10,9 +11,11 @@ import (
 
 // Namespace is every experiment id a front end can run: the registry in
 // paper order, then the compiled corpus of one directory in name order.
-// It is loaded once (each spec parsed, compiled and fingerprinted once)
-// and read-only afterwards, so `avsec`, avsecd and the fleet resolve,
-// select, run and cache-key an id the same way.
+// It is loaded once (each spec parsed and compiled once) and read-only
+// afterwards, so `avsec`, avsecd and the fleet resolve, select, run and
+// cache-key an id the same way. A spec is fingerprinted on the first
+// Fingerprint call for its id, so a front end that never cache-keys a
+// cell never hashes a spec.
 type Namespace struct {
 	dir     string // the corpus directory
 	entries []entry
@@ -22,8 +25,8 @@ type Namespace struct {
 
 type entry struct {
 	exp  core.Experiment
-	spec *Spec  // nil for a registry experiment
-	fp   string // spec fingerprint; "" for a registry experiment
+	spec *Spec         // nil for a registry experiment
+	fp   func() string // spec fingerprint, computed on first call; nil for a registry experiment
 }
 
 // LoadNamespace loads the registry and the scenario corpus under dir. A
@@ -44,7 +47,7 @@ func LoadNamespace(dir string) (*Namespace, error) {
 			if err != nil {
 				return nil, fmt.Errorf("scenario %s: %w", sp.Name, err)
 			}
-			ns.entries = append(ns.entries, entry{exp: e, spec: sp, fp: sp.Fingerprint()})
+			ns.entries = append(ns.entries, entry{exp: e, spec: sp, fp: sync.OnceValue(sp.Fingerprint)})
 		}
 	}
 	ns.index = make(map[string]int, len(ns.entries))
@@ -146,8 +149,8 @@ func (ns *Namespace) Cost(id string) int {
 // which keys its cached results to the spec's content, and "" for a
 // registry or unknown id.
 func (ns *Namespace) Fingerprint(id string) string {
-	if i, ok := ns.index[id]; ok {
-		return ns.entries[i].fp
+	if i, ok := ns.index[id]; ok && ns.entries[i].fp != nil {
+		return ns.entries[i].fp()
 	}
 	return ""
 }

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"autosec/internal/core"
@@ -161,4 +162,36 @@ func TestNamespaceRunMatchesDirectRun(t *testing.T) {
 	if fp := ns.Fingerprint("fig3"); fp != "" {
 		t.Errorf("registry fingerprint %q, want empty", fp)
 	}
+}
+
+// TestNamespaceFingerprintLazyConcurrent pins the lazy fingerprint:
+// concurrent first calls (run under -race) all return the spec's own
+// fingerprint for every corpus id, and "" for registry and unknown ids.
+func TestNamespaceFingerprintLazyConcurrent(t *testing.T) {
+	ns, err := LoadNamespace("../../scenarios")
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := ns.Specs()
+	if len(specs) == 0 {
+		t.Fatal("no corpus specs loaded")
+	}
+	want := make(map[string]string, len(specs))
+	for _, sp := range specs {
+		want[IDPrefix+sp.Name] = sp.Fingerprint()
+	}
+	want["fig3"], want["scn-no-such-spec"] = "", ""
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for id, fp := range want {
+				if got := ns.Fingerprint(id); got != fp {
+					t.Errorf("Fingerprint(%s) = %q, want %q", id, got, fp)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

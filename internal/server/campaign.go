@@ -30,48 +30,50 @@ const (
 // field is optional; the zero request runs the full registry at the
 // CLI's default grid (8 consecutive seeds from 42) with the CLI's
 // default recheck fraction, so `curl -d '{}'` and `avsec campaign`
-// describe the same campaign. Unknown fields are rejected.
+// describe the same campaign. Unknown fields are rejected. Every tag is
+// omitempty, so a client such as the fleet coordinator marshals only
+// the fields it sets.
 type CampaignRequest struct {
 	// IDs selects experiments (registry or scn-* ids); empty means the
 	// whole registry, or the whole corpus when Corpus is set.
-	IDs []string `json:"ids"`
+	IDs []string `json:"ids,omitempty"`
 	// Corpus replaces the default registry grid with every scenario in
 	// the corpus (ids may still be given explicitly alongside).
-	Corpus bool `json:"corpus"`
+	Corpus bool `json:"corpus,omitempty"`
 	// Seeds lists explicit seeds. Mutually exclusive with
 	// SeedBase/SeedCount.
-	Seeds []int64 `json:"seeds"`
+	Seeds []int64 `json:"seeds,omitempty"`
 	// SeedBase and SeedCount describe the CLI's consecutive-seed
 	// schedule: SeedCount seeds starting at SeedBase. Defaults 42 / 8.
-	SeedBase  *int64 `json:"seed_base"`
-	SeedCount *int   `json:"seed_count"`
+	SeedBase  *int64 `json:"seed_base,omitempty"`
+	SeedCount *int   `json:"seed_count,omitempty"`
 	// Jobs bounds this campaign's worker pool, at most maxJobs: 0 means
 	// the server default (the daemon's -jobs, itself 0 = GOMAXPROCS).
 	// Result bytes never depend on it.
-	Jobs int `json:"jobs"`
+	Jobs int `json:"jobs,omitempty"`
 	// Recheck is the determinism self-check fraction in [0, 1];
 	// nil means the CLI default 0.25.
-	Recheck *float64 `json:"recheck"`
+	Recheck *float64 `json:"recheck,omitempty"`
 	// Cache opts this campaign out of the result cache when false;
 	// nil means "use the cache if the server has one".
-	Cache *bool `json:"cache"`
+	Cache *bool `json:"cache,omitempty"`
 	// IncludeReports adds each cell's full report text to its stream
 	// event (deterministic, but large).
-	IncludeReports bool `json:"include_reports"`
+	IncludeReports bool `json:"include_reports,omitempty"`
 	// Timings adds wall-clock and cache-origin fields to the stream.
 	// Like the CLI's -timings flag it is opt-in because it breaks the
 	// byte-identity of otherwise identical campaigns.
-	Timings bool `json:"timings"`
+	Timings bool `json:"timings,omitempty"`
 	// DeadlineMS bounds this campaign's wall time in milliseconds; 0
 	// means none. When the deadline passes (or the client disconnects),
 	// cells that have not started are skipped and the stream ends with
 	// an error event — the per-chunk timeout a fleet coordinator
 	// (internal/fleet) uses to re-dispatch hung work elsewhere.
-	DeadlineMS int `json:"deadline_ms"`
+	DeadlineMS int `json:"deadline_ms,omitempty"`
 	// Format selects the response body: "ndjson" (default) streams
 	// one event per line; "text" returns exactly the bytes `avsec
 	// campaign` prints to stdout for the same spec.
-	Format string `json:"format"`
+	Format string `json:"format,omitempty"`
 }
 
 // decodeCampaignRequest decodes one request object strictly: unknown
@@ -227,7 +229,9 @@ type evCampaign struct {
 	Recheck     float64  `json:"recheck"`
 }
 
-type evCell struct {
+// CellEvent is one cell line of the stream, and what the fleet
+// coordinator (internal/fleet) decodes it into.
+type CellEvent struct {
 	Type    string       `json:"type"` // "cell"
 	ID      string       `json:"id"`
 	Seed    int64        `json:"seed"`
@@ -335,7 +339,7 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 		Cells: len(plan.ids) * len(plan.seeds), Recheck: plan.recheck})
 	start := time.Now()
 	spec.OnCell = func(c campaign.CellResult) {
-		ev := evCell{Type: "cell", ID: c.ID, Seed: c.Seed, Metrics: c.Metrics}
+		ev := CellEvent{Type: "cell", ID: c.ID, Seed: c.Seed, Metrics: c.Metrics}
 		if ev.Metrics == nil {
 			ev.Metrics = []sim.Metric{}
 		}

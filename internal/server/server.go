@@ -104,23 +104,25 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, apiError{Error: fmt.Sprintf(format, args...)})
 }
 
-// handleHealth reports liveness plus the identity and capacity facts a
-// fleet coordinator needs: the code version that keys the cache (two
-// workers may share cached results exactly when it matches), the
-// namespace sizes, and the worker's compute capacity — the resolved
-// default campaign pool size (`jobs`, never 0) and `gomaxprocs` — so
-// chunk assignment can be weighted toward bigger workers
-// (internal/fleet, docs/FLEET.md).
+// Health is the document GET /api/v1/health serves: liveness plus the
+// identity and capacity facts a fleet coordinator needs (internal/fleet,
+// docs/FLEET.md). CodeVersion keys the cache, so two workers may share
+// cached results exactly when it matches; Jobs (the resolved default
+// campaign pool size, never 0) and GOMAXPROCS advertise compute
+// capacity, so chunk assignment can be weighted toward bigger workers.
+type Health struct {
+	Status      string `json:"status"`
+	CodeVersion string `json:"code_version"`
+	Experiments int    `json:"experiments"`
+	Scenarios   int    `json:"scenarios"`
+	Cache       string `json:"cache"`
+	Jobs        int    `json:"jobs"`
+	GOMAXPROCS  int    `json:"gomaxprocs"`
+}
+
+// handleHealth serves this daemon's Health document.
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	doc := struct {
-		Status      string `json:"status"`
-		CodeVersion string `json:"code_version"`
-		Experiments int    `json:"experiments"`
-		Scenarios   int    `json:"scenarios"`
-		Cache       string `json:"cache"`
-		Jobs        int    `json:"jobs"`
-		GOMAXPROCS  int    `json:"gomaxprocs"`
-	}{
+	doc := Health{
 		Status:      "ok",
 		CodeVersion: resultcache.CodeVersion(),
 		Experiments: len(s.ns.Registry()),

@@ -472,53 +472,3 @@ func BenchmarkSecchanProtectVerify(b *testing.B) {
 		return integ.New(secchan.Params{Key: key})
 	})
 }
-
-// BenchmarkSecchanBatch measures VerifyBatch through the suites with a
-// native secchan.BatchSuite path (SECOC, whose batch verify pipelines
-// CMAC kernel calls) on the MAC ablation's traffic shape: a burst of
-// forged PDUs at batch sizes 1, 16, and 256 with a warmed verdict
-// buffer. Forgeries leave the receiver state unchanged, so every
-// iteration verifies the same burst. The other suites would take
-// secchan's frame-at-a-time loop, which BenchmarkSecchanProtectVerify
-// already measures.
-func BenchmarkSecchanBatch(b *testing.B) {
-	key := []byte("0123456789abcdef")
-	for _, e := range suites.Registry() {
-		mk := func() (secchan.Suite, error) {
-			return e.New(secchan.Params{Key: key, RNG: sim.NewRNG(1)})
-		}
-		if s, err := mk(); err != nil {
-			b.Fatal(err)
-		} else if _, ok := s.(secchan.BatchSuite); !ok {
-			continue
-		}
-		for _, n := range []int{1, 16, 256} {
-			b.Run(fmt.Sprintf("%s/n=%d", e.Name, n), func(b *testing.B) {
-				s, err := mk()
-				if err != nil {
-					b.Fatal(err)
-				}
-				forged := make([][]byte, n)
-				for i := range forged {
-					if forged[i], err = s.Protect(make([]byte, 64)); err != nil {
-						b.Fatal(err)
-					}
-					forged[i][len(forged[i])-1] ^= 0xFF
-				}
-				var verdicts []secchan.Verdict
-				b.ReportAllocs()
-				b.SetBytes(int64(n * 64))
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					verdicts = secchan.VerifyBatch(s, forged, verdicts)
-					for j := range verdicts {
-						if verdicts[j].Err == nil {
-							b.Fatal("forged frame verified")
-						}
-					}
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/frame")
-			})
-		}
-	}
-}

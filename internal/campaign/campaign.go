@@ -267,6 +267,17 @@ func (g *Grid) Deliver(i int, report string, metrics []sim.Metric, err error, el
 	return true
 }
 
+// Skip fails whatever cell i still owes with "skipped: <cause>": its
+// primary, or its recheck, when the run stops before executing it. The
+// text is the same for both, so a canceled cell reads the same whoever
+// ran the campaign. A cell that owes nothing is left as it is.
+func (g *Grid) Skip(i int, cause error) {
+	if g.Owes(i) {
+		g.got[i]++
+		g.Cells[i].Err = fmt.Errorf("skipped: %w", cause)
+	}
+}
+
 // Complete marks cell i settled and hands every cell of the completed
 // grid-order prefix that OnCell has not seen yet to OnCell.
 func (g *Grid) Complete(i int) {
@@ -364,7 +375,7 @@ func Run(spec Spec) (*Result, error) {
 				// the queue drains without executing, so cancellation
 				// latency is bounded by the cells already in flight.
 				if err := ctx.Err(); err != nil {
-					g.Deliver(i, "", nil, fmt.Errorf("skipped: %w", err), 0)
+					g.Skip(i, err)
 					done <- i
 					continue
 				}
@@ -372,7 +383,7 @@ func Run(spec Spec) (*Result, error) {
 				// inside the cell borrows only idle capacity.
 				spec.Pool.Acquire()
 				if err := ctx.Err(); err != nil {
-					g.Deliver(i, "", nil, fmt.Errorf("skipped: %w", err), 0)
+					g.Skip(i, err)
 				} else {
 					runCell(&spec, g, i)
 				}
@@ -403,7 +414,7 @@ func runCell(spec *Spec, g *Grid, i int) {
 	// The recheck is a second cell execution: a done context skips it
 	// like any unstarted cell, rather than half-reporting the cell.
 	if spec.Context != nil && spec.Context.Err() != nil {
-		c.Err = fmt.Errorf("skipped: %w", spec.Context.Err())
+		g.Skip(i, spec.Context.Err())
 		return
 	}
 	report, metrics, err = runTyped(spec.RunTyped, c.ID, c.Seed)

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -201,6 +202,45 @@ func TestGridDeliverOwes(t *testing.T) {
 		if !g.Settled() {
 			t.Errorf("%s: not settled after Complete", tc.name)
 		}
+	}
+}
+
+// TestRunCancelSkipsOwedDeliveries pins the one text a canceled run
+// gives every cell it never finished: the cell whose primary ran but
+// whose recheck did not, and the cells that never started, all read
+// "skipped: context canceled", as they do on the fleet coordinator's
+// cancel path (internal/fleet).
+func TestRunCancelSkipsOwedDeliveries(t *testing.T) {
+	t.Parallel()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	res, err := Run(Spec{
+		IDs: []string{"a", "b"}, Seeds: []int64{1, 2}, Jobs: 1, Recheck: 1, Context: ctx,
+		RunTyped: func(id string, seed int64) (string, []sim.Metric, error) {
+			cancel()
+			return fakeRun(id, seed)
+		},
+	})
+	if err == nil {
+		t.Fatal("a canceled campaign reported success")
+	}
+	for _, c := range res.Cells {
+		if c.Err == nil || c.Err.Error() != "skipped: context canceled" {
+			t.Errorf("%s seed %d: err %v, want skipped: context canceled", c.ID, c.Seed, c.Err)
+		}
+	}
+	if res.Cells[0].Report == "" {
+		t.Error("the first cell's primary ran, but its report was dropped")
+	}
+
+	g, err := NewGrid([]string{"a"}, []int64{1}, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Deliver(0, "r", nil, nil, 0)
+	g.Skip(0, context.Canceled)
+	if g.Cells[0].Err != nil {
+		t.Error("Skip failed a cell that owed nothing")
 	}
 }
 

@@ -52,7 +52,6 @@ func RunAblateMAC(rc *RunContext) (string, error) {
 		forged := 0
 		if bits <= 24 {
 			const chunks = 16
-			base := append([]byte(nil), pdu...)
 			perChunk := make([]int, chunks)
 			err := rc.Replicates(chunks, rng, func(c int, r *sim.RNG) error {
 				recv, err := entry.New(secchan.Params{Key: key, MACBits: bits})
@@ -63,30 +62,14 @@ func RunAblateMAC(rc *RunContext) (string, error) {
 				if c < attempts%chunks {
 					n++
 				}
-				// Forgeries go through the batched verify path: each
-				// burst's tags are drawn first, in the serial draw order
-				// (Verify consumes no randomness, so the RNG stream is
-				// unchanged), then verified in one VerifyBatch call,
-				// which SECOC turns into pipelined CMAC kernel calls.
-				const burst = 256
-				forgeries := make([][]byte, burst)
-				for i := range forgeries {
-					forgeries[i] = append([]byte(nil), base...)
-				}
-				var verdicts []secchan.Verdict
-				for i := 0; i < n; i += burst {
-					m := burst
-					if n-i < m {
-						m = n - i
-					}
-					for j := 0; j < m; j++ {
-						r.Bytes(forgeries[j][len(base)-bits/8:])
-					}
-					verdicts = secchan.VerifyBatch(recv, forgeries[:m], verdicts)
-					for j := range verdicts {
-						if verdicts[j].Err == nil {
-							perChunk[c]++
-						}
+				// Each forgery's tag bytes are drawn just before its
+				// Verify, which draws nothing, so the chunk's stream is
+				// one tag after another.
+				forgery := append([]byte(nil), pdu...)
+				for i := 0; i < n; i++ {
+					r.Bytes(forgery[len(forgery)-bits/8:])
+					if _, err := recv.Verify(forgery); err == nil {
+						perChunk[c]++
 					}
 				}
 				return nil

@@ -813,8 +813,9 @@ func TestFleetContextCancel(t *testing.T) {
 
 // TestFleetCancelFailsPendingRechecks pins that a run canceled after
 // its primaries land still fails every cell whose recheck never
-// arrived, as campaign.Run fails a skipped recheck: the grid, not the
-// scheduler, says what a cell still owes. OnCell fires only once a
+// arrived, with the text campaign.Run gives a skipped recheck: the
+// grid, not the scheduler, says what a cell still owes and how it
+// fails. OnCell fires only once a
 // cell's recheck has landed, so the cell that cancels is the one cell
 // that may settle cleanly.
 func TestFleetCancelFailsPendingRechecks(t *testing.T) {
@@ -835,8 +836,12 @@ func TestFleetCancelFailsPendingRechecks(t *testing.T) {
 	}
 	clean := 0
 	for _, c := range rep.Result.Cells {
-		if c.Err == nil {
+		switch {
+		case c.Err == nil:
 			clean++
+		case c.Err.Error() != "skipped: context canceled":
+			// campaign.Run's cancel gives the same text.
+			t.Errorf("%s seed %d: err %q, want skipped: context canceled", c.ID, c.Seed, c.Err)
 		}
 	}
 	if clean > 1 {

@@ -140,7 +140,7 @@ func (s *sched) run(ctx context.Context, chunks []*chunk) {
 		select {
 		case <-ctx.Done():
 			s.mu.Lock()
-			s.abortLocked(fmt.Errorf("fleet canceled: %w", context.Cause(ctx)))
+			s.abortLocked(func(gi int) { s.grid.Skip(gi, context.Cause(ctx)) })
 			s.mu.Unlock()
 		case <-watchDone:
 		}
@@ -254,14 +254,13 @@ func (s *sched) failChunkLocked(ch *chunk) {
 	}
 }
 
-// abortLocked ends the run: every cell still owed a delivery fails
-// with err — a cell whose recheck never arrived too, as when
-// campaign.Run skips a recheck — and all in-flight requests are
-// canceled.
-func (s *sched) abortLocked(err error) {
+// abortLocked ends the run: fail settles every cell still owed a
+// delivery, a cell whose recheck never arrived too, and all in-flight
+// requests are canceled.
+func (s *sched) abortLocked(fail func(gi int)) {
 	for gi := range s.grid.Cells {
 		if s.grid.Owes(gi) {
-			s.grid.Deliver(gi, "", nil, err, 0)
+			fail(gi)
 			s.grid.Complete(gi)
 		}
 	}
@@ -328,9 +327,11 @@ func (s *sched) execute(ctx context.Context, w *workerState, ch *chunk) {
 	defer s.mu.Unlock()
 	defer s.cond.Broadcast()
 	ch.active--
-	if s.grid.Settled() {
+	if s.grid.Settled() || ctx.Err() != nil {
 		// The run completed while this request was in flight (its
-		// context was canceled under it); nothing left to settle.
+		// context was canceled under it), or the caller canceled it and
+		// the cancel's abort settles every cell; either way a failed
+		// request here is not the worker's fault.
 		return
 	}
 	var rejected *rejectedError
@@ -382,7 +383,8 @@ func (s *sched) execute(ctx context.Context, w *workerState, ch *chunk) {
 		}
 	}
 	if s.alive == 0 && !s.grid.Settled() {
-		s.abortLocked(errors.New("all fleet workers failed"))
+		err := errors.New("all fleet workers failed")
+		s.abortLocked(func(gi int) { s.grid.Deliver(gi, "", nil, err, 0) })
 	}
 }
 

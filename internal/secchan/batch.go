@@ -1,41 +1,16 @@
 package secchan
 
-// Batched secure-channel entry points. VerifyBatch takes a suite's
-// native batch path when it implements BatchSuite and a
-// frame-at-a-time loop otherwise. Among the built-in suites only SECOC
-// has a native path: the MAC ablation verifies its forgery floods in
-// bursts, and SECOC's batch verify pipelines their MACs through the
-// AES-NI batched CMAC kernel in vcrypto (8 MAC chains per call). The
-// AES-GCM suites have no cross-frame crypto to merge and take the loop.
-// ProtectBatch is a Protect loop for every suite.
-//
-// The contract is strict serial equivalence: a suite's VerifyBatch
-// must produce exactly the verdicts and receiver-state transitions of
-// calling Verify in wire order. Batching is therefore invisible in
-// every golden output; the differential fuzzer in secchan/suites
-// enforces it.
+// Batched secure-channel entry points: plain Protect and Verify loops
+// over a burst of frames, with exactly the wires, verdicts and
+// receiver-state transitions of calling the single-frame methods in
+// order. perfbench's secchan.batch_ns_per_frame probe is their only
+// caller outside tests.
 
 // Verdict is one frame's VerifyBatch outcome: the authenticated payload
-// or the error the single-frame Verify would have returned. A batch
-// implementation may build Payload in the caller's existing backing
-// array (verdicts are caller-owned scratch), so a payload is valid
-// until its Verdict slot is reused.
+// or the error Verify returned.
 type Verdict struct {
 	Payload []byte
 	Err     error
-}
-
-// BatchSuite is optionally implemented by suites with a native batched
-// verify path. Third-party suites that only implement Suite keep
-// working: the package-level VerifyBatch falls back to a frame-at-a-time
-// loop with identical semantics.
-type BatchSuite interface {
-	Suite
-	// VerifyBatch verifies wires in order, writing one Verdict per
-	// frame into verdicts (grown as needed) and returning the used
-	// prefix. Frame errors are per-verdict, never batch-fatal, and
-	// receiver state advances exactly as a Verify loop would.
-	VerifyBatch(wires [][]byte, verdicts []Verdict) []Verdict
 }
 
 // ProtectBatch protects payloads through s in order, appending the
@@ -53,28 +28,14 @@ func ProtectBatch(s Suite, payloads, dst [][]byte) ([][]byte, error) {
 	return out, nil
 }
 
-// VerifyBatch verifies wires through s, taking the suite's native batch
-// path when it implements BatchSuite and an equivalent frame-at-a-time
-// loop otherwise. See BatchSuite.VerifyBatch for the verdict contract.
+// VerifyBatch verifies wires through s in order, writing one Verdict
+// per frame into verdicts (grown as needed) and returning the used
+// prefix. Frame errors are per-verdict, never batch-fatal.
 func VerifyBatch(s Suite, wires [][]byte, verdicts []Verdict) []Verdict {
-	if bs, ok := s.(BatchSuite); ok {
-		return bs.VerifyBatch(wires, verdicts)
-	}
-	verdicts = SizeVerdicts(verdicts, len(wires))
-	for i, w := range wires {
-		verdicts[i].Payload, verdicts[i].Err = s.Verify(w)
+	verdicts = verdicts[:0]
+	for _, w := range wires {
+		payload, err := s.Verify(w)
+		verdicts = append(verdicts, Verdict{payload, err})
 	}
 	return verdicts
-}
-
-// SizeVerdicts reslices verdicts to n elements, reallocating only when
-// the backing array is too small. Existing payload backings survive the
-// reslice, so batch verify paths can append into them.
-func SizeVerdicts(verdicts []Verdict, n int) []Verdict {
-	if cap(verdicts) < n {
-		grown := make([]Verdict, n)
-		copy(grown, verdicts[:cap(verdicts)])
-		return grown
-	}
-	return verdicts[:n]
 }

@@ -3,48 +3,11 @@ package secchan
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"testing"
 )
 
-// TestFirstCandidateAfterMatchesIterator compares the O(1) predictor
-// against the scanning iterator across bit widths, windows, and last
-// values, including the window edges.
-func TestFirstCandidateAfterMatchesIterator(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 2000; trial++ {
-		bits := 1 + rng.Intn(16)
-		f := &Freshness{Bits: bits, Window: uint64(rng.Intn(300))}
-		f.last = uint64(rng.Intn(1 << 18))
-		trunc := uint64(rng.Intn(1 << bits))
-
-		it := f.Candidates(trunc)
-		wantV, wantOK := uint64(0), it.Next()
-		if wantOK {
-			wantV = it.Value()
-		}
-		gotV, gotOK := f.FirstCandidateAfter(f.last, trunc)
-		if gotOK != wantOK || (wantOK && gotV != wantV) {
-			t.Fatalf("bits=%d window=%d last=%d trunc=%d: predictor (%d,%v), iterator (%d,%v)",
-				bits, f.Window, f.last, trunc, gotV, gotOK, wantV, wantOK)
-		}
-	}
-	// 64-bit truncation sends the full counter on the wire.
-	f := &Freshness{Bits: 64, Window: 10}
-	f.last = 100
-	if v, ok := f.FirstCandidateAfter(100, 105); !ok || v != 105 {
-		t.Fatalf("full-width candidate: got %d,%v", v, ok)
-	}
-	if _, ok := f.FirstCandidateAfter(100, 90); ok {
-		t.Fatal("stale full-width counter must have no candidate")
-	}
-	if _, ok := f.FirstCandidateAfter(100, 200); ok {
-		t.Fatal("out-of-window full-width counter must have no candidate")
-	}
-}
-
-// loopSuite is a minimal third-party Suite (no BatchSuite) used to
-// exercise the generic adapters.
+// loopSuite is a minimal third-party Suite used to exercise the batch
+// loops.
 type loopSuite struct {
 	counter uint64
 	failAt  uint64 // Protect fails when counter reaches this
@@ -65,7 +28,7 @@ func (l *loopSuite) Verify(wire []byte) ([]byte, error) {
 	return wire[:len(wire)-1], nil
 }
 
-// TestGenericBatchAdapters checks the frame-at-a-time paths: wires and
+// TestGenericBatchAdapters checks the batch loops: wires and
 // verdicts equal the serial loop, and a mid-batch Protect error stops
 // the batch with the already-protected prefix.
 func TestGenericBatchAdapters(t *testing.T) {

@@ -64,30 +64,49 @@ func (f *Freshness) Reconstruct(trunc uint64, try func(candidate uint64) bool) (
 // The iteration order and window/wrap semantics are exactly those of
 // Reconstruct (which is implemented on top of this).
 type Candidates struct {
-	f     *Freshness
-	trunc uint64 // already masked
-	mask  uint64
-	cur   uint64 // last candidate returned; f.last before the first Next
-	end   uint64 // last+Window, inclusive
+	f    *Freshness
+	cur  uint64 // the candidate Next returned last
+	next uint64 // the candidate Next returns next, while more is true
+	step uint64 // Mask()+1: matching values are step apart (0 at 64 bits)
+	end  uint64 // last+Window, inclusive
+	more bool
 }
 
 // Candidates returns an iterator over the full values in
-// (last, last+Window] whose low Bits equal trunc, smallest first.
+// (last, last+Window] whose low Bits equal trunc, smallest first. The
+// first candidate is computed here and each further one in Next, both
+// in O(1) whatever the window size.
 func (f *Freshness) Candidates(trunc uint64) Candidates {
 	mask := f.Mask()
-	return Candidates{f: f, trunc: trunc & mask, mask: mask, cur: f.last, end: f.last + f.Window}
+	c := Candidates{f: f, step: mask + 1, end: f.last + f.Window}
+	if c.end <= f.last {
+		return c // an empty or wrapped window
+	}
+	base := f.last + 1
+	c.next = base&^mask | trunc&mask
+	if c.next < base {
+		// The match in base's residue block is stale; take the next
+		// block's, unless that passes 2^64.
+		n := c.next + c.step
+		if n <= c.next {
+			return c
+		}
+		c.next = n
+	}
+	c.more = c.next <= c.end
+	return c
 }
 
 // Next advances to the next matching candidate, reporting whether one
 // exists.
 func (c *Candidates) Next() bool {
-	for cand := c.cur + 1; cand <= c.end; cand++ {
-		if cand&c.mask == c.trunc {
-			c.cur = cand
-			return true
-		}
+	if !c.more {
+		return false
 	}
-	return false
+	c.cur = c.next
+	c.next += c.step
+	c.more = c.next > c.cur && c.next <= c.end
+	return true
 }
 
 // Value returns the current candidate. Valid only after Next returned
@@ -100,34 +119,3 @@ func (c *Candidates) Commit() { c.f.last = c.cur }
 
 // Last returns the last authenticated full freshness value.
 func (f *Freshness) Last() uint64 { return f.last }
-
-// FirstCandidateAfter computes, in O(1), the first candidate the
-// search would try from an arbitrary last value: the smallest v in
-// (last, last+Window] with v's low Bits equal to trunc. It exists for
-// optimistic batch verify paths, which predict each frame's winning
-// candidate ahead of the serial walk (for an in-order stream the first
-// candidate is the real counter) and pre-compute the MACs in bulk; the
-// serial walk then only spends crypto on frames whose prediction
-// missed. Near counter wrap (where last+Window would overflow) it
-// reports no candidate, matching Reconstruct's empty search range.
-func (f *Freshness) FirstCandidateAfter(last, trunc uint64) (uint64, bool) {
-	mask := f.Mask()
-	trunc &= mask
-	end := last + f.Window
-	if end < last || last+1 == 0 {
-		return 0, false
-	}
-	base := last + 1
-	cand := base&^mask | trunc
-	if cand < base {
-		next, carry := cand+mask+1, mask == ^uint64(0)
-		if carry || next < cand {
-			return 0, false
-		}
-		cand = next
-	}
-	if cand > end {
-		return 0, false
-	}
-	return cand, true
-}

@@ -1,6 +1,10 @@
 package secchan
 
-import "testing"
+import (
+	"math/rand"
+	"slices"
+	"testing"
+)
 
 // tryExact returns a predicate accepting exactly the given full value —
 // the shape a real MAC check has when the sender's counter is known.
@@ -100,5 +104,72 @@ func TestFreshnessWindowWrapIsEmpty(t *testing.T) {
 	f.last = ^uint64(0) - 3
 	if _, ok := f.Reconstruct(0xfe, func(uint64) bool { return true }); ok {
 		t.Error("reconstruction succeeded in a wrapped window")
+	}
+}
+
+// scanCandidates is the linear-scan reference for Candidates: every
+// value in (last, last+window] whose low bits equal trunc's, smallest
+// first, and none when last+window wraps 2^64 (Reconstruct's rule).
+func scanCandidates(last, window uint64, bits int, trunc uint64) []uint64 {
+	mask := ^uint64(0) >> (64 - bits)
+	end := last + window
+	if end < last {
+		return nil
+	}
+	var out []uint64
+	for v := last; v != end; {
+		v++
+		if v&mask == trunc&mask {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+// TestCandidatesNextMatchesLinearScan pins the arithmetic iterator to
+// the linear scan over every bit width 1–64 with random last values,
+// windows and truncations, including windows that end exactly at
+// 2^64−1, windows that wrap, and last = 2^64−1.
+func TestCandidatesNextMatchesLinearScan(t *testing.T) {
+	const top = ^uint64(0)
+	check := func(last, window uint64, bits int, trunc uint64) {
+		t.Helper()
+		f := &Freshness{Bits: bits, Window: window, last: last}
+		var got []uint64
+		for it := f.Candidates(trunc); it.Next() && len(got) <= int(window); {
+			got = append(got, it.Value())
+		}
+		want := scanCandidates(last, window, bits, trunc)
+		if slices.Equal(got, want) {
+			return
+		}
+		i := 0
+		for i < len(got) && i < len(want) && got[i] == want[i] {
+			i++
+		}
+		t.Fatalf("bits=%d last=%#x window=%d trunc=%#x: iterator gives %d candidates, scan %d; first difference at index %d (iterator %v, scan %v)",
+			bits, last, window, trunc, len(got), len(want), i, got[i:min(i+1, len(got))], want[i:min(i+1, len(want))])
+	}
+	rng := rand.New(rand.NewSource(3))
+	for bits := 1; bits <= 64; bits++ {
+		for trial := 0; trial < 200; trial++ {
+			window := uint64(rng.Intn(1200))
+			var last uint64
+			switch trial % 4 {
+			case 0:
+				last = uint64(rng.Intn(1 << 20))
+			case 1:
+				last = rng.Uint64()
+			case 2:
+				last = top - uint64(rng.Intn(1300)) // wraps, ends at, or stops short of 2^64−1
+			case 3:
+				last = top - window // ends exactly at 2^64−1
+			}
+			check(last, window, bits, rng.Uint64())
+		}
+		check(top, 0, bits, 0)
+		check(top, 4, bits, 1)
+		check(top-4, 4, bits, 1)
+		check(top-4, 4, bits, top)
 	}
 }

@@ -9,9 +9,7 @@ import (
 )
 
 // batchEntries returns every built-in suite, including the
-// integrity-only MACsec variant that is not a registry row. SECOC takes
-// its native batch verify path; the others take secchan's
-// frame-at-a-time loop, which must honour the same contract.
+// integrity-only MACsec variant that is not a registry row.
 func batchEntries(t testing.TB) []secchan.Entry {
 	integ, err := Lookup("MACsec-integ")
 	if err != nil {
@@ -39,9 +37,9 @@ func newTwin(t *testing.T, e secchan.Entry) (batch, serial secchan.Suite) {
 // TestBatchMatchesSingleFrame drives every suite's batch path and its
 // single-frame twin through the same traffic — honest frames, a
 // corrupted frame, a truncated frame, and a replayed frame mid-batch —
-// and requires identical wires, per-frame verdicts, and payloads. This
-// is the serial-equivalence contract of secchan/batch.go, including the
-// error frames.
+// and requires identical wires, per-frame verdicts, and payloads: the
+// batch loops of secchan/batch.go, error frames included, are the
+// single-frame calls in order.
 func TestBatchMatchesSingleFrame(t *testing.T) {
 	for _, e := range batchEntries(t) {
 		t.Run(e.Name, func(t *testing.T) {
@@ -91,12 +89,11 @@ func TestBatchMatchesSingleFrame(t *testing.T) {
 	}
 }
 
-// FuzzBatchVerifyEquivalence differentially fuzzes every suite's batch
-// path against its single-frame twin: the fuzzer picks a delivery
-// schedule over protected frames — reorderings, duplicates, corruptions
-// — and an arbitrary batch segmentation, and the batched verdicts and
-// payloads must equal the serial loop's. Wired into the CI
-// fuzz-smoke job.
+// FuzzBatchVerifyEquivalence checks every suite's batch loop against
+// its single-frame twin: the fuzzer picks a delivery schedule over
+// protected frames — reorderings, duplicates, corruptions — and an
+// arbitrary batch segmentation with a reused verdict buffer, and the
+// batched verdicts and payloads must equal the serial loop's.
 func FuzzBatchVerifyEquivalence(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5})
 	f.Add([]byte{0, 0, 1, 1, 2, 2})

@@ -92,15 +92,12 @@ var secocMeta = secchan.Entry{
 	Props: secchan.Properties{Auth: true, Conf: false, Replay: true},
 }
 
-// secocSuite is the one suite with a native secchan.BatchSuite path:
-// the embedded receiver's VerifyBatch pipelines the MACs of a burst
-// through the batched CMAC kernel.
+// secocSuite pairs a SECOC sender and receiver: Protect comes from the
+// one, Verify from the other.
 type secocSuite struct {
 	*secoc.Sender
 	*secoc.Receiver
 }
-
-var _ secchan.BatchSuite = secocSuite{}
 
 func newSECOC(p secchan.Params) (secchan.Suite, error) {
 	cfg := secoc.DefaultConfig(1)

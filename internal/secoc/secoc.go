@@ -93,7 +93,6 @@ type Receiver struct {
 	cfg   Config
 	fresh secchan.Freshness
 	mac   macScratch
-	batch batchScratch
 }
 
 // NewReceiver creates a verifying endpoint.

@@ -24,31 +24,19 @@ import (
 	"fmt"
 )
 
-// cmacState is the per-key precomputation of CMAC: the expanded AES key
-// schedule and the RFC 4493 §2.3 subkeys. For 128-bit keys on AES-NI
-// hardware it also carries the raw round keys the batched assembly
-// kernel consumes (rkOK), since cipher.Block does not expose its
-// schedule.
-type cmacState struct {
-	block  cipher.Block
-	k1, k2 [16]byte
-	rk     [176]byte
-	rkOK   bool
-}
-
 // CMAC is AES-CMAC (RFC 4493) under one 16-, 24-, or 32-byte key. The
 // key schedule and subkeys are derived on first use, so an endpoint
 // that never MACs pays nothing for them. Not safe for concurrent use.
 type CMAC struct {
-	key []byte // held until the first Sum or SumBatch expands it
-	st  cmacState
+	key    []byte // held until the first Sum expands it
+	block  cipher.Block
+	k1, k2 [16]byte // the RFC 4493 §2.3 subkeys
 	// buf is the chaining/output pair. The slices handed to
 	// cipher.Block.Encrypt cross an interface boundary, so stack-local
 	// arrays would escape; a pair that lives in the CMAC keeps Sum
 	// allocation-free, which the SECOC receiver's forgery-sweep reject
 	// path depends on.
-	buf   [2][16]byte
-	batch cmacBatchScratch
+	buf [2][16]byte
 }
 
 // NewCMAC returns the CMAC keyed with a copy of key.
@@ -69,39 +57,27 @@ func checkKey(key []byte) error {
 	return aes.KeySizeError(len(key))
 }
 
-// state returns the expanded key, deriving it on first use.
-func (c *CMAC) state() *cmacState {
-	if c.key == nil {
-		return &c.st
-	}
+// expand derives the key schedule and the subkeys from the held key.
+func (c *CMAC) expand() {
 	block, err := aes.NewCipher(c.key)
 	if err != nil {
 		panic(err) // unreachable: NewCMAC checked the key length
 	}
-	c.st.block = block
+	c.block = block
 	var l [16]byte
 	block.Encrypt(l[:], l[:])
-	c.st.k1 = dbl(l)
-	c.st.k2 = dbl(c.st.k1)
-	if haveCMACAsm && len(c.key) == 16 {
-		expandAES128(c.key, &c.st.rk)
-		c.st.rkOK = true
-	}
+	c.k1 = dbl(l)
+	c.k2 = dbl(c.k1)
 	c.key = nil
-	return &c.st
 }
 
-// Sum returns the full 16-byte AES-CMAC of msg.
+// Sum returns the full 16-byte AES-CMAC of msg. buf[0] carries the
+// CBC-MAC chaining value and buf[1] receives the tag.
 func (c *CMAC) Sum(msg []byte) [16]byte {
-	return cmacCore(c.state(), msg, &c.buf)
-}
-
-// cmacCore runs the RFC 4493 block chain using the caller-provided
-// working pair: buf[0] is the CBC-MAC chaining value, buf[1] receives
-// the final tag, returned by value.
-func cmacCore(st *cmacState, msg []byte, buf *[2][16]byte) [16]byte {
-	block, k1, k2 := st.block, st.k1, st.k2
-	x := &buf[0]
+	if c.key != nil {
+		c.expand()
+	}
+	x := &c.buf[0]
 	*x = [16]byte{}
 
 	n := (len(msg) + 15) / 16 // number of blocks
@@ -112,14 +88,14 @@ func cmacCore(st *cmacState, msg []byte, buf *[2][16]byte) [16]byte {
 
 	for i := 0; i < n-1; i++ {
 		xorInto(x, msg[i*16:(i+1)*16])
-		block.Encrypt(x[:], x[:])
+		c.block.Encrypt(x[:], x[:])
 	}
 
 	var last [16]byte
 	if lastComplete {
 		copy(last[:], msg[(n-1)*16:])
 		for i := range last {
-			last[i] ^= k1[i]
+			last[i] ^= c.k1[i]
 		}
 	} else {
 		rem := msg[(n-1)*16:]
@@ -129,14 +105,14 @@ func cmacCore(st *cmacState, msg []byte, buf *[2][16]byte) [16]byte {
 		copy(last[:], rem)
 		last[len(rem)] = 0x80
 		for i := range last {
-			last[i] ^= k2[i]
+			last[i] ^= c.k2[i]
 		}
 	}
 	for i := range x {
 		x[i] ^= last[i]
 	}
-	block.Encrypt(buf[1][:], x[:])
-	return buf[1]
+	c.block.Encrypt(c.buf[1][:], x[:])
+	return c.buf[1]
 }
 
 // dbl is the GF(2^128) doubling used for CMAC subkey derivation.

@@ -33,11 +33,14 @@ import (
 	"autosec/internal/world"
 )
 
+// benchPool is the replicate budget of benchExperiment's runs.
+var benchPool = sim.NewWorkerPool(runtime.GOMAXPROCS(0))
+
 func benchExperiment(b *testing.B, id string) {
 	b.Helper()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r, err := core.RunExperimentResult(id, 42, core.RunOptions{Pool: sim.DefaultPool()})
+		r, err := core.RunExperimentResult(id, 42, core.RunOptions{Pool: benchPool})
 		if err != nil {
 			b.Fatal(err)
 		}

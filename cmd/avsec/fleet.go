@@ -4,6 +4,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 	"time"
@@ -41,6 +42,10 @@ func runFleet(args []string) {
 	}
 	if *seeds < 1 {
 		fmt.Fprintln(os.Stderr, "avsec fleet: -seeds must be >= 1")
+		os.Exit(2)
+	}
+	if maxMS := int64(math.MaxInt64 / time.Millisecond); *deadline < 0 || int64(*deadline) > maxMS {
+		fmt.Fprintf(os.Stderr, "avsec fleet: -deadline-ms must be in [0, %d]\n", maxMS)
 		os.Exit(2)
 	}
 	var urls []string

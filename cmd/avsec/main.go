@@ -248,22 +248,23 @@ func resolveJobs(jobs int) int {
 }
 
 // runExpmd regenerates EXPERIMENTS.md on w: every experiment runs once
-// at the documented seed (42), and the typed metric stream feeds the
-// template in internal/docs. CI and TestCommandGoldens regenerate and
-// diff this, so the checked-in document cannot drift from the registry.
+// at the documented seed (42), exactly as `avsec all` runs it, and the
+// typed metric stream feeds the template in internal/docs. CI and
+// TestCommandGoldens regenerate and diff this, so the checked-in
+// document cannot drift from the registry.
 func runExpmd(w io.Writer) error {
-	const seed = 42
-	metrics := make(docs.Metrics)
-	for _, e := range core.Experiments() {
-		r, err := core.RunExperimentResult(e.ID, seed, core.RunOptions{Pool: sim.DefaultPool()})
-		if err != nil {
-			return err
-		}
-		m := make(map[string]float64, len(r.Metrics))
-		for _, mt := range r.Metrics {
+	ns, _ := scenario.LoadNamespace("") // the registry alone always loads
+	res, err := runRegistry(ns, 42, 0, 0, nil)
+	if err != nil {
+		return err
+	}
+	metrics := make(docs.Metrics, len(res.Cells))
+	for _, c := range res.Cells {
+		m := make(map[string]float64, len(c.Metrics))
+		for _, mt := range c.Metrics {
 			m[mt.Name] = mt.Value
 		}
-		metrics[e.ID] = m
+		metrics[c.ID] = m
 	}
 	out, err := docs.ExperimentsMarkdown(metrics)
 	if err != nil {
@@ -271,6 +272,22 @@ func runExpmd(w io.Writer) error {
 	}
 	_, err = io.WriteString(w, out)
 	return err
+}
+
+// runRegistry runs every registry experiment of ns once at seed, in
+// paper order, on a pool of jobs slots (0 = GOMAXPROCS).
+func runRegistry(ns *scenario.Namespace, seed int64, jobs int, recheck float64, onCell func(campaign.CellResult)) (*campaign.Result, error) {
+	ids, _ := ns.Select(nil, false)
+	pool := sim.NewWorkerPool(resolveJobs(jobs))
+	return campaign.Run(campaign.Spec{
+		IDs:      ids,
+		Seeds:    []int64{seed},
+		Pool:     pool,
+		Recheck:  recheck,
+		RunTyped: ns.Typed(pool),
+		CostHint: ns.Cost,
+		OnCell:   onCell,
+	})
 }
 
 // runAll executes every experiment at one seed through the campaign
@@ -286,24 +303,14 @@ func runAll(w io.Writer, args []string) error {
 		os.Exit(2)
 	}
 	ns, _ := scenario.LoadNamespace("") // the registry alone always loads
-	ids, _ := ns.Select(nil, false)
-	pool := sim.NewWorkerPool(resolveJobs(*jobs))
-	res, err := campaign.Run(campaign.Spec{
-		IDs:      ids,
-		Seeds:    []int64{*seed},
-		Pool:     pool,
-		Recheck:  *recheck,
-		RunTyped: ns.Typed(pool),
-		CostHint: ns.Cost,
-		OnCell: func(c campaign.CellResult) {
-			e, _ := ns.Lookup(c.ID)
-			fmt.Fprintf(w, "═══ %s (%s) — %s ═══\n", e.ID, e.Source, e.Title)
-			if c.Err != nil {
-				fmt.Fprintln(os.Stderr, "avsec:", c.Err)
-				return
-			}
-			fmt.Fprintln(w, c.Report)
-		},
+	res, err := runRegistry(ns, *seed, *jobs, *recheck, func(c campaign.CellResult) {
+		e, _ := ns.Lookup(c.ID)
+		fmt.Fprintf(w, "═══ %s (%s) — %s ═══\n", e.ID, e.Source, e.Title)
+		if c.Err != nil {
+			fmt.Fprintln(os.Stderr, "avsec:", c.Err)
+			return
+		}
+		fmt.Fprintln(w, c.Report)
 	})
 	if err != nil {
 		return err
@@ -322,21 +329,14 @@ func runAll(w io.Writer, args []string) error {
 // writeAllJSON renders an `avsec all` result as a JSON array of runs,
 // one element per experiment in paper order, carrying the typed metrics.
 func writeAllJSON(w io.Writer, res *campaign.Result, ns *scenario.Namespace) error {
-	type runDoc struct {
-		ID      string       `json:"id"`
-		Title   string       `json:"title"`
-		Source  string       `json:"source"`
-		Seed    int64        `json:"seed"`
-		Metrics []sim.Metric `json:"metrics"`
-	}
-	docs := make([]runDoc, 0, len(res.Cells))
+	docs := make([]core.RunResult, 0, len(res.Cells))
 	for _, c := range res.Cells {
 		e, _ := ns.Lookup(c.ID)
 		m := c.Metrics
 		if m == nil {
 			m = []sim.Metric{}
 		}
-		docs = append(docs, runDoc{ID: c.ID, Title: e.Title, Source: e.Source, Seed: c.Seed, Metrics: m})
+		docs = append(docs, core.RunResult{ID: c.ID, Title: e.Title, Source: e.Source, Seed: c.Seed, Metrics: m})
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

@@ -6,6 +6,7 @@ package campaign_test
 // independent of the worker count on real reports, not just stubs.
 
 import (
+	"runtime"
 	"testing"
 
 	"autosec/internal/campaign"
@@ -13,11 +14,13 @@ import (
 	"autosec/internal/sim"
 )
 
+// registryPool is the replicate budget registryRun's runs share.
+var registryPool = sim.NewWorkerPool(runtime.GOMAXPROCS(0))
+
 // registryRun runs a registry experiment through the typed entry point
-// the CLI and the daemon use, with replicate loops on the process-wide
-// pool.
+// the CLI and the daemon use, with replicate loops on registryPool.
 func registryRun(id string, seed int64) (string, []sim.Metric, error) {
-	r, err := core.RunExperimentResult(id, seed, core.RunOptions{Pool: sim.DefaultPool()})
+	r, err := core.RunExperimentResult(id, seed, core.RunOptions{Pool: registryPool})
 	if err != nil {
 		return "", nil, err
 	}

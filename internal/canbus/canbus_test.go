@@ -235,7 +235,6 @@ func TestFloodStarvesLowPriorityTraffic(t *testing.T) {
 
 func TestBusOffAttackLocksVictimOut(t *testing.T) {
 	k := sim.NewKernel(1)
-	k.SetEventLimit(100000)
 	b := NewBus("b", DefaultBitRates(), k)
 	b.Attach(&NodeFunc{ID: "rx"})
 	(&BusOffAttacker{VictimID: 0x0C0}).Install(b)

@@ -1,16 +1,20 @@
 package core
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
 	"autosec/internal/sim"
 )
 
-// runReport runs one registry experiment on the process-wide pool, the
-// budget of callers that bring none, and returns its report.
+// testPool is the replicate budget of this package's test runs.
+var testPool = sim.NewWorkerPool(runtime.GOMAXPROCS(0))
+
+// runReport runs one registry experiment on testPool and returns its
+// report.
 func runReport(id string, seed int64) (string, error) {
-	r, err := RunExperimentResult(id, seed, RunOptions{Pool: sim.DefaultPool()})
+	r, err := RunExperimentResult(id, seed, RunOptions{Pool: testPool})
 	if err != nil {
 		return "", err
 	}

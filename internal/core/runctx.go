@@ -144,7 +144,7 @@ func RunResultOf(e Experiment, seed int64, opt RunOptions) (*RunResult, error) {
 	rc.Tracer = opt.Tracer
 	rc.Pool = opt.Pool
 	if rc.Tracer != nil {
-		rc.Metrics.BindTrace(rc.Tracer, nil)
+		rc.Metrics.BindTrace(rc.Tracer)
 		rc.Tracer.Trace(sim.TraceEvent{Kind: "run-start", Name: e.ID, Value: float64(seed)})
 	}
 	report, err := e.Run(rc)

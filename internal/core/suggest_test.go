@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"autosec/internal/ext"
-	"autosec/internal/sim"
 )
 
 // lookupSuggestions returns the did-you-mean ids of lookup's error for
@@ -56,7 +55,7 @@ func TestSuggestExperimentsGarbageYieldsNothing(t *testing.T) {
 }
 
 func TestUnknownExperimentError(t *testing.T) {
-	_, err := RunExperimentResult("fig88", 42, RunOptions{Pool: sim.DefaultPool()})
+	_, err := RunExperimentResult("fig88", 42, RunOptions{Pool: testPool})
 	if err == nil {
 		t.Fatal("unknown id must fail")
 	}

@@ -15,8 +15,9 @@
 //     worker advertises in /api/v1/health.
 //   - Every worker must report the same code_version during the
 //     initial handshake; the coordinator refuses a mixed fleet because
-//     the shared content-addressed cache keys (and the determinism
-//     contract itself) are only sound across identical binaries.
+//     a shared cache (which keeps each binary's entries apart) and the
+//     determinism contract itself are only sound across identical
+//     binaries.
 //   - Cell events are merged as they stream: each cell lands at its
 //     fixed grid index, duplicates are deduped deterministically
 //     (byte-identical by the determinism contract, so first-wins is

@@ -662,7 +662,7 @@ func TestFleetCorruptCacheEntry(t *testing.T) {
 	}
 	// The daemon's key for fig3 at seed 42 (server.cellCacheKey; a
 	// registry experiment has no scenario fingerprint).
-	key := resultcache.Key("avsecd-cell", "1", resultcache.CodeVersion(), "fig3", "42", "")
+	key := resultcache.Key("avsecd-cell", "1", "fig3", "42", "")
 	cache, err := resultcache.New(cacheDir)
 	if err != nil {
 		t.Fatal(err)

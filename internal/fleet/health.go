@@ -12,9 +12,10 @@ import (
 )
 
 // handshake probes one worker's health endpoint (docs/DAEMON.md). The
-// code version is the part of every cell cache key that makes
-// cross-worker cache reuse sound, and Jobs/GOMAXPROCS advertise the
-// worker's compute capacity for chunk-assignment weighting.
+// code version names the cache directory a worker's entries live in,
+// which makes cross-worker cache reuse sound, and Jobs/GOMAXPROCS
+// advertise the worker's compute capacity for chunk-assignment
+// weighting.
 func handshake(ctx context.Context, client *http.Client, base string) (server.Health, error) {
 	var h server.Health
 	if client == nil {
@@ -49,10 +50,10 @@ func handshake(ctx context.Context, client *http.Client, base string) (server.He
 }
 
 // HandshakeAll probes every worker and enforces the fleet's version
-// invariant: all workers must run the identical binary. Shared
-// content-addressed cache keys include the code version, so a mixed
-// fleet would silently never share results — and worse, the merged
-// grid would mix outputs of two different implementations. One code
+// invariant: all workers must run the identical binary. A shared cache
+// keeps each code version's entries in a directory of their own, so a
+// mixed fleet would silently never share results — and worse, the
+// merged grid would mix outputs of two different implementations. One code
 // version also means one extension set, since drop-ins register at
 // init in the binary the version hashes.
 func HandshakeAll(ctx context.Context, client *http.Client, workers []string) ([]server.Health, error) {

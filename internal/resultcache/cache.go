@@ -10,11 +10,14 @@
 // indistinguishable from recomputation. Everything in the design
 // defends that equivalence:
 //
-//   - Keys are SHA-256 digests over length-prefixed parts (experiment
-//     id, seed, code version, and — for DSL scenarios — the canonical
+//   - Each binary keeps its entries apart: a Cache reads and writes only
+//     the directory named after its CodeVersion, the SHA-256 of the
+//     executable, so a changed binary starts empty and can never serve
+//     a result of other code.
+//   - Keys are SHA-256 digests over length-prefixed parts (the daemon's
+//     are experiment id, seed and — for DSL scenarios — the canonical
 //     scenario.ini bytes), so no concatenation of distinct inputs can
-//     collide and a changed binary or edited scenario can never serve
-//     a stale result.
+//     collide and an edited scenario can never serve a stale result.
 //   - Entries embed their full key and a SHA-256 checksum of their
 //     body; a flipped bit, a truncated record or a record read under
 //     the wrong key is detected on read, counted, dropped from the
@@ -24,30 +27,35 @@
 //     reader indexes only complete frames and a crash mid-write leaves
 //     at most a torn tail that is never served.
 //
-// Entries live in segment files, <random>.seg in the cache directory.
-// Each Cache value creates its own segment (O_EXCL) on its first Put
-// and appends every store to it in one write, so no two writers ever
-// share a file and no lock spans processes. A segment is a sequence of
-// frames: the record length as 4 little-endian bytes, then the record,
-// which is one entry: an 8-byte magic, the key, the SHA-256 of the
-// body, and the body — the report as a uvarint length and its bytes,
-// then the metric count and each metric as a length-prefixed name and
-// the value's IEEE-754 bits. Metric values therefore survive the cache
+// Entries live in segment files, <dir>/<CodeVersion()>/<random>.seg
+// for the directory dir given to New; segments directly in dir or in
+// another binary's directory are never opened. Each Cache value
+// creates its own segment (O_EXCL) on its first Put and appends every
+// store to it in one write, so no two writers ever share a file and no
+// lock spans processes. A segment is a sequence of frames: the record
+// length as 4 little-endian bytes, then the record, which is one
+// entry: an 8-byte magic, the key, the SHA-256 of the body, and the
+// body — the report as a uvarint length and its bytes, then the metric
+// count and each metric as a length-prefixed name and the value's
+// IEEE-754 bits. Metric values therefore survive the cache
 // bit-exactly, −0 and subnormals included. The encoding is canonical:
 // an entry that reads back is exactly the bytes Put would write for
 // it. Non-finite metrics (NaN/Inf), which no experiment produces and
-// the NDJSON stream cannot carry, are rejected at Put.
+// the NDJSON stream cannot carry, are rejected at Put. A record is at
+// most maxRecord (4 MiB) long: Put refuses a larger entry, and a scan
+// stops at a frame that claims more.
 //
 // An in-memory index maps the first 64 bits of a key (its first 16 hex
-// digits) to the record's packed location: segment slot, frame offset
-// and record length in one uint64. A hit is one index lookup, one
-// ReadAt and one decode, which checks magic, full key, checksum and
-// body. The index is filled lazily: Put indexes its own record, and a
-// Get that misses first reads every other segment past the last frame
-// it indexed, and lists the directory again only when the directory
-// changed. So Cache values in other processes (a fleet's daemons on
-// one shared directory) serve each other's entries, and a fresh Cache
-// on an existing directory serves what earlier ones stored.
+// digits) to the record's location: segment slot, frame offset and
+// record length, held without pointers so that the garbage collector
+// never scans the index. A hit is one index lookup, one ReadAt and one
+// decode, which checks magic, full key, checksum and body. The index
+// is filled lazily: Put indexes its own record, and a Get that misses
+// first reads every other segment past the last frame it indexed, and
+// lists the directory again only when the directory changed. So Cache
+// values in other processes (a fleet's daemons on one shared
+// directory) serve each other's entries, and a fresh Cache on an
+// existing directory serves what earlier ones stored.
 package resultcache
 
 import (
@@ -94,15 +102,15 @@ const frameHead = 4
 // Key digest, that make up a key's 64-bit index id.
 const prefixLen = 16
 
-// A location packs a record's segment slot, frame offset and record
-// length into one uint64, so an index entry is 16 bytes of payload.
-const (
-	lenBits     = 22                            // records up to 4 MiB
-	offBits     = 28                            // frames start below 256 MiB; the writer then moves on
-	maxRecord   = 1<<lenBits - 1                // largest record Put accepts
-	maxOffset   = 1 << offBits                  // first frame offset a location cannot hold
-	maxSegments = 1 << (64 - offBits - lenBits) // segment slots per Cache
-)
+// maxRecord is the largest record Put writes and a scan trusts.
+const maxRecord = 4<<20 - 1
+
+// loc is where a record is: its segment's slot, its frame's offset and
+// its length.
+type loc struct {
+	seg, n int32
+	off    int64
+}
 
 // racyListing is how long after a directory change a listing is
 // trusted only until the next refresh: a segment created within the
@@ -123,16 +131,17 @@ type Stats struct {
 // Cache is a content-addressed result store rooted at one directory.
 // All methods are safe for concurrent use.
 type Cache struct {
-	dir string
+	root string // as given to New
+	dir  string // root/<CodeVersion()>, the only directory the cache lists and writes
 
 	mu     sync.Mutex
-	index  map[uint64]uint64 // key id → packed record location
-	segs   []*segment        // by slot
-	names  map[string]bool   // file names of segs
-	w      *segment          // segment Puts append to; nil until the first Put and after an abandoned one
-	listed time.Time         // directory mtime at the last listing
-	racy   bool              // the last listing may have missed a segment; list again
-	buf    []byte            // scan scratch
+	index  map[uint64]loc  // key id → record location
+	segs   []*segment      // by slot
+	names  map[string]bool // file names of segs
+	w      *segment        // segment Puts append to; nil until the first Put and after an abandoned one
+	listed time.Time       // directory mtime at the last listing
+	racy   bool            // the last listing may have missed a segment; list again
+	buf    []byte          // scan scratch
 
 	hits    atomic.Uint64
 	misses  atomic.Uint64
@@ -144,31 +153,32 @@ type Cache struct {
 type segment struct {
 	f    *os.File
 	path string
-	slot int
+	slot int32
 	// end is the offset past the last frame this Cache indexed (or, for
 	// its writer, wrote). A scan resumes there.
 	end int64
 	// done stops scans and writes: the writer abandoned the segment
-	// (a failed write, a full location range, a corrupt record read
-	// back), or a scan met a frame no location can hold.
+	// (a failed write or a corrupt record read back), or a scan met a
+	// frame longer than maxRecord.
 	done bool
 }
 
-// New opens (creating if needed) a cache rooted at dir. It opens no
-// segment: the first Put creates one and the first miss reads the
-// others.
+// New opens (creating if needed) a cache rooted at dir, whose entries
+// live in dir/<CodeVersion()>. It opens no segment: the first Put
+// creates one and the first miss reads the others.
 func New(dir string) (*Cache, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("resultcache: empty cache directory")
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	vdir := filepath.Join(dir, CodeVersion())
+	if err := os.MkdirAll(vdir, 0o755); err != nil {
 		return nil, fmt.Errorf("resultcache: %w", err)
 	}
-	return &Cache{dir: dir, index: make(map[uint64]uint64), names: make(map[string]bool)}, nil
+	return &Cache{root: dir, dir: vdir, index: make(map[uint64]loc), names: make(map[string]bool)}, nil
 }
 
-// Dir returns the cache's root directory.
-func (c *Cache) Dir() string { return c.dir }
+// Dir returns the cache's root directory, as given to New.
+func (c *Cache) Dir() string { return c.root }
 
 // Close closes the cache's segment files. The cache must not be used
 // afterwards.
@@ -230,14 +240,6 @@ func recordID(rec []byte) (uint64, bool) {
 	return keyID(rec[len(entryMagic):])
 }
 
-func pack(slot int, off int64, n int) uint64 {
-	return uint64(slot)<<(offBits+lenBits) | uint64(off)<<lenBits | uint64(n)
-}
-
-func unpack(loc uint64) (slot int, off int64, n int) {
-	return int(loc >> (offBits + lenBits)), int64(loc >> lenBits & (maxOffset - 1)), int(loc & maxRecord)
-}
-
 // RecordSpan returns the segment file that holds key's record and the
 // record's byte span [off, end) in it; the frame's length field is the
 // frameHead bytes before off. ok=false if the cache holds no record for
@@ -251,23 +253,22 @@ func (c *Cache) RecordSpan(key string) (path string, off, end int64, ok bool) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	loc, ok := c.lookup(id)
+	l, ok := c.lookup(id)
 	if !ok {
 		return "", 0, 0, false
 	}
-	slot, at, n := unpack(loc)
-	return c.segs[slot].path, at + frameHead, at + frameHead + int64(n), true
+	return c.segs[l.seg].path, l.off + frameHead, l.off + frameHead + int64(l.n), true
 }
 
 // lookup returns id's location, reading new frames and segments first
 // if the index does not have it. c.mu must be held.
-func (c *Cache) lookup(id uint64) (uint64, bool) {
-	if loc, ok := c.index[id]; ok {
-		return loc, true
+func (c *Cache) lookup(id uint64) (loc, bool) {
+	if l, ok := c.index[id]; ok {
+		return l, true
 	}
 	c.refresh()
-	loc, ok := c.index[id]
-	return loc, ok
+	l, ok := c.index[id]
+	return l, ok
 }
 
 // Get returns the entry stored under key, or ok=false on a miss. A
@@ -279,12 +280,11 @@ func (c *Cache) lookup(id uint64) (uint64, bool) {
 func (c *Cache) Get(key string) (*Entry, bool) {
 	id, ok := keyID(key)
 	var s *segment
-	var loc uint64
+	var l loc
 	if ok {
 		c.mu.Lock()
-		if loc, ok = c.lookup(id); ok {
-			slot, _, _ := unpack(loc)
-			s = c.segs[slot]
+		if l, ok = c.lookup(id); ok {
+			s = c.segs[l.seg]
 		}
 		c.mu.Unlock()
 	}
@@ -292,9 +292,8 @@ func (c *Cache) Get(key string) (*Entry, bool) {
 		c.misses.Add(1)
 		return nil, false
 	}
-	_, off, n := unpack(loc)
-	buf := make([]byte, frameHead+n)
-	if _, err := s.f.ReadAt(buf, off); err == nil && binary.LittleEndian.Uint32(buf) == uint32(n) {
+	buf := make([]byte, frameHead+int(l.n))
+	if _, err := s.f.ReadAt(buf, l.off); err == nil && binary.LittleEndian.Uint32(buf) == uint32(l.n) {
 		rec := buf[frameHead:]
 		if e, ok := decodeEntry(key, rec); ok {
 			c.hits.Add(1)
@@ -307,7 +306,7 @@ func (c *Cache) Get(key string) (*Entry, bool) {
 		}
 	}
 	c.mu.Lock()
-	if c.index[id] == loc {
+	if c.index[id] == l {
 		delete(c.index, id)
 	}
 	if c.w == s {
@@ -324,8 +323,7 @@ func (c *Cache) Get(key string) (*Entry, bool) {
 // Put stores e under key with one append to the cache's own segment,
 // creating that segment on the first Put. A failed write abandons the
 // segment, whose earlier records stay readable, and the next Put
-// starts a new one; so does a segment whose next frame offset a
-// location could not hold, and one in which Get found a corrupt
+// starts a new one; so does a segment in which Get found a corrupt
 // record.
 func (c *Cache) Put(key string, e *Entry) error {
 	id, ok := keyID(key)
@@ -344,7 +342,7 @@ func (c *Cache) Put(key string, e *Entry) error {
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.w == nil || c.w.end >= maxOffset {
+	if c.w == nil {
 		if err := c.create(); err != nil {
 			return err
 		}
@@ -354,7 +352,7 @@ func (c *Cache) Put(key string, e *Entry) error {
 		w.done, c.w = true, nil
 		return fmt.Errorf("resultcache: %w", err)
 	}
-	c.index[id] = pack(w.slot, w.end, n)
+	c.index[id] = loc{seg: w.slot, n: int32(n), off: w.end}
 	w.end += int64(len(frame))
 	c.stores.Add(1)
 	return nil
@@ -363,12 +361,6 @@ func (c *Cache) Put(key string, e *Entry) error {
 // create opens a new, uniquely named segment as the writer. c.mu must
 // be held.
 func (c *Cache) create() error {
-	if c.w != nil {
-		c.w.done, c.w = true, nil
-	}
-	if len(c.segs) == maxSegments {
-		return fmt.Errorf("resultcache: %d segments open, no slot for another", maxSegments)
-	}
 	// rand.Read does not fail on supported platforms; were it to repeat
 	// a name, O_EXCL refuses the file and this Put reports the error.
 	var r [8]byte
@@ -385,7 +377,7 @@ func (c *Cache) create() error {
 
 // add gives an open segment file the next slot. c.mu must be held.
 func (c *Cache) add(f *os.File, name, path string) *segment {
-	s := &segment{f: f, path: path, slot: len(c.segs)}
+	s := &segment{f: f, path: path, slot: int32(len(c.segs))}
 	c.segs = append(c.segs, s)
 	c.names[name] = true
 	return s
@@ -416,7 +408,7 @@ func (c *Cache) list() {
 	}
 	for _, d := range ents {
 		name := d.Name()
-		if !d.Type().IsRegular() || !strings.HasSuffix(name, segExt) || c.names[name] || len(c.segs) == maxSegments {
+		if !d.Type().IsRegular() || !strings.HasSuffix(name, segExt) || c.names[name] {
 			continue
 		}
 		path := filepath.Join(c.dir, name)
@@ -439,7 +431,7 @@ func (c *Cache) scan(s *segment) {
 		b := c.buf[:n]
 		for len(b) >= frameHead {
 			size := int(binary.LittleEndian.Uint32(b))
-			if size > maxRecord || s.end >= maxOffset {
+			if size > maxRecord {
 				s.done = true
 				return
 			}
@@ -452,7 +444,7 @@ func (c *Cache) scan(s *segment) {
 			}
 			if id, ok := recordID(b[frameHead : frameHead+size]); ok {
 				if _, dup := c.index[id]; !dup {
-					c.index[id] = pack(s.slot, s.end, size)
+					c.index[id] = loc{seg: s.slot, n: int32(size), off: s.end}
 				}
 			}
 			s.end += int64(frameHead + size)

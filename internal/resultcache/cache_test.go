@@ -120,6 +120,10 @@ func frameOf(rec []byte) []byte {
 	return append(binary.LittleEndian.AppendUint32(nil, uint32(len(rec))), rec...)
 }
 
+// versionDir is where a cache rooted at dir keeps this binary's
+// segments.
+func versionDir(dir string) string { return filepath.Join(dir, CodeVersion()) }
+
 // newCache opens a cache on dir and closes it when the test ends.
 func newCache(t testing.TB, dir string) *Cache {
 	t.Helper()
@@ -398,7 +402,7 @@ func TestCachesOnOneDirectoryServeEachOther(t *testing.T) {
 			t.Errorf("stats %+v, want 3 stores and only hits", s)
 		}
 	}
-	segs, _ := filepath.Glob(filepath.Join(dir, "*"+segExt))
+	segs, _ := filepath.Glob(filepath.Join(versionDir(dir), "*"+segExt))
 	if len(segs) != 2 {
 		t.Errorf("%d segments, want one per writer: %v", len(segs), segs)
 	}
@@ -423,6 +427,38 @@ func TestFreshCacheServesEarlierEntries(t *testing.T) {
 	}
 }
 
+func TestOtherVersionsAreNeverOpened(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	// One valid segment where every binary used to write, directly in
+	// the root, and one in another binary's directory.
+	root, other := Key("cell", "root"), Key("cell", "other")
+	for _, seg := range []struct{ dir, key string }{
+		{dir, root},
+		{filepath.Join(dir, Key("another binary")), other},
+	} {
+		rec, _ := encodeEntry(nil, seg.key, testEntry(1))
+		if err := os.MkdirAll(seg.dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(seg.dir, "old"+segExt), frameOf(rec), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := newCache(t, dir)
+	if _, ok := c.Get(Key("cell", "missing")); ok {
+		t.Fatal("Get of an unstored key hit")
+	}
+	if len(c.segs) != 0 {
+		t.Fatalf("a miss opened %d segments outside the version directory", len(c.segs))
+	}
+	for _, k := range []string{root, other} {
+		if _, ok := c.Get(k); ok {
+			t.Errorf("Get(%.16s…) served a record from outside the version directory", k)
+		}
+	}
+}
+
 func TestTornTailIsNeverServed(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
@@ -436,7 +472,7 @@ func TestTornTailIsNeverServed(t *testing.T) {
 	rec2, _ := encodeEntry(nil, k2, testEntry(2))
 	rec3, _ := encodeEntry(nil, k3, testEntry(3))
 	frame3 := frameOf(rec3)
-	torn := filepath.Join(dir, "torn"+segExt)
+	torn := filepath.Join(versionDir(dir), "torn"+segExt)
 	if err := os.WriteFile(torn, append(frameOf(rec2), frame3[:frameHead]...), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -497,31 +533,13 @@ func TestFailedPutAbandonsSegment(t *testing.T) {
 		t.Fatalf("Put after a failed write: %v", err)
 	}
 	wantEntry(t, c, k(2), testEntry(2))
-	if segs, _ := filepath.Glob(filepath.Join(dir, "*"+segExt)); len(segs) != 2 {
+	if segs, _ := filepath.Glob(filepath.Join(versionDir(dir), "*"+segExt)); len(segs) != 2 {
 		t.Errorf("%d segments, want the abandoned one and a new one", len(segs))
 	}
 	fresh := newCache(t, dir)
 	for i := 0; i < 3; i++ {
 		wantEntry(t, fresh, k(i), testEntry(i))
 	}
-}
-
-func TestPutMovesOnBeforeOffsetsOverflow(t *testing.T) {
-	t.Parallel()
-	c := newCache(t, t.TempDir())
-	if err := c.Put(Key("cell", "0"), testEntry(0)); err != nil {
-		t.Fatal(err)
-	}
-	first := c.w
-	first.end = maxOffset // as if the segment had filled up
-	if err := c.Put(Key("cell", "1"), testEntry(1)); err != nil {
-		t.Fatal(err)
-	}
-	if c.w == first || !first.done {
-		t.Fatal("Put appended past the offsets a location can hold")
-	}
-	wantEntry(t, c, Key("cell", "0"), testEntry(0))
-	wantEntry(t, c, Key("cell", "1"), testEntry(1))
 }
 
 // TestCloseReleasesFiles runs alone (not in parallel), so the

@@ -11,11 +11,11 @@ import (
 )
 
 // FuzzCacheEntry reads arbitrary bytes as a foreign segment, one that
-// another writer left in the cache directory beside the cache's own
-// segment. Get must never panic, and it may serve only what a Put
-// wrote: the fuzzed key only as an entry whose record, framed as Put
-// appends it, is in the segment byte for byte, and the cache's own key
-// only as the entry it stored. Each input is tried twice: as the whole
+// another writer of this binary left in the version directory beside
+// the cache's own segment. Get must never panic, and it may serve only
+// what a Put wrote: the fuzzed key only as an entry whose record,
+// framed as Put appends it, is in the segment byte for byte, and the
+// cache's own key only as the entry it stored. Each input is tried twice: as the whole
 // segment, and as a body sealed under the right magic, key and
 // checksum in one frame, which is how the fuzzer reaches the body
 // decoder past the checksum.
@@ -61,7 +61,7 @@ func checkSegment(t *testing.T, key string, seg []byte) {
 	if err := c.Put(own, testEntry(1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "foreign"+segExt), seg, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(versionDir(dir), "foreign"+segExt), seg, 0o644); err != nil {
 		t.Fatal(err)
 	}
 

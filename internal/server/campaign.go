@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"sync"
 	"time"
@@ -24,6 +25,8 @@ const (
 	maxBodyBytes = 1 << 20 // campaign specs are small
 	maxJobs      = 1024    // per-campaign worker-pool slots
 	maxCells     = 1 << 16 // ids × seeds; the largest benchmark grid is 1792
+	// maxDeadlineMS is the largest deadline_ms a time.Duration holds.
+	maxDeadlineMS = int64(math.MaxInt64 / time.Millisecond)
 )
 
 // CampaignRequest is the JSON body of POST /api/v1/campaign. Every
@@ -93,12 +96,13 @@ func decodeCampaignRequest(r io.Reader) (CampaignRequest, error) {
 
 // campaignPlan is a validated, fully-defaulted request.
 type campaignPlan struct {
-	ids     []string
-	seeds   []int64
-	jobs    int
-	recheck float64
-	cache   *resultcache.Cache // nil = don't cache this campaign
-	req     CampaignRequest
+	ids      []string
+	seeds    []int64
+	jobs     int
+	recheck  float64
+	deadline time.Duration      // 0 = none
+	cache    *resultcache.Cache // nil = don't cache this campaign
+	req      CampaignRequest
 }
 
 // planCampaign validates req against the server's namespace and fills
@@ -164,9 +168,10 @@ func (s *Server) planCampaign(req CampaignRequest) (*campaignPlan, error) {
 		return nil, fmt.Errorf("recheck fraction %v outside [0, 1]", p.recheck)
 	}
 
-	if req.DeadlineMS < 0 {
-		return nil, fmt.Errorf("deadline_ms must be >= 0, got %d", req.DeadlineMS)
+	if req.DeadlineMS < 0 || int64(req.DeadlineMS) > maxDeadlineMS {
+		return nil, fmt.Errorf("deadline_ms must be in [0, %d], got %d", maxDeadlineMS, req.DeadlineMS)
 	}
+	p.deadline = time.Duration(req.DeadlineMS) * time.Millisecond
 
 	p.cache = s.cache
 	if req.Cache != nil && !*req.Cache {
@@ -285,9 +290,9 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 	// cells finish — no goroutine outlives its request
 	// (TestCampaignClientDisconnectNoLeak).
 	ctx := r.Context()
-	if req.DeadlineMS > 0 {
+	if plan.deadline > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.DeadlineMS)*time.Millisecond)
+		ctx, cancel = context.WithTimeout(ctx, plan.deadline)
 		defer cancel()
 	}
 

@@ -3,12 +3,14 @@ package server
 import (
 	"bytes"
 	"testing"
+	"time"
 )
 
 // FuzzCampaignRequest drives arbitrary bodies through the handler's
 // strict decoder and planCampaign (it never runs a campaign). Nothing
 // may panic, and every accepted plan must be within the request bounds
-// with a non-empty grid of resolvable ids.
+// with a non-empty grid of resolvable ids and a deadline that is
+// deadline_ms as a non-negative time.Duration.
 func FuzzCampaignRequest(f *testing.F) {
 	s, err := New(registryConfig())
 	if err != nil {
@@ -47,6 +49,9 @@ func FuzzCampaignRequest(f *testing.F) {
 		}
 		if !(p.recheck >= 0 && p.recheck <= 1) {
 			t.Errorf("accepted recheck %v outside [0, 1]", p.recheck)
+		}
+		if p.deadline < 0 || int64(p.deadline/time.Millisecond) != int64(req.DeadlineMS) {
+			t.Errorf("accepted deadline_ms %d as %v", req.DeadlineMS, p.deadline)
 		}
 		for _, id := range p.ids {
 			if _, err := s.ns.Lookup(id); err != nil {

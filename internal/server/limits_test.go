@@ -1,9 +1,11 @@
 package server
 
 import (
+	"math"
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"autosec/internal/config"
 )
@@ -37,6 +39,8 @@ func TestPlanCampaignBounds(t *testing.T) {
 		{"seed_count above cell bound", CampaignRequest{IDs: one, SeedCount: count(1 << 17)}, "exceeds 65536 cells"},
 		{"explicit seeds above cell bound", CampaignRequest{IDs: one, Seeds: make([]int64, maxCells+1)}, "exceeds"},
 		{"registry grid above cell bound", CampaignRequest{SeedCount: count(maxCells/len(s.ns.Registry()) + 1)}, "exceeds"},
+		{"deadline past a Duration", CampaignRequest{IDs: one, DeadlineMS: int(maxDeadlineMS + 1)}, "deadline_ms must be in [0, 9223372036854]"},
+		{"deadline that wraps to -1ms", CampaignRequest{IDs: one, DeadlineMS: math.MaxInt64}, "deadline_ms"},
 	}
 	for _, tc := range cases {
 		if _, err := s.planCampaign(tc.req); err == nil || !strings.Contains(err.Error(), tc.wantSub) {
@@ -44,12 +48,12 @@ func TestPlanCampaignBounds(t *testing.T) {
 		}
 	}
 
-	p, err := s.planCampaign(CampaignRequest{IDs: one, Jobs: maxJobs, SeedCount: count(maxCells)})
+	p, err := s.planCampaign(CampaignRequest{IDs: one, Jobs: maxJobs, SeedCount: count(maxCells), DeadlineMS: int(maxDeadlineMS)})
 	if err != nil {
 		t.Fatalf("request at the bounds: %v", err)
 	}
-	if p.jobs != maxJobs || len(p.seeds) != maxCells {
-		t.Errorf("plan at the bounds: jobs %d, %d seeds", p.jobs, len(p.seeds))
+	if p.jobs != maxJobs || len(p.seeds) != maxCells || p.deadline != time.Duration(maxDeadlineMS)*time.Millisecond || p.deadline <= 0 {
+		t.Errorf("plan at the bounds: jobs %d, %d seeds, deadline %v", p.jobs, len(p.seeds), p.deadline)
 	}
 
 	cfg := registryConfig()

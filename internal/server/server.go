@@ -106,8 +106,8 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 
 // Health is the document GET /api/v1/health serves: liveness plus the
 // identity and capacity facts a fleet coordinator needs (internal/fleet,
-// docs/FLEET.md). CodeVersion keys the cache, so two workers may share
-// cached results exactly when it matches; Jobs (the resolved default
+// docs/FLEET.md). CodeVersion names the cache's entry directory, so two
+// workers may share cached results exactly when it matches; Jobs (the resolved default
 // campaign pool size, never 0) and GOMAXPROCS advertise compute
 // capacity, so chunk assignment can be weighted toward bigger workers.
 type Health struct {
@@ -194,14 +194,14 @@ func (s *Server) handleCacheStats(w http.ResponseWriter, r *http.Request) {
 }
 
 // cellCacheKey is the content address of one (experiment, seed) cell:
-// the cache scheme version, the running binary's content hash, the
-// experiment id, the seed, and — for DSL scenarios — the canonical
-// spec fingerprint, so an edited scenario.ini can never be served a
-// stale result. Registry experiments have no spec beyond the binary,
-// so their fingerprint part is empty.
+// the cache scheme version, the experiment id, the seed, and — for DSL
+// scenarios — the canonical spec fingerprint, so an edited
+// scenario.ini can never be served a stale result. Registry
+// experiments have no spec beyond the binary, so their fingerprint
+// part is empty. The binary itself needs no part: the cache keeps each
+// binary's entries in a directory of their own.
 func (s *Server) cellCacheKey(id string, seed int64) string {
-	return resultcache.Key("avsecd-cell", "1", resultcache.CodeVersion(),
-		id, strconv.FormatInt(seed, 10), s.ns.Fingerprint(id))
+	return resultcache.Key("avsecd-cell", "1", id, strconv.FormatInt(seed, 10), s.ns.Fingerprint(id))
 }
 
 // cellLocks serializes the cache-miss path per cache key. Two requests

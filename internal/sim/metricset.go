@@ -26,20 +26,18 @@ type MetricSet struct {
 	metrics []Metric
 	seen    map[string]int
 	tracer  Tracer
-	now     func() Time
 }
 
 // NewMetricSet returns an empty set.
 func NewMetricSet() *MetricSet { return &MetricSet{} }
 
 // BindTrace mirrors every subsequent Add into tr as a "metric" trace
-// event, stamped with now() if non-nil.
-func (ms *MetricSet) BindTrace(tr Tracer, now func() Time) {
+// event at T=0.
+func (ms *MetricSet) BindTrace(tr Tracer) {
 	if ms == nil {
 		return
 	}
 	ms.tracer = tr
-	ms.now = now
 }
 
 // Add publishes one metric. Repeated names get an ordinal suffix.
@@ -56,11 +54,7 @@ func (ms *MetricSet) Add(name string, v float64) {
 	}
 	ms.metrics = append(ms.metrics, Metric{Name: name, Value: v})
 	if ms.tracer != nil {
-		var t Time
-		if ms.now != nil {
-			t = ms.now()
-		}
-		ms.tracer.Trace(TraceEvent{T: t, Kind: "metric", Name: name, Value: v})
+		ms.tracer.Trace(TraceEvent{Kind: "metric", Name: name, Value: v})
 	}
 }
 

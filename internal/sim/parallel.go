@@ -25,7 +25,6 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -93,23 +92,6 @@ func (p *WorkerPool) Release() {
 	p.slots <- struct{}{}
 }
 
-var (
-	defaultPoolOnce sync.Once
-	defaultPool     *WorkerPool
-)
-
-// DefaultPool returns the process-wide pool, sized to GOMAXPROCS at
-// first use. It backs runs that have no caller-provided budget (e.g.
-// `avsec expmd`, which runs every experiment once); callers that
-// coordinate several levels of parallelism should size their own pool
-// instead.
-func DefaultPool() *WorkerPool {
-	defaultPoolOnce.Do(func() {
-		defaultPool = NewWorkerPool(runtime.GOMAXPROCS(0))
-	})
-	return defaultPool
-}
-
 // Replicates runs n independent Monte-Carlo replicates of fn, fanning
 // them out over whatever slots of the pool are currently idle, and
 // returns only after every replicate has finished ("join before any
@@ -153,16 +135,6 @@ func (p *WorkerPool) Replicates(n int, rng *RNG, fn func(i int, rng *RNG) error)
 	for extra < n-1 && p.TryAcquire() {
 		extra++
 	}
-	if extra == 0 {
-		var first error
-		for i := 0; i < n; i++ {
-			if err := run(i); err != nil && first == nil {
-				first = err
-			}
-		}
-		return first
-	}
-
 	errs := make([]error, n)
 	var next atomic.Int64
 	work := func() {

@@ -190,12 +190,3 @@ func TestReplicatesSlotsReturned(t *testing.T) {
 		pool.Release()
 	}
 }
-
-func TestDefaultPoolSizedToGOMAXPROCS(t *testing.T) {
-	if got, want := DefaultPool().Size(), runtime.GOMAXPROCS(0); got != want {
-		t.Fatalf("DefaultPool size = %d, want %d", got, want)
-	}
-	if DefaultPool() != DefaultPool() {
-		t.Fatal("DefaultPool must be a singleton")
-	}
-}

@@ -73,13 +73,11 @@ func (q *eventQueue) Pop() any {
 // Kernel is the discrete-event simulation engine. The zero value is not
 // usable; construct with NewKernel.
 type Kernel struct {
-	now     Time
-	queue   eventQueue
-	seq     int
-	rng     *RNG
-	limit   int // safety cap on processed events; 0 = unlimited
-	handled int
-	tracer  Tracer
+	now    Time
+	queue  eventQueue
+	seq    int
+	rng    *RNG
+	tracer Tracer
 }
 
 // NewKernel returns a kernel whose random source is seeded with seed.
@@ -92,10 +90,6 @@ func (k *Kernel) Now() Time { return k.now }
 
 // RNG returns the kernel's deterministic random source.
 func (k *Kernel) RNG() *RNG { return k.rng }
-
-// SetEventLimit caps the number of events the kernel will process before
-// Run returns with an error; a guard against runaway schedules in tests.
-func (k *Kernel) SetEventLimit(n int) { k.limit = n }
 
 // SetTracer attaches a structured tracer. The kernel then emits one
 // event per Schedule, per executed event (carrying the cumulative RNG
@@ -154,12 +148,8 @@ func (k *Kernel) Run(horizon Time) error {
 		e := heap.Pop(&k.queue).(*event)
 		k.now = e.at
 		e.run(k)
-		k.handled++
 		if k.tracer != nil {
 			k.tracer.Trace(TraceEvent{T: k.now, Kind: "exec", Name: e.name, Seq: e.seq, Draws: k.rng.Draws()})
-		}
-		if k.limit > 0 && k.handled >= k.limit {
-			return fmt.Errorf("sim: event limit %d reached at %v (last %q)", k.limit, k.now, e.name)
 		}
 	}
 	return nil

@@ -112,17 +112,6 @@ func TestKernelHorizonKeepsEventPending(t *testing.T) {
 	}
 }
 
-func TestKernelEventLimit(t *testing.T) {
-	k := NewKernel(1)
-	k.SetEventLimit(5)
-	var loop func(k *Kernel)
-	loop = func(k *Kernel) { k.After(1, "loop", loop) }
-	k.After(1, "loop", loop)
-	if err := k.Run(0); err == nil {
-		t.Error("runaway schedule did not hit event limit")
-	}
-}
-
 func TestRNGDeterminism(t *testing.T) {
 	a, b := NewRNG(42), NewRNG(42)
 	for i := 0; i < 1000; i++ {

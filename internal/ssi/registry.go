@@ -11,10 +11,9 @@ import (
 // storage" in the paper's words. Updates append new versions; history is
 // never rewritten, and the chain head authenticates the whole history.
 type Registry struct {
-	docs    map[DID][]*Document
-	chain   [][32]byte // running hash chain over every accepted write
-	head    [32]byte
-	entries int
+	docs  map[DID][]*Document
+	chain [][32]byte // running hash chain over every accepted write
+	head  [32]byte
 }
 
 // NewRegistry returns an empty registry.
@@ -71,7 +70,6 @@ func (r *Registry) append(doc *Document) {
 	mix := sha256.Sum256(append(r.head[:], h[:]...))
 	r.head = mix
 	r.chain = append(r.chain, mix)
-	r.entries++
 }
 
 // Resolve returns the latest document for the DID.
@@ -96,6 +94,3 @@ func (r *Registry) History(id DID) []*Document {
 // Head returns the current chain head; two registries with the same
 // writes in the same order have equal heads — the auditability property.
 func (r *Registry) Head() [32]byte { return r.head }
-
-// Entries returns the number of accepted writes.
-func (r *Registry) Entries() int { return r.entries }

@@ -18,7 +18,7 @@ import "unsafe"
 // correlateRef.
 //
 // Bounds contract (caller-proved, see correlateScratch): windows
-// q..q+31 are all < maxOffset, so for every template offset the
+// q..q+31 are all < nWindows, so for every template offset the
 // furthest float read, plane_base + (q+31) + 8(n−1), lies inside its
 // plane's len(rx) floats.
 //
@@ -28,7 +28,7 @@ func corrBlock32(p unsafe.Pointer, pack []uint64, tailOff uintptr, n int, out *[
 // corrBlock64 is corrBlock32 for 64 windows in ZMM registers
 // (AVX-512F), with the same lane ownership, tap order and single
 // division, so its windows are bit-identical too. Its bounds contract
-// is windows q..q+63 < maxOffset.
+// is windows q..q+63 < nWindows.
 //
 //go:noescape
 func corrBlock64(p unsafe.Pointer, pack []uint64, tailOff uintptr, n int, out *[64]float64)

@@ -180,8 +180,8 @@ func TestCorrelateTiersBlockEdges(t *testing.T) {
 	for _, pulses := range []int{1, 2, 7, 12, 64, 99, 100, 255, 256} {
 		span := (pulses - 1) * ChipSpacing
 		var obsLens []int
-		for _, maxOffset := range []int{1, 31, 32, 33, 63, 64, 65, 95, 96, 97, 127, 128, 129} {
-			obsLens = append(obsLens, span+maxOffset)
+		for _, nWindows := range []int{1, 31, 32, 33, 63, 64, 65, 95, 96, 97, 127, 128, 129} {
+			obsLens = append(obsLens, span+nWindows)
 		}
 		check(pulses, randomSignal(rng, span+129), obsLens)
 	}

@@ -83,14 +83,14 @@ func planeStride(n int) int { return (n + 7) &^ 7 }
 func correlateScratch(scr *scratch, rx Signal, sts *STS) []float64 {
 	pol := sts.Polarity
 	n := len(pol)
-	maxOffset := len(rx) - (n-1)*ChipSpacing
-	if maxOffset <= 0 {
+	nWindows := len(rx) - (n-1)*ChipSpacing
+	if nWindows <= 0 {
 		return nil
 	}
 	if len(rx) > maxPlanarLen {
 		return correlateRef(rx, sts)
 	}
-	scr.corr = floatsFor(scr.corr, maxOffset)
+	scr.corr = floatsFor(scr.corr, nWindows)
 	stride := planeStride(len(rx))
 	scr.dec = floatsFor(scr.dec, 2*stride)
 	scr.pack = u64For(scr.pack, n/2)
@@ -135,25 +135,25 @@ func correlateScratch(scr *scratch, rx Signal, sts *STS) []float64 {
 	scr.tailOff, scr.pulses = tailOff, n
 	// Window k reads plane byte offsets pack[·] from base &dec[k]. The
 	// furthest float touched is k + ChipSpacing·(n−1) in a plane, which
-	// is < len(rx) for every k < maxOffset (the last output's last tap
+	// is < len(rx) for every k < nWindows (the last output's last tap
 	// lies inside rx), so every access below stays inside dec. Direct
 	// pointer loads give the bounds-check-free form of dec[k+8i] that
 	// the range prover cannot reach for data-dependent indices.
 	pBase := unsafe.Pointer(&dec[0])
-	// The final vector block starts at maxOffset minus its width,
-	// overlapping the one before it: its windows are < maxOffset like
+	// The final vector block starts at nWindows minus its width,
+	// overlapping the one before it: its windows are < nWindows like
 	// every other block's, and a window computed twice gets the same
 	// bits both times, so no scalar tail is needed.
-	if corrTier >= tierAVX512 && maxOffset >= 64 {
-		for k := 0; k < maxOffset; k += 64 {
-			k = min(k, maxOffset-64)
+	if corrTier >= tierAVX512 && nWindows >= 64 {
+		for k := 0; k < nWindows; k += 64 {
+			k = min(k, nWindows-64)
 			corrBlock64(unsafe.Add(pBase, 8*k), pack, tailOff, n, (*[64]float64)(out[k:]))
 		}
 		return out
 	}
-	if corrTier >= tierAVX2 && maxOffset >= 32 {
-		for k := 0; k < maxOffset; k += 32 {
-			k = min(k, maxOffset-32)
+	if corrTier >= tierAVX2 && nWindows >= 32 {
+		for k := 0; k < nWindows; k += 32 {
+			k = min(k, nWindows-32)
 			corrBlock32(unsafe.Add(pBase, 8*k), pack, tailOff, n, (*[32]float64)(out[k:]))
 		}
 		return out
@@ -168,7 +168,7 @@ func correlateScratch(scr *scratch, rx Signal, sts *STS) []float64 {
 		inv, haveInv = 1.0/nf, true
 	}
 	k := 0
-	for ; k+6 <= maxOffset; k += 6 {
+	for ; k+6 <= nWindows; k += 6 {
 		p := unsafe.Add(pBase, 8*k)
 		var s0, s1, s2, s3, s4, s5 float64
 		// Two template steps per iteration from one packed 64-bit
@@ -205,7 +205,7 @@ func correlateScratch(scr *scratch, rx Signal, sts *STS) []float64 {
 			o[0], o[1], o[2], o[3], o[4], o[5] = s0/nf, s1/nf, s2/nf, s3/nf, s4/nf, s5/nf
 		}
 	}
-	for ; k < maxOffset; k++ {
+	for ; k < nWindows; k++ {
 		p := unsafe.Add(pBase, 8*k)
 		var sum float64
 		for _, pk := range pack {
@@ -229,12 +229,12 @@ func correlateScratch(scr *scratch, rx Signal, sts *STS) []float64 {
 // against bit-for-bit.
 func correlateRef(rx Signal, sts *STS) []float64 {
 	n := len(sts.Polarity)
-	maxOffset := len(rx) - (n-1)*ChipSpacing
-	if maxOffset <= 0 {
+	nWindows := len(rx) - (n-1)*ChipSpacing
+	if nWindows <= 0 {
 		return nil
 	}
-	out := make([]float64, maxOffset)
-	for k := 0; k < maxOffset; k++ {
+	out := make([]float64, nWindows)
+	for k := 0; k < nWindows; k++ {
 		sum := 0.0
 		for i, p := range sts.Polarity {
 			sum += float64(p) * rx[k+i*ChipSpacing]

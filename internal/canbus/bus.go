@@ -133,8 +133,13 @@ func (b *Bus) arbitrate() {
 	tx := b.queue[0]
 	b.queue = b.queue[1:]
 
-	dur := b.wireTime(tx.frame)
-	b.kernel.After(dur, fmt.Sprintf("can/%s/deliver id=%#x", b.name, tx.frame.ID), func(k *sim.Kernel) {
+	// Only a trace reads the event name, and formatting it per frame
+	// was most of an untraced bus's allocations.
+	name := ""
+	if b.kernel.Traced() {
+		name = fmt.Sprintf("can/%s/deliver id=%#x", b.name, tx.frame.ID)
+	}
+	b.kernel.After(b.wireTime(tx.frame), name, func(k *sim.Kernel) {
 		b.complete(k, tx)
 	})
 }

@@ -71,11 +71,11 @@ func RunAblateIDSThreshold(rc *RunContext) (string, error) {
 		fp, miss := 0, 0
 		for i := 0; i < frames; i++ {
 			legit := &canbus.Frame{ID: 0x0C0, Format: canbus.Classic, Payload: []byte{1}, SourceID: "engine"}
-			if a := s.Observe(sim.Time(i), legit); a != nil {
+			if _, alert := s.Observe(sim.Time(i), legit); alert {
 				fp++
 			}
 			masq := &canbus.Frame{ID: 0x0C0, Format: canbus.Classic, Payload: []byte{1}, SourceID: "infotainment"}
-			if a := s.Observe(sim.Time(i), masq); a == nil {
+			if _, alert := s.Observe(sim.Time(i), masq); !alert {
 				miss++
 			}
 		}

@@ -1,8 +1,10 @@
 package ext
 
 import (
+	"fmt"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -69,10 +71,16 @@ func TestCollisionPanics(t *testing.T) {
 	mustPanic(t, "empty name", func() { r.Register(Meta{}, 3) })
 }
 
+// dupKindRuns numbers the runs of TestDuplicateKindPanics: the kinds
+// catalog is process-wide, so each run (under -count or -shuffle)
+// enters a kind of its own.
+var dupKindRuns atomic.Int64
+
 func TestDuplicateKindPanics(t *testing.T) {
 	t.Parallel()
-	NewRegistry[int]("ext-test-dup-kind")
-	mustPanic(t, "duplicate kind", func() { NewRegistry[string]("ext-test-dup-kind") })
+	kind := fmt.Sprintf("ext-test-dup-kind-%d", dupKindRuns.Add(1))
+	NewRegistry[int](kind)
+	mustPanic(t, "duplicate kind", func() { NewRegistry[string](kind) })
 }
 
 func mustPanic(t *testing.T, what string, fn func()) {

@@ -11,7 +11,9 @@ package ids
 
 import (
 	"crypto/sha256"
+	"maps"
 	"math"
+	"slices"
 
 	"autosec/internal/canbus"
 	"autosec/internal/sim"
@@ -65,16 +67,17 @@ func NewIntervalDetectorWith(tolerance float64, minSamples int) *IntervalDetecto
 // reportable from now on.
 func (d *IntervalDetector) EndTraining() { d.training = false }
 
-// Observe feeds one frame arrival; it returns a non-nil alert when the
-// frame is anomalous.
-func (d *IntervalDetector) Observe(now sim.Time, f *canbus.Frame) *Alert {
+// Observe feeds one frame arrival; it returns an alert and true when
+// the frame is anomalous. The alert is a value, so a quiet frame costs
+// no allocation.
+func (d *IntervalDetector) Observe(now sim.Time, f *canbus.Frame) (Alert, bool) {
 	m, known := d.learned[f.ID]
 	if !known {
 		if d.training {
 			d.learned[f.ID] = &arrivalModel{last: now}
-			return nil
+			return Alert{}, false
 		}
-		return &Alert{At: now, Detector: "interval", FrameID: f.ID}
+		return Alert{At: now, Detector: "interval", FrameID: f.ID}, true
 	}
 	gap := float64(now - m.last)
 	m.last = now
@@ -82,14 +85,14 @@ func (d *IntervalDetector) Observe(now sim.Time, f *canbus.Frame) *Alert {
 		// Still learning this ID's period.
 		m.mean += (gap - m.mean) / float64(m.count+1)
 		m.count++
-		return nil
+		return Alert{}, false
 	}
 	if gap < d.Tolerance*m.mean {
-		return &Alert{At: now, Detector: "interval", FrameID: f.ID}
+		return Alert{At: now, Detector: "interval", FrameID: f.ID}, true
 	}
 	// Slowly adapt to drift.
 	m.mean += (gap - m.mean) / 32
-	return nil
+	return Alert{}, false
 }
 
 // Fingerprint is the simulated analog signature of one physical
@@ -150,6 +153,19 @@ func NewSenderIdentifier(rng *sim.RNG) *SenderIdentifier {
 	}
 }
 
+// Clone returns a copy of s, its enrollments and node profiles
+// included, that draws its noise from rng. A detector provisioned once
+// and cloned per run derives no fingerprint again; the copy shares no
+// mutable state with s.
+func (s *SenderIdentifier) Clone(rng *sim.RNG) *SenderIdentifier {
+	c := *s
+	c.enrolled = maps.Clone(s.enrolled)
+	c.index = maps.Clone(s.index)
+	c.nodes = slices.Clone(s.nodes)
+	c.rng = rng
+	return &c
+}
+
 // Enroll registers the legitimate transmitter of an identifier (done in
 // a trusted provisioning phase).
 func (s *SenderIdentifier) Enroll(frameID uint32, nodeID string) {
@@ -170,13 +186,13 @@ func (s *SenderIdentifier) KnowNode(nodeID string) {
 }
 
 // Observe measures a frame's analog signature — the transmitter's
-// stable fingerprint plus Gaussian front-end noise — and flags
-// mismatches. A known transmitter's fingerprint comes from its profile;
-// only an unknown one is derived from its name.
-func (s *SenderIdentifier) Observe(now sim.Time, f *canbus.Frame) *Alert {
+// stable fingerprint plus Gaussian front-end noise — and returns an
+// alert and true on a mismatch. A known transmitter's fingerprint comes
+// from its profile; only an unknown one is derived from its name.
+func (s *SenderIdentifier) Observe(now sim.Time, f *canbus.Frame) (Alert, bool) {
 	want, ok := s.enrolled[f.ID]
 	if !ok {
-		return nil // not a protected identifier
+		return Alert{}, false // not a protected identifier
 	}
 	var got Fingerprint
 	if i, known := s.index[f.SourceID]; known {
@@ -184,13 +200,16 @@ func (s *SenderIdentifier) Observe(now sim.Time, f *canbus.Frame) *Alert {
 	} else {
 		got = NodeFingerprint(f.SourceID)
 	}
+	// One NormFill draws the same samples as one NormFloat64 per axis.
+	var noise Fingerprint
+	s.rng.NormFill(noise[:])
 	for i := range got {
-		got[i] += s.NoiseStd * s.rng.NormFloat64()
+		got[i] += s.NoiseStd * noise[i]
 	}
 	if got.dist(want) > s.MatchRadius {
-		return &Alert{At: now, Detector: "sender-id", FrameID: f.ID, Source: s.attribute(got)}
+		return Alert{At: now, Detector: "sender-id", FrameID: f.ID, Source: s.attribute(got)}, true
 	}
-	return nil
+	return Alert{}, false
 }
 
 // attribute finds the nearest known node signature (best effort); a

@@ -18,7 +18,7 @@ func TestIntervalDetectorLearnsAndFlagsInjection(t *testing.T) {
 	// Training: 20 periodic arrivals.
 	for i := 0; i < 20; i++ {
 		now += period
-		if a := d.Observe(now, frame(0x100, "engine")); a != nil {
+		if a, ok := d.Observe(now, frame(0x100, "engine")); ok {
 			t.Fatalf("alert during training: %+v", a)
 		}
 	}
@@ -26,18 +26,22 @@ func TestIntervalDetectorLearnsAndFlagsInjection(t *testing.T) {
 	// Normal traffic stays quiet.
 	for i := 0; i < 10; i++ {
 		now += period
-		if a := d.Observe(now, frame(0x100, "engine")); a != nil {
+		if a, ok := d.Observe(now, frame(0x100, "engine")); ok {
 			t.Fatalf("false positive on periodic traffic: %+v", a)
 		}
 	}
 	// Injection: an extra frame 1 ms after the legitimate one.
 	now += period
-	if a := d.Observe(now, frame(0x100, "engine")); a != nil {
+	if a, ok := d.Observe(now, frame(0x100, "engine")); ok {
 		t.Fatalf("false positive: %+v", a)
 	}
 	now += sim.Time(1 * sim.Millisecond)
-	if a := d.Observe(now, frame(0x100, "attacker")); a == nil {
-		t.Error("injected frame at 10% of period not flagged")
+	a, ok := d.Observe(now, frame(0x100, "attacker"))
+	if !ok {
+		t.Fatal("injected frame at 10% of period not flagged")
+	}
+	if want := (Alert{At: now, Detector: "interval", FrameID: 0x100}); a != want {
+		t.Errorf("alert %+v, want %+v", a, want)
 	}
 }
 
@@ -45,8 +49,12 @@ func TestIntervalDetectorUnknownID(t *testing.T) {
 	d := NewIntervalDetector()
 	d.Observe(1, frame(0x100, "engine"))
 	d.EndTraining()
-	if a := d.Observe(2, frame(0x7FF, "attacker")); a == nil {
-		t.Error("unknown identifier after training not flagged")
+	a, ok := d.Observe(2, frame(0x7FF, "attacker"))
+	if !ok {
+		t.Fatal("unknown identifier after training not flagged")
+	}
+	if want := (Alert{At: 2, Detector: "interval", FrameID: 0x7FF}); a != want {
+		t.Errorf("alert %+v, want %+v", a, want)
 	}
 }
 
@@ -63,7 +71,7 @@ func TestIntervalDetectorToleratesJitter(t *testing.T) {
 	fp := 0
 	for i := 0; i < 100; i++ {
 		now += sim.Time(period * (0.9 + 0.2*rng.Float64()))
-		if a := d.Observe(now, frame(0x200, "ecu")); a != nil {
+		if _, ok := d.Observe(now, frame(0x200, "ecu")); ok {
 			fp++
 		}
 	}
@@ -92,17 +100,20 @@ func TestSenderIdentifierCatchesMasquerade(t *testing.T) {
 
 	// Legitimate frames pass.
 	for i := 0; i < 50; i++ {
-		if a := s.Observe(sim.Time(i), frame(0x0C0, "engine")); a != nil {
+		if a, ok := s.Observe(sim.Time(i), frame(0x0C0, "engine")); ok {
 			t.Fatalf("false positive on legitimate sender: %+v", a)
 		}
 	}
 	// Masquerade: same identifier, different physical transmitter.
 	caught := 0
 	for i := 0; i < 50; i++ {
-		if a := s.Observe(sim.Time(i), frame(0x0C0, "infotainment")); a != nil {
+		if a, ok := s.Observe(sim.Time(i), frame(0x0C0, "infotainment")); ok {
 			caught++
 			if a.Source != "infotainment" {
 				t.Errorf("attributed to %q", a.Source)
+			}
+			if a.At != sim.Time(i) || a.Detector != "sender-id" || a.FrameID != 0x0C0 {
+				t.Errorf("alert %+v: wrong time, detector or identifier", a)
 			}
 		}
 	}
@@ -113,7 +124,7 @@ func TestSenderIdentifierCatchesMasquerade(t *testing.T) {
 
 func TestSenderIdentifierIgnoresUnprotectedIDs(t *testing.T) {
 	s := NewSenderIdentifier(sim.NewRNG(3))
-	if a := s.Observe(1, frame(0x300, "anyone")); a != nil {
+	if _, ok := s.Observe(1, frame(0x300, "anyone")); ok {
 		t.Error("unprotected identifier flagged")
 	}
 }
@@ -201,13 +212,14 @@ func TestIntervalDetectorWithExplicitTolerance(t *testing.T) {
 		now := sim.Time(0)
 		for i := 0; i < 20; i++ {
 			now += period
-			if a := d.Observe(now, frame(0x100, "engine")); a != nil {
+			if a, ok := d.Observe(now, frame(0x100, "engine")); ok {
 				t.Fatalf("alert during training: %+v", a)
 			}
 		}
 		d.EndTraining()
 		now += period / 2
-		return d.Observe(now, frame(0x100, "attacker")) != nil
+		_, ok := d.Observe(now, frame(0x100, "attacker"))
+		return ok
 	}
 	if !run(0.7) {
 		t.Error("half-period arrival not flagged at tolerance 0.7")

@@ -92,11 +92,11 @@ func (e *Engine) Rekeys() int { return e.rekeyCount }
 // observe runs both detectors on a delivered frame.
 func (e *Engine) observe(f *canbus.Frame) {
 	now := e.kernel.Now()
-	if a := e.interval.Observe(now, f); a != nil {
-		e.raise(*a, "ids.alerts.interval")
+	if a, ok := e.interval.Observe(now, f); ok {
+		e.raise(a, "ids.alerts.interval")
 	}
-	if a := e.senderID.Observe(now, f); a != nil {
-		e.raise(*a, "ids.alerts.sender-id")
+	if a, ok := e.senderID.Observe(now, f); ok {
+		e.raise(a, "ids.alerts.sender-id")
 	}
 }
 

@@ -36,19 +36,19 @@ func (s *senderIDRef) Enroll(frameID uint32, nodeID string) {
 
 func (s *senderIDRef) KnowNode(nodeID string) { s.nodes[nodeID] = NodeFingerprint(nodeID) }
 
-func (s *senderIDRef) Observe(now sim.Time, f *canbus.Frame) *Alert {
+func (s *senderIDRef) Observe(now sim.Time, f *canbus.Frame) (Alert, bool) {
 	want, ok := s.enrolled[f.ID]
 	if !ok {
-		return nil
+		return Alert{}, false
 	}
 	got := NodeFingerprint(f.SourceID)
 	for i := range got {
 		got[i] += s.noiseStd * s.rng.NormFloat64()
 	}
 	if got.dist(want) > s.matchRadius {
-		return &Alert{At: now, Detector: "sender-id", FrameID: f.ID, Source: s.attribute(got)}
+		return Alert{At: now, Detector: "sender-id", FrameID: f.ID, Source: s.attribute(got)}, true
 	}
-	return nil
+	return Alert{}, false
 }
 
 func (s *senderIDRef) attribute(fp Fingerprint) string {
@@ -67,9 +67,11 @@ func (s *senderIDRef) attribute(fp Fingerprint) string {
 // TestSenderIdentifierMatchesReference drives the detector and the
 // reference with the same frames from the same seed: enrolled and
 // unenrolled identifiers, known senders, a known masquerader and a
-// sender that was never profiled. Every alert (nil or not, time,
+// sender that was never profiled. Every alert (raised or not, time,
 // identifier, detector and attribution) and the RNG position after the
-// run must match.
+// run must match. The detector runs as provisioned and as a Clone of a
+// provisioned one; enrolling on the clone must leave the original as it
+// was.
 func TestSenderIdentifierMatchesReference(t *testing.T) {
 	t.Parallel()
 	senders := []string{"engine", "brake", "infotainment", "rogue"} // rogue is never known
@@ -77,44 +79,60 @@ func TestSenderIdentifierMatchesReference(t *testing.T) {
 	for _, noise := range []float64{0, 0.03, 0.2} {
 		for _, radius := range []float64{0.05, 0.25, 1.2} {
 			for _, seed := range []int64{42, 7919} {
-				name := fmt.Sprintf("noise=%g radius=%g seed=%d", noise, radius, seed)
-				rng, refRNG := sim.NewRNG(seed), sim.NewRNG(seed)
-				s := NewSenderIdentifier(rng)
-				s.MatchRadius, s.NoiseStd = radius, noise
-				ref := newSenderIDRef(refRNG, radius, noise)
-				for _, d := range []interface {
-					Enroll(uint32, string)
-					KnowNode(string)
-				}{s, ref} {
-					d.Enroll(0x0C0, "engine")
-					d.Enroll(0x0D0, "brake")
-					d.KnowNode("infotainment")
-					d.KnowNode("engine")
-				}
-				pick := sim.NewRNG(seed + 1)
-				alerts := 0
-				for i := 0; i < 400; i++ {
-					f := &canbus.Frame{ID: ids[pick.Intn(len(ids))], Format: canbus.FD, SourceID: senders[pick.Intn(len(senders))]}
-					now := sim.Time(i)
-					got, want := s.Observe(now, f), ref.Observe(now, f)
-					if (got == nil) != (want == nil) {
-						t.Fatalf("%s frame %d (%#x from %s): alert %v, reference %v", name, i, f.ID, f.SourceID, got, want)
+				for _, cloned := range []bool{false, true} {
+					name := fmt.Sprintf("noise=%g radius=%g seed=%d cloned=%v", noise, radius, seed, cloned)
+					rng, refRNG := sim.NewRNG(seed), sim.NewRNG(seed)
+					s := NewSenderIdentifier(rng)
+					if cloned {
+						s = NewSenderIdentifier(nil)
 					}
-					if got != nil {
-						alerts++
-						if *got != *want {
-							t.Fatalf("%s frame %d: alert %+v, reference %+v", name, i, *got, *want)
+					s.MatchRadius, s.NoiseStd = radius, noise
+					ref := newSenderIDRef(refRNG, radius, noise)
+					for _, d := range []interface {
+						Enroll(uint32, string)
+						KnowNode(string)
+					}{s, ref} {
+						d.Enroll(0x0C0, "engine")
+						d.Enroll(0x0D0, "brake")
+						d.KnowNode("infotainment")
+						d.KnowNode("engine")
+					}
+					orig := s
+					if cloned {
+						s = orig.Clone(rng)
+					}
+					pick := sim.NewRNG(seed + 1)
+					alerts := 0
+					for i := 0; i < 400; i++ {
+						f := &canbus.Frame{ID: ids[pick.Intn(len(ids))], Format: canbus.FD, SourceID: senders[pick.Intn(len(senders))]}
+						now := sim.Time(i)
+						got, gotOK := s.Observe(now, f)
+						want, wantOK := ref.Observe(now, f)
+						if gotOK != wantOK {
+							t.Fatalf("%s frame %d (%#x from %s): alert %v, reference %v", name, i, f.ID, f.SourceID, gotOK, wantOK)
+						}
+						if gotOK {
+							alerts++
+						}
+						if got != want {
+							t.Fatalf("%s frame %d: alert %+v, reference %+v", name, i, got, want)
 						}
 					}
-				}
-				if rng.Draws() != refRNG.Draws() {
-					t.Fatalf("%s: %d draws, reference %d", name, rng.Draws(), refRNG.Draws())
-				}
-				if rng.Uint64() != refRNG.Uint64() {
-					t.Fatalf("%s: the next draw differs from the reference's", name)
-				}
-				if radius == 0.25 && alerts == 0 {
-					t.Errorf("%s: no alert raised, so attribution went unchecked", name)
+					if rng.Draws() != refRNG.Draws() {
+						t.Fatalf("%s: %d draws, reference %d", name, rng.Draws(), refRNG.Draws())
+					}
+					if rng.Uint64() != refRNG.Uint64() {
+						t.Fatalf("%s: the next draw differs from the reference's", name)
+					}
+					if radius == 0.25 && alerts == 0 {
+						t.Errorf("%s: no alert raised, so attribution went unchecked", name)
+					}
+					if cloned {
+						s.Enroll(0x300, "rogue")
+						if _, ok := orig.enrolled[0x300]; ok || len(orig.nodes) != 3 || len(orig.index) != 3 {
+							t.Fatalf("%s: enrolling on the clone changed the original", name)
+						}
+					}
 				}
 			}
 		}

@@ -7,9 +7,9 @@ import (
 )
 
 // AttackBehaviour interprets one attacker type inside the traffic
-// loop of simulateTraffic. One behaviour instance drives one
-// replicate, so implementations may keep per-replicate state; they
-// must draw randomness only from the step's RNG.
+// loop. One behaviour instance drives one replicate, so
+// implementations may keep per-replicate state, such as a reused frame
+// buffer; they must draw randomness only from the step's RNG.
 type AttackBehaviour interface {
 	// Deliver handles the victim's protected frame on an attacking
 	// step: tamper with it, withhold it, or leave it alone. Returning
@@ -54,10 +54,10 @@ func init() {
 			New: func(*Spec) AttackBehaviour { return replayAttack{} }})
 	reg(3, AttackForge, "MITM-tamper the victim's frame, guessing the (truncated) MAC",
 		"§IV forgery; the SECOC mac_bits acceptance boundary", AttackSpec{
-			New: func(*Spec) AttackBehaviour { return forgeAttack{} }})
+			New: func(sp *Spec) AttackBehaviour { return &forgeAttack{tag: forgedTagBytes(sp)} }})
 	reg(4, AttackMasquerade, "inject crafted frames under the victim's CAN identifier",
 		"§IV masquerade; caught by EASI-style sender identification [52]", AttackSpec{
-			New: func(*Spec) AttackBehaviour { return masqueradeAttack{} }})
+			New: func(*Spec) AttackBehaviour { return &masqueradeAttack{} }})
 	reg(5, AttackFlood, "burst-inject frames each attacked period (bus-load DoS)",
 		"§IV flooding; the interval detector's injection signature", AttackSpec{
 			New: func(*Spec) AttackBehaviour { return floodAttack{} }})
@@ -170,29 +170,36 @@ func (replayAttack) Inject(st *TrafficStep) {
 	}
 }
 
-type forgeAttack struct{}
+// forgeAttack tampers with the victim's frame in buf, which it reuses
+// on every step: a suite does not keep the wire it verifies.
+type forgeAttack struct {
+	tag int // trailing wire bytes to guess (forgedTagBytes)
+	buf []byte
+}
 
-func (forgeAttack) Deliver(st *TrafficStep) bool {
+func (f *forgeAttack) Deliver(st *TrafficStep) bool {
 	// Flip a payload bit and guess the tag. With a truncated MAC (SECOC
 	// mac_bits) the guess lands with probability 2^-bits — the
 	// detection/acceptance boundary the generator searches.
-	tampered := append([]byte(nil), st.Wire...)
+	f.buf = append(f.buf[:0], st.Wire...)
+	tampered := f.buf
 	tampered[len(tampered)/2] ^= 0x04
-	tag := forgedTagBytes(st.Spec)
-	if tag > len(tampered) {
-		tag = len(tampered)
-	}
+	tag := min(f.tag, len(tampered))
 	st.RNG.Bytes(tampered[len(tampered)-tag:])
 	st.DeliverAttack(tampered)
 	return true
 }
-func (forgeAttack) Inject(*TrafficStep) {}
+func (*forgeAttack) Inject(*TrafficStep) {}
 
-type masqueradeAttack struct{}
+// masqueradeAttack crafts its frames in buf, reused on every step.
+type masqueradeAttack struct{ buf []byte }
 
-func (masqueradeAttack) Deliver(*TrafficStep) bool { return false }
-func (masqueradeAttack) Inject(st *TrafficStep) {
-	fake := make([]byte, len(st.Wire))
+func (*masqueradeAttack) Deliver(*TrafficStep) bool { return false }
+func (m *masqueradeAttack) Inject(st *TrafficStep) {
+	if cap(m.buf) < len(st.Wire) {
+		m.buf = make([]byte, len(st.Wire))
+	}
+	fake := m.buf[:len(st.Wire)]
 	st.RNG.Bytes(fake)
 	st.InjectWire(fake, st.Now+st.Period/2)
 }

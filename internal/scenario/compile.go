@@ -3,6 +3,7 @@ package scenario
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"autosec/internal/canbus"
 	"autosec/internal/core"
@@ -44,11 +45,19 @@ func Compile(sp *Spec) (core.Experiment, error) {
 	if err != nil {
 		return core.Experiment{}, fmt.Errorf("scenario: [attacker] %w", err)
 	}
-	run := func(rc *core.RunContext) (string, error) {
-		if atk.Run != nil {
-			return atk.Run(sp, rc)
+	run := func(rc *core.RunContext) (string, error) { return atk.Run(sp, rc) }
+	if atk.Run == nil {
+		// The traffic loop's per-spec state is built on the first run,
+		// not here: a daemon or campaign compiles the whole corpus at
+		// start-up, and most scenarios run only later or never.
+		shared := sync.OnceValues(func() (*traffic, error) { return newTraffic(sp, atk) })
+		run = func(rc *core.RunContext) (string, error) {
+			tr, err := shared()
+			if err != nil {
+				return "", err
+			}
+			return runTraffic(tr, rc)
 		}
-		return runTraffic(sp, rc)
 	}
 	return core.Experiment{
 		ID:     IDPrefix + sp.Name,
@@ -88,11 +97,12 @@ type trial struct {
 // stream protected by the configured suite, background endpoints per
 // zone, the attacker injecting/tampering per its type, and the IDS
 // detectors observing every bus arrival.
-func runTraffic(sp *Spec, rc *core.RunContext) (string, error) {
+func runTraffic(tr *traffic, rc *core.RunContext) (string, error) {
+	sp := tr.sp
 	rng := rc.RNG()
 	trials := make([]trial, sp.Run.Replicates)
 	err := rc.Replicates(sp.Run.Replicates, rng, func(i int, r *sim.RNG) error {
-		t, err := simulateTraffic(sp, r)
+		t, err := tr.simulate(r)
 		trials[i] = t
 		return err
 	})
@@ -156,33 +166,71 @@ func runTraffic(sp *Spec, rc *core.RunContext) (string, error) {
 	return b.String(), nil
 }
 
-// simulateTraffic runs one replicate on its own RNG stream. It must
-// draw randomness only from r and touch no shared state. The attack
-// behaviour is resolved from the attack registry.
-func simulateTraffic(sp *Spec, r *sim.RNG) (trial, error) {
-	res := trial{firstDetect: -1}
+// victimID is the CAN identifier of the victim's protected stream.
+const victimID uint32 = 0x100
 
+// traffic is what every replicate of one traffic scenario shares:
+// the spec, its suite and attack entries, the suite key, the node
+// names and the provisioned sender identifier. A compiled experiment
+// builds it once, on its first run; replicates only read it, so they
+// may run on different workers.
+type traffic struct {
+	sp    *Spec
+	suite secchan.Entry
+	atk   AttackSpec
+	key   []byte
+	// nodes holds the endpoint names: endpoint e of zone z is
+	// nodes[z*EndpointsPerZone+e], and the victim is nodes[0].
+	nodes        []string
+	attackerNode string
+	// sender has the victim stream enrolled and every physical node
+	// profiled; each replicate runs a clone (nil with the IDS off).
+	sender *ids.SenderIdentifier
+}
+
+func newTraffic(sp *Spec, atk AttackSpec) (*traffic, error) {
 	entry, err := suites.Lookup(sp.Protocol.Suite)
 	if err != nil {
-		return res, err
+		return nil, err
 	}
-	key := vcrypto.DeriveKey([]byte("scenario:"+sp.Name), "suite-key", sp.Protocol.Suite, 16)
-	suite, err := entry.New(secchan.Params{Key: key, RNG: r, MACBits: sp.Protocol.MACBits})
-	if err != nil {
-		return res, err
-	}
-
-	// Endpoint names, formatted once: endpoint e of zone z is
-	// nodes[z*EndpointsPerZone+e], and the victim is z0-e0.
 	nodes := make([]string, 0, sp.World.Zones*sp.World.EndpointsPerZone)
 	for z := 0; z < sp.World.Zones; z++ {
 		for e := 0; e < sp.World.EndpointsPerZone; e++ {
 			nodes = append(nodes, fmt.Sprintf("z%d-e%d", z, e))
 		}
 	}
-	const victimID uint32 = 0x100
+	tr := &traffic{
+		sp:           sp,
+		suite:        entry,
+		atk:          atk,
+		key:          vcrypto.DeriveKey([]byte("scenario:"+sp.Name), "suite-key", sp.Protocol.Suite, 16),
+		nodes:        nodes,
+		attackerNode: fmt.Sprintf("z%d-attacker", sp.Attacker.Zone),
+	}
+	if sp.IDS.Enabled {
+		tr.sender = ids.NewSenderIdentifier(nil)
+		tr.sender.MatchRadius = sp.IDS.MatchRadius
+		tr.sender.NoiseStd = sp.IDS.NoiseStd
+		tr.sender.Enroll(victimID, nodes[0])
+		for _, node := range nodes {
+			tr.sender.KnowNode(node)
+		}
+		tr.sender.KnowNode(tr.attackerNode)
+	}
+	return tr, nil
+}
+
+// simulate runs one replicate on its own RNG stream. It must draw
+// randomness only from r and touch no shared state.
+func (tr *traffic) simulate(r *sim.RNG) (trial, error) {
+	sp, nodes, attackerNode := tr.sp, tr.nodes, tr.attackerNode
+	res := trial{firstDetect: -1}
+
+	suite, err := tr.suite.New(secchan.Params{Key: tr.key, RNG: r, MACBits: sp.Protocol.MACBits})
+	if err != nil {
+		return res, err
+	}
 	victimNode := nodes[0]
-	attackerNode := fmt.Sprintf("z%d-attacker", sp.Attacker.Zone)
 	period := sim.Time(sp.World.PeriodUS) * sim.Microsecond
 
 	// The two in-vehicle detectors of the paper's §VIII tap every
@@ -191,25 +239,14 @@ func simulateTraffic(sp *Spec, r *sim.RNG) (trial, error) {
 	// every physical node profiled for attribution.
 	var interval *ids.IntervalDetector
 	var sender *ids.SenderIdentifier
-	if sp.IDS.Enabled {
+	if tr.sender != nil {
 		interval = ids.NewIntervalDetectorWith(sp.IDS.Tolerance, 8)
-		sender = ids.NewSenderIdentifier(r.Fork())
-		sender.MatchRadius = sp.IDS.MatchRadius
-		sender.NoiseStd = sp.IDS.NoiseStd
-		sender.Enroll(victimID, victimNode)
-		for _, node := range nodes {
-			sender.KnowNode(node)
-		}
-		sender.KnowNode(attackerNode)
+		sender = tr.sender.Clone(r.Fork())
 	}
 
-	atk, err := Attacks.Lookup(sp.Attacker.Type)
-	if err != nil {
-		return res, err
-	}
 	var behaviour AttackBehaviour
-	if atk.New != nil {
-		behaviour = atk.New(sp)
+	if tr.atk.New != nil {
+		behaviour = tr.atk.New(sp)
 	}
 
 	attackStart := sp.Attacker.Start
@@ -225,10 +262,10 @@ func simulateTraffic(sp *Spec, r *sim.RNG) (trial, error) {
 		}
 		frame.ID, frame.SourceID = id, node
 		alerts := 0
-		if interval.Observe(at, frame) != nil {
+		if _, ok := interval.Observe(at, frame); ok {
 			alerts++
 		}
-		if sender.Observe(at, frame) != nil {
+		if _, ok := sender.Observe(at, frame); ok {
 			alerts++
 		}
 		if alerts == 0 {
@@ -246,7 +283,6 @@ func simulateTraffic(sp *Spec, r *sim.RNG) (trial, error) {
 
 	delayed := make(map[int][][]byte) // release step → withheld wires
 	payload := make([]byte, sp.World.FrameBytes)
-	var backing []byte // victim wire history storage
 	st := &TrafficStep{
 		Spec:         sp,
 		RNG:          r,
@@ -286,19 +322,14 @@ func simulateTraffic(sp *Spec, r *sim.RNG) (trial, error) {
 		if err != nil {
 			return res, fmt.Errorf("%s Protect: %w", sp.Protocol.Suite, err)
 		}
-		// The history keeps every period's wire, so it is cut from one
-		// backing array, sized for the remaining frames on the first
-		// frame (and again only if a longer wire exhausts it). Each
-		// entry is capped so appending to it cannot overwrite the next.
-		if len(backing) < len(wire) {
-			backing = make([]byte, (sp.World.Frames-step)*len(wire))
-		}
-		wireCopy := backing[:len(wire):len(wire)]
-		copy(wireCopy, wire)
-		backing = backing[len(wire):]
-		st.history = append(st.history, wireCopy)
+		// Protect returns a wire the caller owns, so the history keeps
+		// it as is. It is capped: the history, the step and the delay
+		// schedule share it, and two of them appending to it must not
+		// write into one spare capacity.
+		wire = wire[:len(wire):len(wire)]
+		st.history = append(st.history, wire)
 		res.sent++
-		st.Step, st.Now, st.Wire = step, now, wireCopy
+		st.Step, st.Now, st.Wire = step, now, wire
 
 		// The behaviour may own delivery (tamper, withhold); otherwise
 		// the frame verifies and delivers normally.

@@ -70,10 +70,10 @@ func simulateTrafficRef(sp *Spec, r *sim.RNG) (trial, error) {
 			return
 		}
 		alerts := 0
-		if interval.Observe(at, f) != nil {
+		if _, ok := interval.Observe(at, f); ok {
 			alerts++
 		}
-		if sender.Observe(at, f) != nil {
+		if _, ok := sender.Observe(at, f); ok {
 			alerts++
 		}
 		if alerts == 0 {
@@ -164,6 +164,21 @@ func simulateTrafficRef(sp *Spec, r *sim.RNG) (trial, error) {
 	return res, nil
 }
 
+// simulateTraffic runs one replicate of sp the way a compiled
+// experiment does: the per-spec traffic built once, then simulated on
+// r.
+func simulateTraffic(sp *Spec, r *sim.RNG) (trial, error) {
+	atk, err := Attacks.Lookup(sp.Attacker.Type)
+	if err != nil {
+		return trial{firstDetect: -1}, err
+	}
+	tr, err := newTraffic(sp, atk)
+	if err != nil {
+		return trial{firstDetect: -1}, err
+	}
+	return tr.simulate(r)
+}
+
 // checkTrafficMatchesReference runs one replicate of sp through the
 // interpreter and through the reference, each on its own RNG seeded
 // with seed, and requires the same trial, the same error, the same
@@ -219,6 +234,61 @@ func TestTrafficAllocsFlatInEndpoints(t *testing.T) {
 	if frames := float64(DefaultSpec("allocs").World.Frames); six-one >= frames {
 		t.Errorf("%.0f allocations at 6 endpoints per zone vs %.0f at 1: %.0f more, want fewer than %.0f (one per period)",
 			six, one, six-one, frames)
+	}
+}
+
+// TestTrafficAllocsOnePerFrame pins the per-frame allocations of a
+// SECOC replicate with both detectors on: the wire Protect returns,
+// which the history keeps, and nothing else. Verify returns a view of
+// the wire, the detectors return alerts by value, and forge and
+// masquerade reuse one buffer per replicate. So doubling Frames may add
+// at most one allocation per added frame, and a replicate allocates at
+// most Frames plus a set-up constant (the suite, the detectors and the
+// loop's buffers). The per-spec state is built once, outside the count,
+// as a compiled experiment builds it once for all its runs. The delay
+// attack is left out: each withheld frame is one entry in the release
+// schedule.
+func TestTrafficAllocsOnePerFrame(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const setUp = 64
+	for _, attack := range []string{AttackNone, AttackReplay, AttackForge, AttackMasquerade, AttackFlood} {
+		allocs := func(frames int) float64 {
+			sp := DefaultSpec("allocs")
+			sp.Protocol.Suite = "SECOC"
+			sp.IDS.Enabled = true
+			sp.Attacker.Type = attack
+			sp.Attacker.Every = 1
+			sp.World.Frames = frames
+			if err := sp.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			atk, err := Attacks.Lookup(attack)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr, err := newTraffic(sp, atk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return testing.AllocsPerRun(10, func() {
+				if _, err := tr.simulate(sim.NewRNG(42)); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		frames := DefaultSpec("allocs").World.Frames
+		short, long := allocs(frames), allocs(2*frames)
+		t.Logf("%s: %.0f allocations at %d frames, %.0f at %d", attack, short, frames, long, 2*frames)
+		if long-short > float64(frames) {
+			t.Errorf("%s: %d more frames cost %.0f more allocations, want at most one per frame",
+				attack, frames, long-short)
+		}
+		if short > float64(frames+setUp) {
+			t.Errorf("%s: %.0f allocations at %d frames, want at most %d (one per frame plus %d of set-up)",
+				attack, short, frames, frames+setUp, setUp)
+		}
 	}
 }
 

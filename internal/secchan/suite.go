@@ -31,12 +31,21 @@ func yn(b bool) string {
 //
 // Suites are not safe for concurrent use — like the protocol endpoints
 // they wrap, each belongs to one simulated task.
+//
+// Ownership: Protect returns a fresh slice the caller owns; the suite
+// keeps no reference to it, so the caller may store it (the scenario
+// traffic loop keeps every wire as its replay history). Verify reads
+// wire only during the call and never writes it; the payload it
+// returns may alias wire (SECOC and noop-mac return a view of it), so
+// a caller that reuses or changes wire must copy the payload first.
 type Suite interface {
 	// Protect wraps an application payload into its protected wire
-	// form, consuming one freshness value / sequence number.
+	// form, consuming one freshness value / sequence number. The
+	// returned slice belongs to the caller.
 	Protect(payload []byte) ([]byte, error)
 	// Verify checks a protected wire message and returns the
 	// authenticated payload; replayed, stale, or forged input errors.
+	// The payload may alias wire.
 	Verify(wire []byte) ([]byte, error)
 }
 

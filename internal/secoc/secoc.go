@@ -111,12 +111,13 @@ func NewReceiver(cfg Config, key []byte) (*Receiver, error) {
 	}, nil
 }
 
-// Verify checks a secured PDU and returns the authenticated payload.
-// The receiver reconstructs the full freshness value from the truncated
-// bits via the secchan kernel's candidate search — forward from its own
-// counter within the acceptance window; replayed or stale PDUs fail
-// because no in-window counter matches both the truncated bits and the
-// MAC.
+// Verify checks a secured PDU and returns the authenticated payload:
+// a view of pdu capped at the payload's end, so appending to it cannot
+// overwrite the freshness and MAC bytes. The receiver reconstructs the
+// full freshness value from the truncated bits via the secchan kernel's
+// candidate search — forward from its own counter within the acceptance
+// window; replayed or stale PDUs fail because no in-window counter
+// matches both the truncated bits and the MAC.
 func (r *Receiver) Verify(pdu []byte) ([]byte, error) {
 	oh := r.cfg.Overhead()
 	if len(pdu) < oh {
@@ -139,7 +140,7 @@ func (r *Receiver) Verify(pdu []byte) ([]byte, error) {
 	for it.Next() {
 		if secchan.VerifyTrunc(r.mac.compute(r.cfg, payload, it.Value()), mac) {
 			it.Commit()
-			return append([]byte(nil), payload...), nil
+			return payload[:len(payload):len(payload)], nil
 		}
 	}
 	return nil, errVerifyFailed

@@ -41,6 +41,31 @@ func TestProtectVerifyRoundTrip(t *testing.T) {
 	}
 }
 
+// TestVerifyPayloadIsCappedView pins Verify's result: a view of the
+// PDU's payload bytes, capped so that appending to it copies instead of
+// overwriting the PDU's freshness and MAC.
+func TestVerifyPayloadIsCappedView(t *testing.T) {
+	t.Parallel()
+	s, r := pair(t, DefaultConfig(0x10))
+	payload := []byte{0x12, 0x34, 0x56}
+	pdu, err := s.Protect(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sent := bytes.Clone(pdu)
+	got, err := r.Verify(pdu)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(payload) || cap(got) != len(payload) || &got[0] != &pdu[0] {
+		t.Fatalf("payload len %d cap %d, want a capped view of the PDU's first %d bytes", len(got), cap(got), len(payload))
+	}
+	_ = append(got, 0xFF)
+	if !bytes.Equal(pdu, sent) {
+		t.Errorf("appending to the payload changed the PDU: %x, was %x", pdu, sent)
+	}
+}
+
 func TestVerifyRejectsReplay(t *testing.T) {
 	t.Parallel()
 	s, r := pair(t, DefaultConfig(0x10))

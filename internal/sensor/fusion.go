@@ -53,11 +53,11 @@ const associationGate = 2.5
 
 // Fuse applies the policy to raw detections. For VerifiedFusion it
 // additionally issues ranging exchanges through the suite. Clustering
-// runs in the suite's reusable buffers, so only the returned slice is
-// allocated.
+// and the result live in the suite's reusable buffers: the returned
+// slice is valid until the next Fuse call.
 func (s *Suite) Fuse(w *world.World, dets []Detection, policy FusionPolicy, att *Attack, rng *sim.RNG) []Obstacle {
 	clusters := s.clusterDetections(dets)
-	var out []Obstacle
+	out := s.obstacles[:0]
 	for i := range clusters {
 		c := &clusters[i]
 		ob := Obstacle{Pos: c.centroid(), Range: c.minRange, Sources: bits.OnesCount64(c.modalities), TruthID: c.truthID(dets, s.next)}
@@ -90,11 +90,9 @@ func (s *Suite) Fuse(w *world.World, dets []Detection, policy FusionPolicy, att 
 		default:
 			continue
 		}
-		if out == nil {
-			out = make([]Obstacle, 0, len(clusters)-i)
-		}
 		out = append(out, ob)
 	}
+	s.obstacles = out
 	return out
 }
 

@@ -94,6 +94,10 @@ type Suite struct {
 	// neighbors is Sense's scratch for the world neighbourhood query,
 	// reused across ticks so the per-tick query is allocation-free.
 	neighbors []*world.Actor
+	// dets and obstacles hold the results of Sense and Fuse, reused
+	// across ticks; each is valid until the next call that fills it.
+	dets      []Detection
+	obstacles []Obstacle
 	// clusters and next are Fuse's clustering buffers: the clusters of
 	// the current call and, per detection, the next member of its
 	// cluster (-1 at the end).
@@ -107,7 +111,8 @@ func NewSuite(egoID string, key []byte) *Suite {
 }
 
 // Sense runs all passive modalities (lidar, radar, camera) under the
-// given attack (nil for benign) and returns the raw detections.
+// given attack (nil for benign) and returns the raw detections. The
+// slice belongs to the suite and is valid until the next Sense call.
 func (s *Suite) Sense(w *world.World, att *Attack, rng *sim.RNG) []Detection {
 	ego := w.Get(s.EgoID)
 	if ego == nil {
@@ -124,7 +129,7 @@ func (s *Suite) Sense(w *world.World, att *Attack, rng *sim.RNG) []Detection {
 	if n == 0 {
 		return nil
 	}
-	out := make([]Detection, 0, n)
+	out := s.dets[:0]
 	for _, m := range []Modality{Lidar, Radar, Camera} {
 		for _, a := range s.neighbors {
 			if att != nil && att.Target == m && att.RemoveID == a.ID {
@@ -146,6 +151,7 @@ func (s *Suite) Sense(w *world.World, att *Attack, rng *sim.RNG) []Detection {
 			out = append(out, Detection{Modality: m, Pos: g, Range: world.Dist(ego.Pos, g)})
 		}
 	}
+	s.dets = out
 	return out
 }
 

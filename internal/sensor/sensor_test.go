@@ -177,6 +177,28 @@ func TestVerifiedFusionConfirmsTransponderTraffic(t *testing.T) {
 	}
 }
 
+// TestSenseFuseReuseBuffers pins that a sensing tick allocates nothing
+// once the suite's buffers have grown: Sense and Fuse return slices the
+// suite owns, and each stays valid until the next call that fills it.
+func TestSenseFuseReuseBuffers(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	w := buildWorld(t)
+	s := NewSuite("ego", key)
+	rng := sim.NewRNG(7)
+	var obs []Obstacle
+	allocs := testing.AllocsPerRun(50, func() {
+		obs = s.Fuse(w, s.Sense(w, nil, rng), ConsensusFusion, nil, rng)
+	})
+	if allocs != 0 {
+		t.Errorf("%.1f allocations per Sense+Fuse tick, want 0", allocs)
+	}
+	if len(obs) == 0 {
+		t.Error("no fused obstacles")
+	}
+}
+
 func TestEncounterBenignNoCollision(t *testing.T) {
 	for _, policy := range []FusionPolicy{NaiveFusion, ConsensusFusion, VerifiedFusion} {
 		res, err := RunEncounter(DefaultEncounter(policy, nil), key, sim.NewRNG(6))

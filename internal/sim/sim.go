@@ -98,6 +98,12 @@ func (k *Kernel) RNG() *RNG { return k.rng }
 // comparison per hook.
 func (k *Kernel) SetTracer(t Tracer) { k.tracer = t }
 
+// Traced reports whether a tracer is attached. Without one an event's
+// name is never read, so a hot path may skip formatting it; attach the
+// tracer before scheduling, as the kernel's trace then names every
+// event.
+func (k *Kernel) Traced() bool { return k.tracer != nil }
+
 // Count traces a "counter" event adding delta to the named counter.
 // The kernel stores nothing: without a tracer it is a no-op.
 func (k *Kernel) Count(name string, delta int64) {
